@@ -25,7 +25,7 @@ STATICCHECK_VERSION ?= 2025.1.1
 # runs with ACCORD_CHECKPOINT_DIR pointing there skip their warmup.
 CKPT_DIR ?= .ckpt
 
-.PHONY: all build test race vet lint bench-smoke bench-json bench-compare checkpoints profile verify
+.PHONY: all build test race vet fmt-check lint bench-smoke bench-json bench-compare checkpoints profile verify
 
 all: verify
 
@@ -45,6 +45,11 @@ race:
 
 vet:
 	$(GO) vet ./...
+
+# Formatting gate: fails, naming the files, when any Go file is not
+# gofmt-clean. Unlike lint it needs no network.
+fmt-check:
+	@test -z "$$(gofmt -l .)" || { gofmt -l .; echo "fmt-check: run gofmt -w on the files above"; exit 1; }
 
 # Static analysis beyond vet. Pinned so lint results are reproducible;
 # bump STATICCHECK_VERSION deliberately, not via @latest.
@@ -92,4 +97,4 @@ profile:
 	$(GO) run ./cmd/accordbench -quick -experiment fig1 -cpuprofile /tmp/accord.cpu.prof -memprofile /tmp/accord.mem.prof > /dev/null
 	$(GO) tool pprof -top -nodecount=15 /tmp/accord.cpu.prof
 
-verify: build vet test race
+verify: build vet fmt-check test race

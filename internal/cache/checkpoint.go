@@ -1,6 +1,10 @@
 package cache
 
-import "accord/internal/ckpt"
+import (
+	"encoding/binary"
+
+	"accord/internal/ckpt"
+)
 
 // Per-component version bytes; bump on any encoding change.
 const (
@@ -8,26 +12,34 @@ const (
 	hierarchyVersion = 1
 )
 
+// lineRecordBytes is the encoded size of one line: tag and LRU stamp as
+// little-endian words, a flags byte (1 = valid, 2 = dirty, 4 = DCP
+// present), then the DCP way.
+const lineRecordBytes = 18
+
 // Snapshot serializes the cache's line array, LRU clock, and statistics.
 func (c *Cache) Snapshot(e *ckpt.Encoder) {
 	e.U8(sramCacheVersion)
 	e.U64(c.clock)
-	for i := range c.lines {
-		l := &c.lines[i]
-		e.U64(l.tag)
-		e.U64(l.used)
-		var flags uint8
-		if l.valid {
-			flags |= 1
+	if b := e.Reserve(lineRecordBytes * len(c.lines)); b != nil {
+		for i := range c.lines {
+			l := &c.lines[i]
+			r := b[lineRecordBytes*i : lineRecordBytes*(i+1)]
+			binary.LittleEndian.PutUint64(r, l.tag)
+			binary.LittleEndian.PutUint64(r[8:], l.used)
+			var flags uint8
+			if l.valid {
+				flags |= 1
+			}
+			if l.dirty {
+				flags |= 2
+			}
+			if l.dcp.Present {
+				flags |= 4
+			}
+			r[16] = flags
+			r[17] = l.dcp.Way
 		}
-		if l.dirty {
-			flags |= 2
-		}
-		if l.dcp.Present {
-			flags |= 4
-		}
-		e.U8(flags)
-		e.U8(l.dcp.Way)
 	}
 	e.U64(c.stats.Hits)
 	e.U64(c.stats.Misses)
@@ -41,14 +53,15 @@ func (c *Cache) Restore(d *ckpt.Decoder) error {
 		d.Failf("cache: snapshot version %d, want %d", v, sramCacheVersion)
 	}
 	c.clock = d.U64()
+	b := d.Raw(lineRecordBytes * len(c.lines))
+	if err := d.Err(); err != nil {
+		return err
+	}
 	for i := range c.lines {
-		tag := d.U64()
-		used := d.U64()
-		flags := d.U8()
-		way := d.U8()
-		if d.Err() != nil {
-			return d.Err()
-		}
+		r := b[lineRecordBytes*i : lineRecordBytes*(i+1)]
+		tag := binary.LittleEndian.Uint64(r)
+		used := binary.LittleEndian.Uint64(r[8:])
+		flags, way := r[16], r[17]
 		if flags > 7 {
 			d.Failf("cache: line[%d] flags %#x invalid", i, flags)
 			return d.Err()

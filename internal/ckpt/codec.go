@@ -24,9 +24,14 @@ import (
 )
 
 // Encoder appends fixed-width binary fields to a growing buffer. The
-// zero value is not usable; construct with NewEncoder.
+// zero value is not usable; construct with NewEncoder, or with
+// NewMeasurer for an encoder that only counts.
 type Encoder struct {
 	buf []byte
+	// measure marks a NewMeasurer encoder: it stores nothing, and n counts
+	// the bytes it would have encoded.
+	measure bool
+	n       int
 }
 
 // NewEncoder returns an encoder with the given capacity hint.
@@ -37,14 +42,82 @@ func NewEncoder(capHint int) *Encoder {
 	return &Encoder{buf: make([]byte, 0, capHint)}
 }
 
-// Len returns the number of bytes encoded so far.
-func (e *Encoder) Len() int { return len(e.buf) }
+// NewMeasurer returns an encoder that stores nothing and only counts:
+// after the calls that would encode a blob, Finish included, Len is that
+// blob's exact length, so the real encoder can be sized to hold it in
+// one allocation. On a measurer Reserve and Finish return nil; a caller
+// filling a reserved section skips it.
+func NewMeasurer() *Encoder { return &Encoder{measure: true} }
+
+// Measuring reports whether e is a measurer. A component whose encoding
+// has the same length in every state may then skip work that only
+// decides the bytes, such as replaying a stream to an earlier position.
+func (e *Encoder) Measuring() bool { return e.measure }
+
+// counted adds n to a measurer's count and reports whether e is one, in
+// which case the caller encodes nothing.
+func (e *Encoder) counted(n int) bool {
+	if e.measure {
+		e.n += n
+	}
+	return e.measure
+}
+
+// Len returns the number of bytes encoded (counted, on a measurer) so far.
+func (e *Encoder) Len() int {
+	if e.measure {
+		return e.n
+	}
+	return len(e.buf)
+}
+
+// Reserve extends the blob by n bytes and returns them for the caller to
+// fill in place; their prior contents are unspecified, so every byte must
+// be written. An array-sized section costs one capacity check this way
+// instead of one per field. When the buffer runs out it at least doubles,
+// so a blob that outgrows its capacity hint is copied O(log n) times
+// rather than once per 25% of growth, as append does for large slices.
+// A measurer counts the n bytes and returns nil.
+func (e *Encoder) Reserve(n int) []byte {
+	if e.counted(n) {
+		return nil
+	}
+	l := len(e.buf)
+	if cap(e.buf)-l < n {
+		grown := make([]byte, l, max(2*cap(e.buf), l+n))
+		copy(grown, e.buf)
+		e.buf = grown
+	}
+	e.buf = e.buf[:l+n]
+	return e.buf[l:]
+}
+
+// U64s appends v as consecutive little-endian words, exactly as a U64
+// call per element would, with no length prefix; the decoder must know
+// the count.
+func (e *Encoder) U64s(v []uint64) {
+	b := e.Reserve(8 * len(v))
+	if b == nil {
+		return
+	}
+	for i, x := range v {
+		binary.LittleEndian.PutUint64(b[8*i:], x)
+	}
+}
 
 // U8 appends one byte.
-func (e *Encoder) U8(v uint8) { e.buf = append(e.buf, v) }
+func (e *Encoder) U8(v uint8) {
+	if e.counted(1) {
+		return
+	}
+	e.buf = append(e.buf, v)
+}
 
 // Bool appends a bool as one byte (0 or 1).
 func (e *Encoder) Bool(v bool) {
+	if e.counted(1) {
+		return
+	}
 	if v {
 		e.buf = append(e.buf, 1)
 	} else {
@@ -54,11 +127,17 @@ func (e *Encoder) Bool(v bool) {
 
 // U32 appends a little-endian uint32.
 func (e *Encoder) U32(v uint32) {
+	if e.counted(4) {
+		return
+	}
 	e.buf = binary.LittleEndian.AppendUint32(e.buf, v)
 }
 
 // U64 appends a little-endian uint64.
 func (e *Encoder) U64(v uint64) {
+	if e.counted(8) {
+		return
+	}
 	e.buf = binary.LittleEndian.AppendUint64(e.buf, v)
 }
 
@@ -67,10 +146,18 @@ func (e *Encoder) I64(v int64) { e.U64(uint64(v)) }
 
 // Raw appends bytes verbatim, with no length prefix; the decoder must
 // know the exact count.
-func (e *Encoder) Raw(b []byte) { e.buf = append(e.buf, b...) }
+func (e *Encoder) Raw(b []byte) {
+	if e.counted(len(b)) {
+		return
+	}
+	e.buf = append(e.buf, b...)
+}
 
 // String appends a uint32 length prefix followed by the bytes.
 func (e *Encoder) String(s string) {
+	if e.counted(4 + len(s)) {
+		return
+	}
 	e.U32(uint32(len(s)))
 	e.buf = append(e.buf, s...)
 }
@@ -79,6 +166,9 @@ func (e *Encoder) String(s string) {
 // must know the count). Large boolean state (the VM frame bitmap) costs
 // one bit per entry instead of one byte.
 func (e *Encoder) Bools(v []bool) {
+	if e.counted((len(v) + 7) / 8) {
+		return
+	}
 	var acc uint8
 	var n uint
 	for _, b := range v {
@@ -96,10 +186,14 @@ func (e *Encoder) Bools(v []bool) {
 }
 
 // Finish appends a CRC-32C of everything encoded so far and returns the
-// complete blob. The encoder must not be used afterwards.
+// complete blob (nil from a measurer, which counts the CRC). The encoder
+// must not be used afterwards.
 func (e *Encoder) Finish() []byte {
 	crc := crc32.Checksum(e.buf, crcTable)
-	return binary.LittleEndian.AppendUint32(e.buf, crc)
+	if b := e.Reserve(4); b != nil {
+		binary.LittleEndian.PutUint32(b, crc)
+	}
+	return e.buf
 }
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
@@ -232,6 +326,18 @@ func (d *Decoder) Len(max int) int {
 		return 0
 	}
 	return int(n)
+}
+
+// U64s reads len(dst) little-endian words into dst with a single bounds
+// check for the whole array. On error dst is left unchanged.
+func (d *Decoder) U64s(dst []uint64) {
+	b := d.need(8 * len(dst))
+	if b == nil {
+		return
+	}
+	for i := range dst {
+		dst[i] = binary.LittleEndian.Uint64(b[8*i:])
+	}
 }
 
 // Bools reads len(dst) bit-packed bools into dst.

@@ -171,3 +171,158 @@ func TestBoolsRoundTripWidths(t *testing.T) {
 		}
 	}
 }
+
+// TestU64sMatchesScalar pins U64s to the bytes a U64 call per element
+// writes, and checks both directions round-trip at every width.
+func TestU64sMatchesScalar(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	for _, n := range []int{0, 1, 2, 7, 64, 1000} {
+		v := make([]uint64, n)
+		for i := range v {
+			v[i] = rng.Uint64()
+		}
+		bulk, scalar := NewEncoder(0), NewEncoder(0)
+		bulk.U8(0x5A) // misalign the array
+		scalar.U8(0x5A)
+		bulk.U64s(v)
+		for _, x := range v {
+			scalar.U64(x)
+		}
+		if !bytes.Equal(bulk.buf, scalar.buf) {
+			t.Fatalf("n=%d: U64s bytes differ from per-element U64", n)
+		}
+		d := NewDecoder(bulk.buf)
+		d.U8()
+		back := make([]uint64, n)
+		d.U64s(back)
+		if d.Err() != nil {
+			t.Fatalf("n=%d: %v", n, d.Err())
+		}
+		for i := range v {
+			if back[i] != v[i] {
+				t.Fatalf("n=%d: word %d = %#x, want %#x", n, i, back[i], v[i])
+			}
+		}
+		if d.Remaining() != 0 {
+			t.Fatalf("n=%d: %d bytes left over", n, d.Remaining())
+		}
+	}
+}
+
+// TestReserve checks that reserved bytes land in sequence with the other
+// fields, that earlier bytes survive a regrowth, and that a full buffer
+// at least doubles.
+func TestReserve(t *testing.T) {
+	e := NewEncoder(64)
+	e.U32(0xCAFEF00D)
+	b := e.Reserve(4)
+	copy(b, "abcd")
+	if c := cap(e.buf); c != 64 {
+		t.Fatalf("Reserve within capacity reallocated: cap %d", c)
+	}
+	e.Raw(make([]byte, 64-e.Len()))
+	e.Reserve(1)[0] = 0xEE
+	if c := cap(e.buf); c < 128 {
+		t.Errorf("full 64-byte buffer grew to cap %d, want at least 128", c)
+	}
+	big := e.Reserve(1000)
+	for i := range big {
+		big[i] = byte(i)
+	}
+	if got := e.Len(); got != 64+1+1000 {
+		t.Fatalf("Len = %d after reserving", got)
+	}
+	if c := cap(e.buf); c < e.Len() {
+		t.Fatalf("cap %d below len %d", c, e.Len())
+	}
+	e.U8(0x77)
+
+	d := NewDecoder(e.buf)
+	if got := d.U32(); got != 0xCAFEF00D {
+		t.Errorf("U32 before Reserve = %#x", got)
+	}
+	if got := d.Raw(4); string(got) != "abcd" {
+		t.Errorf("reserved bytes = %q", got)
+	}
+	d.Raw(64 - 8)
+	if got := d.U8(); got != 0xEE {
+		t.Errorf("byte reserved across regrowth = %#x", got)
+	}
+	for i, v := range d.Raw(1000) {
+		if v != byte(i) {
+			t.Fatalf("reserved byte %d = %d", i, v)
+		}
+	}
+	if got := d.U8(); got != 0x77 || d.Err() != nil || d.Remaining() != 0 {
+		t.Errorf("trailing U8 = %#x, err %v, %d left", got, d.Err(), d.Remaining())
+	}
+}
+
+// TestBulkTruncationEveryOffset cuts a blob of bulk sections at every
+// offset: each cut must surface as a decode error, never a panic or a
+// silent short read.
+func TestBulkTruncationEveryOffset(t *testing.T) {
+	words := []uint64{1, 1 << 40, ^uint64(0), 42, 7}
+	e := NewEncoder(0)
+	e.U8(3)
+	e.U64s(words)
+	copy(e.Reserve(9), "reserved!")
+	e.U64s(words[:2])
+	payload := append([]byte(nil), e.buf...)
+	for n := 0; n < len(payload); n++ {
+		d := NewDecoder(payload[:n])
+		d.U8()
+		d.U64s(make([]uint64, len(words)))
+		d.Raw(9)
+		d.U64s(make([]uint64, 2))
+		if d.Err() == nil {
+			t.Errorf("truncation to %d of %d bytes went undetected", n, len(payload))
+		}
+	}
+	d := NewDecoder(payload)
+	d.U8()
+	d.U64s(make([]uint64, len(words)))
+	d.Raw(9)
+	d.U64s(make([]uint64, 2))
+	if d.Err() != nil || d.Remaining() != 0 {
+		t.Fatalf("full payload: err %v, %d bytes left", d.Err(), d.Remaining())
+	}
+}
+
+// TestMeasurerCountsExactLength runs one sequence of every field kind
+// through a real encoder and a measurer: the measurer must store nothing
+// and count exactly the bytes of the finished blob.
+func TestMeasurerCountsExactLength(t *testing.T) {
+	write := func(e *Encoder) []byte {
+		e.U8(1)
+		e.Bool(true)
+		e.U32(2)
+		e.U64(3)
+		e.I64(-4)
+		e.Raw([]byte("raw"))
+		e.String("string")
+		e.Bools(make([]bool, 13))
+		e.U64s([]uint64{5, 6, 7})
+		if b := e.Reserve(9); b != nil {
+			copy(b, "reserved!")
+		}
+		return e.Finish()
+	}
+	blob := write(NewEncoder(0))
+	m := NewMeasurer()
+	if !m.Measuring() || NewEncoder(0).Measuring() {
+		t.Error("Measuring must be true exactly for a measurer")
+	}
+	if b := m.Reserve(0); b != nil {
+		t.Errorf("measurer Reserve returned a %d-byte slice, want nil", len(b))
+	}
+	if got := write(m); got != nil {
+		t.Errorf("measurer Finish returned %d bytes, want nil", len(got))
+	}
+	if m.Len() != len(blob) {
+		t.Errorf("measurer counted %d bytes, blob is %d", m.Len(), len(blob))
+	}
+	if _, err := NewDecoderChecked(blob); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -351,9 +351,9 @@ func (ch *channel) reserveSlow(from, dur int64) int64 {
 	// already-rare path.
 	nb := busyIvl{start: t, end: t + dur}
 	if idx > 0 && ch.ivl(idx-1).end == nb.start {
-		ch.ivl(idx-1).end = nb.end
+		ch.ivl(idx - 1).end = nb.end
 		if idx < n && ch.ivl(idx).start == nb.end {
-			ch.ivl(idx-1).end = ch.ivl(idx).end
+			ch.ivl(idx - 1).end = ch.ivl(idx).end
 			for j := idx; j < n-1; j++ {
 				*ch.ivl(j) = *ch.ivl(j + 1)
 			}

@@ -1,6 +1,7 @@
 package dramcache
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"accord/internal/ckpt"
@@ -74,6 +75,48 @@ func restoreLatency(d *ckpt.Decoder, l *LatencySum) {
 	}
 }
 
+// metaRecordBytes is the encoded size of one way: the tag as a
+// little-endian word, then a flags byte (1 = valid, 2 = dirty).
+const metaRecordBytes = 9
+
+// snapshotMeta writes a packed tag store as metaRecordBytes records, the
+// bytes the nway cache, Gemini and TDRAM have always written.
+func snapshotMeta(e *ckpt.Encoder, meta []wayMeta) {
+	b := e.Reserve(metaRecordBytes * len(meta))
+	if b == nil {
+		return
+	}
+	for i, m := range meta {
+		r := b[metaRecordBytes*i : metaRecordBytes*(i+1)]
+		binary.LittleEndian.PutUint64(r, m.tag())
+		r[8] = uint8(m & (metaValid | metaDirty))
+	}
+}
+
+// restoreMeta reads what snapshotMeta wrote into meta, rejecting flags
+// outside the two defined bits and tags too wide to pack. who prefixes
+// the error.
+func restoreMeta(d *ckpt.Decoder, meta []wayMeta, who string) error {
+	b := d.Raw(metaRecordBytes * len(meta))
+	if err := d.Err(); err != nil {
+		return err
+	}
+	for i := range meta {
+		r := b[metaRecordBytes*i : metaRecordBytes*(i+1)]
+		tag, flags := binary.LittleEndian.Uint64(r), wayMeta(r[8])
+		if flags&^(metaValid|metaDirty) != 0 {
+			d.Failf("%s: meta[%d] flags %#x invalid", who, i, r[8])
+			return d.Err()
+		}
+		if tag > maxMetaTag {
+			d.Failf("%s: meta[%d] tag %#x exceeds %d bits", who, i, tag, 64-metaTagShift)
+			return d.Err()
+		}
+		meta[i] = wayMeta(tag<<metaTagShift) | flags
+	}
+	return nil
+}
+
 // Snapshot serializes the set arrays, replacement state, statistics, and
 // the attached policy. It returns an error when the policy does not
 // implement core.Checkpointable — such configurations simply cannot be
@@ -85,21 +128,9 @@ func (c *Cache) Snapshot(e *ckpt.Encoder) error {
 	}
 	e.U8(cacheVersion)
 	e.U64(c.clock)
-	for _, m := range c.meta {
-		e.U64(m.tag)
-		var flags uint8
-		if m.valid {
-			flags |= 1
-		}
-		if m.dirty {
-			flags |= 2
-		}
-		e.U8(flags)
-	}
+	snapshotMeta(e, c.meta)
 	e.Bool(c.lru != nil)
-	for _, v := range c.lru {
-		e.U64(v)
-	}
+	e.U64s(c.lru)
 	snapshotStats(e, &c.stats)
 	cp.Snapshot(e)
 	return nil
@@ -116,17 +147,8 @@ func (c *Cache) Restore(d *ckpt.Decoder) error {
 		d.Failf("dramcache: snapshot version %d, want %d", v, cacheVersion)
 	}
 	c.clock = d.U64()
-	for i := range c.meta {
-		tag := d.U64()
-		flags := d.U8()
-		if d.Err() != nil {
-			return d.Err()
-		}
-		if flags > 3 {
-			d.Failf("dramcache: meta[%d] flags %#x invalid", i, flags)
-			return d.Err()
-		}
-		c.meta[i] = wayMeta{tag: tag, valid: flags&1 != 0, dirty: flags&2 != 0}
+	if err := restoreMeta(d, c.meta, "dramcache"); err != nil {
+		return err
 	}
 	hasLRU := d.Bool()
 	if d.Err() == nil && hasLRU != (c.lru != nil) {
@@ -135,9 +157,7 @@ func (c *Cache) Restore(d *ckpt.Decoder) error {
 	if d.Err() != nil {
 		return d.Err()
 	}
-	for i := range c.lru {
-		c.lru[i] = d.U64()
-	}
+	d.U64s(c.lru)
 	restoreStats(d, &c.stats)
 	if err := d.Err(); err != nil {
 		return err
@@ -150,8 +170,10 @@ func (c *Cache) Restore(d *ckpt.Decoder) error {
 // checkpointing interface at the sim layer.
 func (c *CACache) Snapshot(e *ckpt.Encoder) error {
 	e.U8(caVersion)
-	for _, l := range c.lines {
-		e.U64(uint64(l))
+	if b := e.Reserve(8 * len(c.lines)); b != nil {
+		for i, l := range c.lines {
+			binary.LittleEndian.PutUint64(b[8*i:], uint64(l))
+		}
 	}
 	e.Bools(c.valid)
 	e.Bools(c.dirty)
@@ -167,8 +189,10 @@ func (c *CACache) Restore(d *ckpt.Decoder) error {
 	if err := d.Err(); err != nil {
 		return err
 	}
-	for i := range c.lines {
-		c.lines[i] = memtypes.LineAddr(d.U64())
+	if b := d.Raw(8 * len(c.lines)); b != nil {
+		for i := range c.lines {
+			c.lines[i] = memtypes.LineAddr(binary.LittleEndian.Uint64(b[8*i:]))
+		}
 	}
 	d.Bools(c.valid)
 	d.Bools(c.dirty)

@@ -1,6 +1,8 @@
 package dramcache
 
 import (
+	"bytes"
+	"encoding/binary"
 	"testing"
 
 	"accord/internal/ckpt"
@@ -152,5 +154,96 @@ func TestCACacheRoundTrip(t *testing.T) {
 		if err := buildCA(512).Restore(ckpt.NewDecoder(payload[:n])); err == nil {
 			t.Errorf("truncation to %d bytes accepted", n)
 		}
+	}
+}
+
+// TestPackedTagRestoreRejectsBadRecords corrupts one 9-byte tag record in
+// the snapshot of each backend sharing the packed tag store: a flags byte
+// above 3 or a tag wider than the 62 bits a packed way holds must fail
+// the restore, while the widest packable tag restores and re-encodes to
+// the same bytes.
+func TestPackedTagRestoreRejectsBadRecords(t *testing.T) {
+	const capacity = 256 * 4 * memtypes.LineSize
+	cases := []struct {
+		name  string
+		build func() Interface
+		// metaOff is the payload offset of meta[0]: the version byte and
+		// the backend's fixed header precede it.
+		metaOff int
+	}{
+		{"nway", func() Interface { return ckptCache(1) }, 1 + 8},
+		{"gemini", func() Interface {
+			dev, nvm := devices()
+			g, err := NewGemini(capacity, dev, nvm)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return g
+		}, 1 + 8},
+		{"tdram", func() Interface {
+			dev, nvm := devices()
+			c, err := NewTDRAM(capacity, 4, dev, nvm)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return c
+		}, 1 + 8 + 1},
+	}
+	snap := func(c Interface) []byte {
+		e := ckpt.NewEncoder(0)
+		if err := c.Snapshot(e); err != nil {
+			t.Fatal(err)
+		}
+		return e.Finish()
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			c := tc.build()
+			rng := xrand.New(9)
+			for i := 0; i < 4000; i++ {
+				line := memtypes.LineAddr(rng.Intn(4096))
+				if i%4 == 0 {
+					c.Writeback(int64(i), line)
+				} else {
+					c.AccessRead(int64(i), line)
+				}
+			}
+			blob := snap(c)
+			payload := blob[:len(blob)-4]
+			const rec = 5 // an arbitrary record past the first
+			tagAt, flagsAt := tc.metaOff+rec*9, tc.metaOff+rec*9+8
+			if f := payload[flagsAt]; f == 0 || f > 3 {
+				t.Fatalf("record %d flags %#x: metaOff does not point at the tag store", rec, f)
+			}
+			edit := func(f func(p []byte)) []byte {
+				p := append([]byte(nil), payload...)
+				f(p)
+				return p
+			}
+			for _, bad := range []struct {
+				what string
+				p    []byte
+			}{
+				{"flags 4", edit(func(p []byte) { p[flagsAt] = 4 })},
+				{"flags 0xff", edit(func(p []byte) { p[flagsAt] = 0xff })},
+				{"tag 1<<62", edit(func(p []byte) { binary.LittleEndian.PutUint64(p[tagAt:], 1<<62) })},
+				{"tag all ones", edit(func(p []byte) { binary.LittleEndian.PutUint64(p[tagAt:], ^uint64(0)) })},
+			} {
+				if err := tc.build().Restore(ckpt.NewDecoder(bad.p)); err == nil {
+					t.Errorf("%s accepted", bad.what)
+				}
+			}
+
+			widest := edit(func(p []byte) { binary.LittleEndian.PutUint64(p[tagAt:], 1<<62-1) })
+			fresh := tc.build()
+			d := ckpt.NewDecoder(widest)
+			if err := fresh.Restore(d); err != nil || d.Remaining() != 0 {
+				t.Fatalf("62-bit tag rejected: %v (%d bytes left)", err, d.Remaining())
+			}
+			again := snap(fresh)
+			if !bytes.Equal(again[:len(again)-4], widest) {
+				t.Error("62-bit tag did not re-encode to the same bytes")
+			}
+		})
 	}
 }

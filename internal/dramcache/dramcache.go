@@ -359,9 +359,9 @@ type Cache struct {
 	setShift uint
 	ways     int
 
-	// meta fuses the per-way tag, valid, and dirty state that findWay
-	// scans on every access into one 16-byte record, so a whole 2-way set
-	// fits in half a host cache line instead of spanning three arrays.
+	// meta is the tag store findWay scans on every access, one packed
+	// word per way, so a whole 2-way set fits in a quarter of a host
+	// cache line.
 	meta  []wayMeta
 	lru   []uint64 // replacement stamps, used only with LRUReplacement
 	clock uint64
@@ -461,12 +461,50 @@ func (c *Cache) NumSets() uint64 { return c.sets }
 // Policy returns the attached way policy.
 func (c *Cache) Policy() core.Policy { return c.policy }
 
-// wayMeta is the per-way tag store the simulator keeps in host memory
-// (the modeled machine keeps it in the DRAM array itself).
-type wayMeta struct {
-	tag   uint64
-	valid bool
-	dirty bool
+// wayMeta is one way of the tag store the simulator keeps in host memory
+// (the modeled machine keeps it in the DRAM array itself), packed into
+// one word as tag<<2 | dirty<<1 | valid. The nway cache, Gemini and TDRAM
+// share it.
+//
+// A tag is a line address shifted right by the set-index bits, and a line
+// address is a byte address shifted right by memtypes.LineShift, so every
+// tag the simulator forms fits in the 62 bits the packing leaves. Restore
+// rejects a snapshot tag that does not.
+type wayMeta uint64
+
+const (
+	metaValid wayMeta = 1 << iota
+	metaDirty
+	metaTagShift = 2
+	// maxMetaTag is the widest tag a packed way can hold.
+	maxMetaTag = ^uint64(0) >> metaTagShift
+)
+
+// residentMeta is the packed entry of a freshly installed line.
+func residentMeta(tag uint64, dirty bool) wayMeta {
+	m := wayMeta(tag<<metaTagShift) | metaValid
+	if dirty {
+		m |= metaDirty
+	}
+	return m
+}
+
+func (m wayMeta) tag() uint64 { return uint64(m >> metaTagShift) }
+func (m wayMeta) valid() bool { return m&metaValid != 0 }
+func (m wayMeta) dirty() bool { return m&metaDirty != 0 }
+
+// matchWay returns the way of set holding tag, or -1. Masking off the
+// dirty bit leaves a word that equals the wanted one exactly when the way
+// is valid and its tag matches, so each way costs one compare; an
+// invalidated entry's stale tag can never alias a live one.
+func matchWay(set []wayMeta, tag uint64) int {
+	want := wayMeta(tag<<metaTagShift) | metaValid
+	for w, m := range set {
+		if m&^metaDirty == want {
+			return w
+		}
+	}
+	return -1
 }
 
 func (c *Cache) index(line memtypes.LineAddr) (set, tag uint64) {
@@ -479,19 +517,10 @@ func (c *Cache) lineOf(set, tag uint64) memtypes.LineAddr {
 	return memtypes.LineAddr(tag<<c.setShift | set)
 }
 
-// findWay returns the way holding (set, tag), or -1. The tag compare
-// runs first — it almost always decides — so the valid check (needed
-// because a zero-value or invalidated entry's stale tag could alias a
-// real one) is off the common path.
+// findWay returns the way holding (set, tag), or -1.
 func (c *Cache) findWay(set, tag uint64) int {
 	base := int(set) * c.ways
-	ways := c.meta[base : base+c.ways]
-	for w := range ways {
-		if ways[w].tag == tag && ways[w].valid {
-			return w
-		}
-	}
-	return -1
+	return matchWay(c.meta[base:base+c.ways], tag)
 }
 
 // Contains implements Interface (the simulator's idealized DCP source).
@@ -734,12 +763,12 @@ func (c *Cache) install(at int64, loc dram.Loc, set, tag uint64, region memtypes
 		at = c.dev.Access(at, loc, memtypes.Read, memtypes.TagUnitSize).DataAt
 	}
 	m := &c.meta[s]
-	if m.valid && m.dirty {
-		victim := c.lineOf(set, m.tag)
+	if m.valid() && m.dirty() {
+		victim := c.lineOf(set, m.tag())
 		c.stats.NVMWrites++
 		c.nvm.Access(at, c.nvmLoc(victim), memtypes.Write, memtypes.LineSize)
 	}
-	*m = wayMeta{tag: tag, valid: true, dirty: dirty}
+	*m = residentMeta(tag, dirty)
 	if c.cfg.LRUReplacement {
 		c.lru[s] = c.bump()
 	}
@@ -772,7 +801,7 @@ func (c *Cache) Writeback(at int64, line memtypes.LineAddr) int64 {
 	c.stats.Writebacks++
 	if way := c.findWay(set, tag); way >= 0 {
 		c.stats.WritebackHits++
-		c.meta[c.slot(set, way)].dirty = true
+		c.meta[c.slot(set, way)] |= metaDirty
 		c.stats.WritebackWrites++
 		res := c.dev.Access(at, loc, memtypes.Write, memtypes.TagUnitSize)
 		if c.cfg.LRUReplacement {
@@ -796,25 +825,25 @@ func (c *Cache) CheckInvariants() error {
 	for set := uint64(0); set < c.sets; set++ {
 		seen = seen[:0]
 		for w := 0; w < c.ways; w++ {
-			m := &c.meta[c.slot(set, w)]
-			if !m.valid {
+			m := c.meta[c.slot(set, w)]
+			if !m.valid() {
 				continue
 			}
 			for _, t := range seen {
-				if t == m.tag {
-					return fmt.Errorf("dramcache: duplicate tag %#x in set %d", m.tag, set)
+				if t == m.tag() {
+					return fmt.Errorf("dramcache: duplicate tag %#x in set %d", m.tag(), set)
 				}
 			}
-			seen = append(seen, m.tag)
+			seen = append(seen, m.tag())
 			ok := false
-			for _, cw := range c.policy.CandidateWays(m.tag, buf) {
+			for _, cw := range c.policy.CandidateWays(m.tag(), buf) {
 				if cw == w {
 					ok = true
 					break
 				}
 			}
 			if !ok {
-				return fmt.Errorf("dramcache: tag %#x in non-candidate way %d of set %d", m.tag, w, set)
+				return fmt.Errorf("dramcache: tag %#x in non-candidate way %d of set %d", m.tag(), w, set)
 			}
 		}
 	}

@@ -60,7 +60,7 @@ func (c *Cache) installFunctional(set, tag uint64, region memtypes.RegionID, dir
 		way = c.policy.InstallWay(set, tag, region)
 	}
 	s := c.slot(set, way)
-	c.meta[s] = wayMeta{tag: tag, valid: true, dirty: dirty}
+	c.meta[s] = residentMeta(tag, dirty)
 	if c.cfg.LRUReplacement {
 		c.lru[s] = c.bump()
 	}
@@ -74,7 +74,7 @@ func (c *Cache) WritebackFunctional(line memtypes.LineAddr) {
 	region := line.Region()
 	if way := c.findWay(set, tag); way >= 0 {
 		s := c.slot(set, way)
-		c.meta[s].dirty = true
+		c.meta[s] |= metaDirty
 		if c.cfg.LRUReplacement {
 			c.lru[s] = c.bump()
 		}

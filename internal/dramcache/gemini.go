@@ -114,13 +114,7 @@ func (c *Gemini) lineOf(set, tag uint64) memtypes.LineAddr {
 
 func (c *Gemini) findWay(set, tag uint64) int {
 	base := int(set) * geminiWays
-	ways := c.meta[base : base+geminiWays]
-	for w := range ways {
-		if ways[w].valid && ways[w].tag == tag {
-			return w
-		}
-	}
-	return -1
+	return matchWay(c.meta[base:base+geminiWays], tag)
 }
 
 // Contains implements Interface.
@@ -203,7 +197,7 @@ func (c *Gemini) installWayFor(set, tag uint64) int {
 	var order [geminiWays]int
 	c.probeOrder(tag, &order)
 	for _, w := range order {
-		if !c.meta[c.slot(set, w)].valid {
+		if !c.meta[c.slot(set, w)].valid() {
 			return w
 		}
 	}
@@ -219,12 +213,12 @@ func (c *Gemini) install(at int64, loc dram.Loc, set, tag uint64, dirty, victimP
 		at = c.dev.Access(at, loc, memtypes.Read, memtypes.TagUnitSize).DataAt
 	}
 	m := &c.meta[s]
-	if m.valid && m.dirty {
-		victim := c.lineOf(set, m.tag)
+	if m.valid() && m.dirty() {
+		victim := c.lineOf(set, m.tag())
 		c.stats.NVMWrites++
 		c.nvm.Access(at, c.nvmLoc(victim), memtypes.Write, memtypes.LineSize)
 	}
-	*m = wayMeta{tag: tag, valid: true, dirty: dirty}
+	*m = residentMeta(tag, dirty)
 	c.stats.InstallWrites++
 	c.dev.Access(at, loc, memtypes.Write, memtypes.TagUnitSize)
 	return way
@@ -238,7 +232,7 @@ func (c *Gemini) Writeback(at int64, line memtypes.LineAddr) int64 {
 	c.stats.Writebacks++
 	if way := c.findWay(set, tag); way >= 0 {
 		c.stats.WritebackHits++
-		c.meta[c.slot(set, way)].dirty = true
+		c.meta[c.slot(set, way)] |= metaDirty
 		c.stats.WritebackWrites++
 		return c.dev.Access(at, loc, memtypes.Write, memtypes.TagUnitSize).DataAt
 	}
@@ -258,7 +252,7 @@ func (c *Gemini) AccessReadFunctional(line memtypes.LineAddr) (way uint8, hit bo
 // installFunctional is install without device traffic.
 func (c *Gemini) installFunctional(set, tag uint64, dirty bool) int {
 	way := c.installWayFor(set, tag)
-	c.meta[c.slot(set, way)] = wayMeta{tag: tag, valid: true, dirty: dirty}
+	c.meta[c.slot(set, way)] = residentMeta(tag, dirty)
 	return way
 }
 
@@ -266,7 +260,7 @@ func (c *Gemini) installFunctional(set, tag uint64, dirty bool) int {
 func (c *Gemini) WritebackFunctional(line memtypes.LineAddr) {
 	set, tag := c.index(line)
 	if way := c.findWay(set, tag); way >= 0 {
-		c.meta[c.slot(set, way)].dirty = true
+		c.meta[c.slot(set, way)] |= metaDirty
 		return
 	}
 	c.installFunctional(set, tag, true)
@@ -277,14 +271,12 @@ func (c *Gemini) CheckInvariants() error {
 	for set := uint64(0); set < c.sets; set++ {
 		base := int(set) * geminiWays
 		for w := 0; w < geminiWays; w++ {
-			m := &c.meta[base+w]
-			if !m.valid {
+			m := c.meta[base+w]
+			if !m.valid() {
 				continue
 			}
-			for w2 := w + 1; w2 < geminiWays; w2++ {
-				if m2 := &c.meta[base+w2]; m2.valid && m2.tag == m.tag {
-					return fmt.Errorf("gemini: duplicate tag %#x in set %d", m.tag, set)
-				}
+			if matchWay(c.meta[base+w+1:base+geminiWays], m.tag()) >= 0 {
+				return fmt.Errorf("gemini: duplicate tag %#x in set %d", m.tag(), set)
 			}
 		}
 	}
@@ -298,17 +290,7 @@ const geminiVersion = 1
 func (c *Gemini) Snapshot(e *ckpt.Encoder) error {
 	e.U8(geminiVersion)
 	e.U64(c.sets)
-	for _, m := range c.meta {
-		e.U64(m.tag)
-		var flags uint8
-		if m.valid {
-			flags |= 1
-		}
-		if m.dirty {
-			flags |= 2
-		}
-		e.U8(flags)
-	}
+	snapshotMeta(e, c.meta)
 	snapshotStats(e, &c.stats)
 	return nil
 }
@@ -324,17 +306,8 @@ func (c *Gemini) Restore(d *ckpt.Decoder) error {
 	if err := d.Err(); err != nil {
 		return err
 	}
-	for i := range c.meta {
-		tag := d.U64()
-		flags := d.U8()
-		if d.Err() != nil {
-			return d.Err()
-		}
-		if flags > 3 {
-			d.Failf("gemini: meta[%d] flags %#x invalid", i, flags)
-			return d.Err()
-		}
-		c.meta[i] = wayMeta{tag: tag, valid: flags&1 != 0, dirty: flags&2 != 0}
+	if err := restoreMeta(d, c.meta, "gemini"); err != nil {
+		return err
 	}
 	restoreStats(d, &c.stats)
 	return d.Err()

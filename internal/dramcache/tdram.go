@@ -124,13 +124,7 @@ func (c *TDRAM) lineOf(set, tag uint64) memtypes.LineAddr {
 
 func (c *TDRAM) findWay(set, tag uint64) int {
 	base := int(set) * c.ways
-	ways := c.meta[base : base+c.ways]
-	for w := range ways {
-		if ways[w].valid && ways[w].tag == tag {
-			return w
-		}
-	}
-	return -1
+	return matchWay(c.meta[base:base+c.ways], tag)
 }
 
 // Contains implements Interface.
@@ -152,7 +146,7 @@ func (c *TDRAM) nvmLoc(line memtypes.LineAddr) dram.Loc {
 func (c *TDRAM) victimWay(set uint64) int {
 	base := int(set) * c.ways
 	for w := 0; w < c.ways; w++ {
-		if !c.meta[base+w].valid {
+		if !c.meta[base+w].valid() {
 			return w
 		}
 	}
@@ -219,16 +213,16 @@ func (c *TDRAM) installTDRAM(at int64, loc dram.Loc, set, tag uint64, dirty bool
 	way := c.victimWay(set)
 	s := c.slot(set, way)
 	m := &c.meta[s]
-	if m.valid && m.dirty {
+	if m.valid() && m.dirty() {
 		if way != streamedWay {
 			c.stats.VictimReads++
 			at = c.dev.Access(at, loc, memtypes.Read, memtypes.LineSize).DataAt
 		}
-		victim := c.lineOf(set, m.tag)
+		victim := c.lineOf(set, m.tag())
 		c.stats.NVMWrites++
 		c.nvm.Access(at, c.nvmLoc(victim), memtypes.Write, memtypes.LineSize)
 	}
-	*m = wayMeta{tag: tag, valid: true, dirty: dirty}
+	*m = residentMeta(tag, dirty)
 	c.stats.InstallWrites++
 	c.dev.Access(at, loc, memtypes.Write, memtypes.LineSize)
 	return way
@@ -243,7 +237,7 @@ func (c *TDRAM) Writeback(at int64, line memtypes.LineAddr) int64 {
 	c.stats.Writebacks++
 	if way := c.findWay(set, tag); way >= 0 {
 		c.stats.WritebackHits++
-		c.meta[c.slot(set, way)].dirty = true
+		c.meta[c.slot(set, way)] |= metaDirty
 		c.mru[set] = uint8(way)
 		c.stats.WritebackWrites++
 		return c.dev.Access(at, loc, memtypes.Write, memtypes.LineSize).DataAt
@@ -269,7 +263,7 @@ func (c *TDRAM) AccessReadFunctional(line memtypes.LineAddr) (way uint8, hit boo
 // installFunctionalTDRAM is installTDRAM without device traffic.
 func (c *TDRAM) installFunctionalTDRAM(set, tag uint64, dirty bool) int {
 	way := c.victimWay(set)
-	c.meta[c.slot(set, way)] = wayMeta{tag: tag, valid: true, dirty: dirty}
+	c.meta[c.slot(set, way)] = residentMeta(tag, dirty)
 	return way
 }
 
@@ -277,7 +271,7 @@ func (c *TDRAM) installFunctionalTDRAM(set, tag uint64, dirty bool) int {
 func (c *TDRAM) WritebackFunctional(line memtypes.LineAddr) {
 	set, tag := c.index(line)
 	if way := c.findWay(set, tag); way >= 0 {
-		c.meta[c.slot(set, way)].dirty = true
+		c.meta[c.slot(set, way)] |= metaDirty
 		c.mru[set] = uint8(way)
 		return
 	}
@@ -296,14 +290,12 @@ func (c *TDRAM) CheckInvariants() error {
 		}
 		base := int(set) * c.ways
 		for w := 0; w < c.ways; w++ {
-			m := &c.meta[base+w]
-			if !m.valid {
+			m := c.meta[base+w]
+			if !m.valid() {
 				continue
 			}
-			for w2 := w + 1; w2 < c.ways; w2++ {
-				if m2 := &c.meta[base+w2]; m2.valid && m2.tag == m.tag {
-					return fmt.Errorf("tdram: duplicate tag %#x in set %d", m.tag, set)
-				}
+			if matchWay(c.meta[base+w+1:base+c.ways], m.tag()) >= 0 {
+				return fmt.Errorf("tdram: duplicate tag %#x in set %d", m.tag(), set)
 			}
 		}
 	}
@@ -318,17 +310,7 @@ func (c *TDRAM) Snapshot(e *ckpt.Encoder) error {
 	e.U8(tdramVersion)
 	e.U64(c.sets)
 	e.U8(uint8(c.ways))
-	for _, m := range c.meta {
-		e.U64(m.tag)
-		var flags uint8
-		if m.valid {
-			flags |= 1
-		}
-		if m.dirty {
-			flags |= 2
-		}
-		e.U8(flags)
-	}
+	snapshotMeta(e, c.meta)
 	e.Raw(c.mru)
 	e.Raw(c.rr)
 	snapshotStats(e, &c.stats)
@@ -349,17 +331,8 @@ func (c *TDRAM) Restore(d *ckpt.Decoder) error {
 	if err := d.Err(); err != nil {
 		return err
 	}
-	for i := range c.meta {
-		tag := d.U64()
-		flags := d.U8()
-		if d.Err() != nil {
-			return d.Err()
-		}
-		if flags > 3 {
-			d.Failf("tdram: meta[%d] flags %#x invalid", i, flags)
-			return d.Err()
-		}
-		c.meta[i] = wayMeta{tag: tag, valid: flags&1 != 0, dirty: flags&2 != 0}
+	if err := restoreMeta(d, c.meta, "tdram"); err != nil {
+		return err
 	}
 	for _, arr := range [][]uint8{c.mru, c.rr} {
 		raw := d.Raw(len(arr))

@@ -70,33 +70,7 @@ func (s *System) WarmKey(wlName string) string {
 // the embedded fingerprint documents the configuration the state belongs
 // to and is re-verified on Restore.
 func (s *System) Snapshot(wlName string) ([]byte, error) {
-	e := ckpt.NewEncoder(1 << 20)
-	e.Raw([]byte(snapshotMagic))
-	e.U32(SnapshotSchema)
-	e.String(s.WarmFingerprint(wlName))
-	s.vmsys.Snapshot(e)
-	// Snapshot is part of the backend contract, but it may still fail —
-	// an nway cache whose policy lacks checkpoint support cannot be
-	// serialized — and the caller falls back to a cold run.
-	if err := s.l4.Snapshot(e); err != nil {
-		return nil, err
-	}
-	s.hbm.Snapshot(e)
-	s.pcm.Snapshot(e)
-	e.U32(uint32(len(s.cores)))
-	for _, c := range s.cores {
-		if err := c.Snapshot(e); err != nil {
-			return nil, err
-		}
-	}
-	e.Bool(s.cfg.FullHierarchy)
-	if s.cfg.FullHierarchy {
-		s.l3.Snapshot(e)
-		for _, h := range s.hiers {
-			h.Snapshot(e)
-		}
-	}
-	return e.Finish(), nil
+	return s.encodeState(wlName, false, &s.snapLen)
 }
 
 // FunctionalSnapshot serializes exactly the state functional
@@ -111,18 +85,67 @@ func (s *System) Snapshot(wlName string) ([]byte, error) {
 // on it by construction. The differential tests compare these bytes
 // across the two modes at the warmup boundary.
 func (s *System) FunctionalSnapshot(wlName string) ([]byte, error) {
-	e := ckpt.NewEncoder(1 << 20)
+	return s.encodeState(wlName, true, &s.funcSnapLen)
+}
+
+// encodeState encodes a warm-state or functional blob into a buffer sized
+// to hold it, so every blob is a single allocation. The size comes from
+// the previous blob of the same kind (*last), plus slack for growth of
+// the variable-length sections (page-table leaves, policy region tables,
+// DRAM busy intervals) since then; a system's first blob of a kind is
+// sized by a measuring pass over the same sections instead. A buffer
+// regrown from a fixed hint would leave outgrown copies for the
+// collector, and where the next large allocation lands would then depend
+// on when it freed them: the process's peak memory would vary from run
+// to run.
+func (s *System) encodeState(wlName string, functional bool, last *int) ([]byte, error) {
+	fp := s.WarmFingerprint(wlName)
+	size := *last + *last/64
+	if *last == 0 {
+		m := ckpt.NewMeasurer()
+		if err := s.writeState(m, fp, functional); err != nil {
+			return nil, err
+		}
+		m.Finish()
+		size = m.Len()
+	}
+	e := ckpt.NewEncoder(size)
+	if err := s.writeState(e, fp, functional); err != nil {
+		return nil, err
+	}
+	blob := e.Finish()
+	*last = len(blob)
+	return blob, nil
+}
+
+// writeState writes every section of a snapshot blob but the CRC: the
+// header with fingerprint fp, then the components. The functional form
+// leaves out the DRAM devices and writes each core's functional subset.
+func (s *System) writeState(e *ckpt.Encoder, fp string, functional bool) error {
 	e.Raw([]byte(snapshotMagic))
 	e.U32(SnapshotSchema)
-	e.String(s.WarmFingerprint(wlName))
+	e.String(fp)
 	s.vmsys.Snapshot(e)
+	// Snapshot is part of the backend contract, but it may still fail —
+	// an nway cache whose policy lacks checkpoint support cannot be
+	// serialized — and the caller falls back to a cold run.
 	if err := s.l4.Snapshot(e); err != nil {
-		return nil, err
+		return err
+	}
+	if !functional {
+		s.hbm.Snapshot(e)
+		s.pcm.Snapshot(e)
 	}
 	e.U32(uint32(len(s.cores)))
 	for _, c := range s.cores {
-		if err := c.FunctionalSnapshot(e); err != nil {
-			return nil, err
+		var err error
+		if functional {
+			err = c.FunctionalSnapshot(e)
+		} else {
+			err = c.Snapshot(e)
+		}
+		if err != nil {
+			return err
 		}
 	}
 	e.Bool(s.cfg.FullHierarchy)
@@ -132,7 +155,7 @@ func (s *System) FunctionalSnapshot(wlName string) ([]byte, error) {
 			h.Snapshot(e)
 		}
 	}
-	return e.Finish(), nil
+	return nil
 }
 
 // Restore loads a warm-state snapshot into a freshly constructed system

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"accord/internal/cache"
+	"accord/internal/ckpt"
 	"accord/internal/dram"
 	"accord/internal/dramcache"
 	"accord/internal/memtypes"
@@ -650,16 +651,15 @@ func (st *sampleState) commit(r *intervalResult) (stop bool) {
 // Streams override hands the system pre-built stream objects that a fork
 // would share destructively; generator and trace-cache workloads rebuild
 // cleanly), and the functional state must snapshot (an nway policy
-// without checkpoint support cannot). Non-forkable systems degrade to
-// the in-place sequential sampler.
+// without checkpoint support cannot). The trial writes into a measurer,
+// so it builds no blob, and leaves the first boundary's blob to be sized
+// by its own measuring pass. Non-forkable systems degrade to the
+// in-place sequential sampler.
 func (s *System) sampleForkable(wlName string) bool {
 	if s.wl.Streams != nil && s.wl.Source == nil {
 		return false
 	}
-	if _, err := s.FunctionalSnapshot(wlName); err != nil {
-		return false
-	}
-	return true
+	return s.writeState(ckpt.NewMeasurer(), s.WarmFingerprint(wlName), true) == nil
 }
 
 // RunSampled executes a sampled run: functional warmup, then alternating

@@ -339,6 +339,11 @@ type System struct {
 	// and sampled outputs must stay byte-identical at every worker count.
 	work SampleWork
 
+	// snapLen and funcSnapLen are the lengths of the last Snapshot and
+	// FunctionalSnapshot blobs; the next blob of the same kind sizes its
+	// encoder from them (see encodeState).
+	snapLen, funcSnapLen int
+
 	// advanceUntil bookkeeping, reused across the warmup and measure
 	// phases to keep the run loop allocation-free.
 	finish []finishPoint

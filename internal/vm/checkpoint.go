@@ -27,9 +27,7 @@ func (s *System) Snapshot(e *ckpt.Encoder) {
 				continue
 			}
 			e.U64(l.hi)
-			for _, f := range l.frames {
-				e.U64(f)
-			}
+			e.U64s(l.frames[:])
 		}
 	}
 }
@@ -82,16 +80,16 @@ func (s *System) Restore(d *ckpt.Decoder) error {
 		dir := newPTDir()
 		for i := 0; i < nLeaves; i++ {
 			l := &ptLeaf{hi: d.U64()}
-			for j := range l.frames {
-				f := d.U64()
-				if d.Err() == nil && f != 0 && f-1 >= s.numFrames {
-					d.Failf("vm: space %d leaf %#x page %d maps frame %d beyond %d frames",
-						si, l.hi, j, f-1, s.numFrames)
-				}
-				l.frames[j] = f
-			}
+			d.U64s(l.frames[:])
 			if err := d.Err(); err != nil {
 				return err
+			}
+			for j, f := range l.frames {
+				if f != 0 && f-1 >= s.numFrames {
+					d.Failf("vm: space %d leaf %#x page %d maps frame %d beyond %d frames",
+						si, l.hi, j, f-1, s.numFrames)
+					return d.Err()
+				}
 			}
 			if dir.find(l.hi) != nil {
 				d.Failf("vm: space %d has duplicate leaf %#x", si, l.hi)

@@ -144,10 +144,16 @@ func (t *trace) extendLocked(pos int64) {
 // bytes a live generator that produced pos events would emit. The frontier
 // generator serves the common case (snapshot at the recorded end); other
 // positions restore the nearest chunk-boundary state into a scratch
-// generator and roll it forward, at most chunkEvents steps.
+// generator and roll it forward, at most chunkEvents steps. A generator
+// encodes to the same length at every position, so a measurer is served
+// by the frontier generator without extending or replaying.
 func (t *trace) snapshotAt(e *ckpt.Encoder, pos int64) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	if e.Measuring() {
+		t.gen.Snapshot(e)
+		return
+	}
 	if pos > t.total {
 		t.extendLocked(pos - 1) // leaves total >= pos
 	}

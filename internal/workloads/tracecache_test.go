@@ -391,3 +391,51 @@ func TestSourceMatchesSimSeeds(t *testing.T) {
 		}
 	}
 }
+
+// TestMeasuredSnapshotLength checks the measuring shortcut: a cursor
+// behind or beyond the recorded frontier, and a windowed generator in the
+// middle of its buffer, encode to exactly the length a measurer counts
+// without replaying, and measuring leaves the recording unextended.
+func TestMeasuredSnapshotLength(t *testing.T) {
+	spec := MustGet("mcf", 4).Specs[0]
+	check := func(name string, c Checkpointer) {
+		t.Helper()
+		m := ckpt.NewMeasurer()
+		c.Snapshot(m)
+		e := ckpt.NewEncoder(0)
+		c.Snapshot(e)
+		if m.Len() != e.Len() {
+			t.Errorf("%s: measured %d bytes, encoded %d", name, m.Len(), e.Len())
+		}
+	}
+
+	tc := NewTraceCache(0)
+	ahead := tc.Stream(spec, 1<<16, 4, 9)
+	var ev Event
+	for i := 0; i < 2*chunkEvents+37; i++ {
+		ahead.Next(&ev)
+	}
+	behind := tc.Stream(spec, 1<<16, 4, 9)
+	for i := 0; i < chunkEvents+100; i++ {
+		behind.Next(&ev)
+	}
+	check("cursor behind the frontier", behind)
+
+	fresh := NewTraceCache(0)
+	beyond := fresh.Stream(spec, 1<<16, 4, 9)
+	e := ckpt.NewEncoder(0)
+	ahead.Snapshot(e)
+	if err := beyond.Restore(ckpt.NewDecoder(e.Finish())); err != nil {
+		t.Fatal(err)
+	}
+	beyond.Snapshot(ckpt.NewMeasurer())
+	if total := beyond.t.total; total != 0 {
+		t.Errorf("measuring extended the recording to %d events", total)
+	}
+	check("cursor beyond the frontier", beyond)
+
+	w := newWindowedGenerator(newGenerator(spec, 1<<16, 1, 9))
+	gaps, _, _ := w.Window()
+	w.Consume(len(gaps) / 2)
+	check("windowed generator mid-buffer", w)
+}

@@ -105,9 +105,11 @@ func (w *windowedGenerator) Consume(n int) { w.wpos += n }
 // Snapshot implements Checkpointer, encoding the generator state at the
 // consumed position. With the buffer drained (or never filled) the live
 // generator is that state; otherwise the saved pre-buffer state is
-// replayed forward by the consumed prefix in a scratch generator.
+// replayed forward by the consumed prefix in a scratch generator. A
+// measurer needs no replay: the encoding's length does not depend on the
+// position.
 func (w *windowedGenerator) Snapshot(e *ckpt.Encoder) {
-	if w.wpos == w.wlen {
+	if w.wpos == w.wlen || e.Measuring() {
 		w.g.Snapshot(e)
 		return
 	}

@@ -1,6 +1,10 @@
 package xrand
 
-import "accord/internal/ckpt"
+import (
+	"encoding/binary"
+
+	"accord/internal/ckpt"
+)
 
 // rngVersion tags the Rand encoding; bump on any layout change.
 const rngVersion = 1
@@ -12,8 +16,12 @@ func (r *Rand) Snapshot(e *ckpt.Encoder) {
 	e.U8(rngVersion)
 	e.U32(uint32(r.tap))
 	e.U32(uint32(r.feed))
-	for _, v := range r.vec {
-		e.I64(v)
+	b := e.Reserve(8 * rngLen)
+	if b == nil {
+		return
+	}
+	for i := range r.vec {
+		binary.LittleEndian.PutUint64(b[8*i:], uint64(r.vec[i]))
 	}
 }
 
@@ -26,14 +34,13 @@ func (r *Rand) Restore(d *ckpt.Decoder) error {
 	if d.Err() == nil && (tap >= rngLen || feed >= rngLen) {
 		d.Failf("xrand: cursor out of range (tap=%d feed=%d)", tap, feed)
 	}
-	var vec [rngLen]int64
-	for i := range vec {
-		vec[i] = d.I64()
-	}
+	b := d.Raw(8 * rngLen)
 	if err := d.Err(); err != nil {
 		return err
 	}
 	r.tap, r.feed = int32(tap), int32(feed)
-	r.vec = vec
+	for i := range r.vec {
+		r.vec[i] = int64(binary.LittleEndian.Uint64(b[8*i:]))
+	}
 	return nil
 }
