@@ -142,7 +142,6 @@ func (c *Core) ResetSampleTiming() {
 	for i := range c.mshr {
 		c.mshr[i] = 0
 	}
-	c.invalidateMSHRCache()
 	c.mshrStalls = 0
 	c.markTime = 0
 	c.markInstr = c.instr

@@ -114,7 +114,6 @@ func (c *Core) Restore(d *ckpt.Decoder) error {
 	for i := range c.mshr {
 		c.mshr[i] = d.I64()
 	}
-	c.invalidateMSHRCache()
 	c.reads = d.U64()
 	c.writes = d.U64()
 	c.depStalls = d.U64()

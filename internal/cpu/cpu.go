@@ -9,7 +9,6 @@ package cpu
 
 import (
 	"fmt"
-	"math/bits"
 
 	"accord/internal/memtypes"
 	"accord/internal/workloads"
@@ -55,7 +54,7 @@ func (p Params) Validate() error {
 		return fmt.Errorf("cpu: MSHRs %d must be >= 1", p.MSHRs)
 	}
 	if p.MSHRs > 64 {
-		return fmt.Errorf("cpu: MSHRs %d must be <= 64 (free-mask admit packs one slot per bit)", p.MSHRs)
+		return fmt.Errorf("cpu: MSHRs %d must be <= 64", p.MSHRs)
 	}
 	if p.SRAMLat < 0 {
 		return fmt.Errorf("cpu: SRAM latency %d must be >= 0", p.SRAMLat)
@@ -82,20 +81,6 @@ type Core struct {
 	sramLat    int64           // params.SRAMLat
 	ev         workloads.Event // reused across Steps; &ev escapes through the Stream interface, so a local would heap-allocate every event
 	mshr       []int64         // completion cycles of in-flight misses
-
-	// Free-mask cache over mshr for the admitMask discipline (unused by
-	// the production admit scan — see admit for why): bit i set means
-	// mshr[i] <= time held at the last sweep (time is monotonic, so it
-	// still holds). mshrMinBusy/mshrMinIdx track the earliest completion
-	// among the swept-busy slots and the first slot index attaining it —
-	// exactly the slot admit's strict-< stall search picks. The cache is
-	// stale the moment time reaches mshrMinBusy (some busy slot may have
-	// completed), so admitMask resweeps then; the zero value (empty mask,
-	// minBusy 0) forces a sweep on first use, which is also how
-	// construction, restore, and sample-timing resets invalidate it.
-	mshrFree    uint64
-	mshrMinBusy int64
-	mshrMinIdx  int
 
 	// Same-page translation memo. Page mappings are immutable once
 	// allocated (vm never unmaps), so caching the last page's physical
@@ -296,12 +281,11 @@ func (c *Core) StepFunctional() {
 
 // admit finds a free MSHR, stalling the core until the oldest outstanding
 // miss completes when all are busy: first-free linear scan with a fused
-// stall-min search. A free-mask/min-cache variant (admitMask below) was
-// implemented and benchmarked slower end to end — with 12 MSHRs the
-// first free slot is usually at a low index, so this scan early-exits in
-// a compare or two while the mask pays a per-insert update and a full
-// resweep every time the clock passes the earliest outstanding
-// completion (DESIGN.md §13 has the numbers).
+// stall-min search. A free-mask/min-cache discipline measured slower end
+// to end — with 12 MSHRs the first free slot is usually at a low index,
+// so this scan early-exits in a compare or two, while a mask pays a
+// per-insert update and a full resweep every time the clock passes the
+// earliest outstanding completion (DESIGN.md §13.4 has the numbers).
 func (c *Core) admit() int {
 	best := 0
 	for i, t := range c.mshr {
@@ -316,82 +300,6 @@ func (c *Core) admit() int {
 	c.mshrStalls++
 	c.time = c.mshr[best]
 	return best
-}
-
-// admitMask is the free-list alternative to admit: an exact free-set
-// bitmask popped with a trailing-zeros plus a cached earliest-busy
-// completion for the stall case. It picks byte-identical slots to admit
-// — the equivalence test drives both disciplines over randomized miss
-// streams to pin that — but requires every completion store to go
-// through mshrSetMask to stay coherent, so a core must use one
-// discipline exclusively. Kept as the contract anchor for the measured
-// rejection described on admit.
-func (c *Core) admitMask() int {
-	if c.mshrMinBusy <= c.time {
-		// Some busy slot may have completed (or the cache was
-		// invalidated); recompute the exact free set at the current time.
-		// Any slot freed since the last sweep has completion >= the swept
-		// minimum, so this condition fires whenever the mask could be
-		// missing a newly free slot.
-		c.sweepMSHR()
-	}
-	if c.mshrFree != 0 {
-		slot := bits.TrailingZeros64(c.mshrFree)
-		c.mshrFree &^= 1 << uint(slot)
-		return slot
-	}
-	// All busy: wait for the earliest completion. mshrMinBusy/mshrMinIdx
-	// go stale once the caller overwrites the slot, but time has just
-	// reached mshrMinBusy, so the next admit resweeps regardless.
-	c.mshrStalls++
-	c.time = c.mshrMinBusy
-	return c.mshrMinIdx
-}
-
-// sweepMSHR rebuilds the free mask and earliest-busy-completion cache
-// from the mshr array at the current time. Strict < keeps the first
-// index among equal completions, matching the old scan's tie-break.
-func (c *Core) sweepMSHR() {
-	free := uint64(0)
-	minV := int64(1<<63 - 1)
-	minI := 0
-	for i, t := range c.mshr {
-		if t <= c.time {
-			free |= 1 << uint(i)
-		} else if t < minV {
-			minV = t
-			minI = i
-		}
-	}
-	c.mshrFree = free
-	c.mshrMinBusy = minV
-	c.mshrMinIdx = minI
-}
-
-// mshrSetMask records the completion cycle of the miss admitted into
-// slot under the admitMask discipline, keeping the free-mask cache
-// coherent: a miss completing at or before the current time is
-// immediately free again (a dependent load advanced the clock to its own
-// completion), otherwise it joins the busy set and may become the new
-// earliest completion.
-func (c *Core) mshrSetMask(slot int, done int64) {
-	c.mshr[slot] = done
-	if done <= c.time {
-		c.mshrFree |= 1 << uint(slot)
-	} else if done < c.mshrMinBusy || (done == c.mshrMinBusy && slot < c.mshrMinIdx) {
-		c.mshrMinBusy = done
-		c.mshrMinIdx = slot
-	}
-}
-
-// invalidateMSHRCache forces the next admitMask to resweep the mshr
-// array (the zero minBusy is <= any non-negative core time). Called
-// wherever the mshr array is bulk-mutated outside mshrSetMask — reset,
-// restore — so the mask discipline is safe to enter from any such point.
-func (c *Core) invalidateMSHRCache() {
-	c.mshrFree = 0
-	c.mshrMinBusy = 0
-	c.mshrMinIdx = 0
 }
 
 // MarkWindow starts a measurement window at the current point; IPC is

@@ -145,37 +145,43 @@ func driveFunctional(c dramcache.Interface, ops *opStream, n int) {
 	}
 }
 
-// driveBatch applies n ops through FunctionalBatch, in windows of
-// varying length (1..257, including singletons and sizes that straddle
-// the drive's tail). Flags carry a stray non-write bit on some reads:
-// the contract says backends test FunctionalWrite and ignore the rest
-// (trace-cache flag bytes arrive unmasked, with the core-side Dep bit
-// still set).
+// batchWindows are the window lengths driveBatch cycles through: 1 and
+// 2; 16, 32, 64 and 256, whole numbers of groups for a backend that
+// walks its window in groups, each with the length one past it; and 15
+// and 255, one short of a whole group.
+var batchWindows = []int{1, 2, 15, 16, 17, 32, 33, 64, 65, 255, 256, 257}
+
+// driveBatch applies n ops through FunctionalBatch, cutting the stream
+// into windows of the batchWindows lengths in turn (the last window is
+// cut short at the drive's tail). Flags carry a stray non-write bit on
+// some reads: the contract says backends test FunctionalWrite and ignore
+// the rest (trace-cache flag bytes arrive unmasked, with the core-side
+// Dep bit still set).
 func driveBatch(c dramcache.Interface, ops *opStream, n int) {
-	lines := make([]memtypes.LineAddr, 0, 257)
-	flags := make([]uint8, 0, 257)
-	w := 1
-	for done := 0; done < n; {
-		lines, flags = lines[:0], flags[:0]
-		sz := min(w, n-done)
-		for i := 0; i < sz; i++ {
-			_, line, wb := ops.next()
-			lines = append(lines, line)
-			var f uint8
-			if wb {
-				f = dramcache.FunctionalWrite
-			} else if i%3 == 0 {
-				f = 1 << 1 // stray Dep bit; must be ignored
-			}
-			flags = append(flags, f)
-		}
+	lines := make([]memtypes.LineAddr, 0, batchWindows[len(batchWindows)-1])
+	flags := make([]uint8, 0, cap(lines))
+	for done, w := 0, 0; done < n; w = (w + 1) % len(batchWindows) {
+		lines, flags = fillWindow(ops, lines[:0], flags[:0], min(batchWindows[w], n-done))
 		c.FunctionalBatch(lines, flags)
-		done += sz
-		w = w*2 + 1
-		if w > 257 {
-			w = 1
-		}
+		done += len(lines)
 	}
+}
+
+// fillWindow appends the next sz ops of the stream to lines and flags in
+// FunctionalBatch's encoding.
+func fillWindow(ops *opStream, lines []memtypes.LineAddr, flags []uint8, sz int) ([]memtypes.LineAddr, []uint8) {
+	for i := 0; i < sz; i++ {
+		_, line, wb := ops.next()
+		lines = append(lines, line)
+		var f uint8
+		if wb {
+			f = dramcache.FunctionalWrite
+		} else if i%3 == 0 {
+			f = 1 << 1 // stray Dep bit; must be ignored
+		}
+		flags = append(flags, f)
+	}
+	return lines, flags
 }
 
 // snapshot serializes an instance with the codec's CRC trailer.
@@ -207,6 +213,7 @@ func restore(t *testing.T, c dramcache.Interface, blob []byte) {
 func RunAll(t *testing.T, h Harness) {
 	t.Run("functional-equivalence", func(t *testing.T) { checkFunctionalEquivalence(t, h) })
 	t.Run("batch-equivalence", func(t *testing.T) { checkBatchEquivalence(t, h) })
+	t.Run("batch-zero-alloc", func(t *testing.T) { checkBatchZeroAlloc(t, h) })
 	t.Run("checkpoint-roundtrip", func(t *testing.T) { checkCheckpointRoundTrip(t, h) })
 	t.Run("stats-invariants", func(t *testing.T) { checkStatsInvariants(t, h) })
 	t.Run("codec-adversarial", func(t *testing.T) { checkCodecAdversarial(t, h) })
@@ -272,6 +279,19 @@ func checkBatchEquivalence(t *testing.T, h Harness) {
 	}
 	if string(snapshot(t, single)) != string(snapshot(t, batch)) {
 		t.Fatal("batched state diverged from single-step (snapshot bytes differ)")
+	}
+}
+
+// checkBatchZeroAlloc pins the batch path's allocation contract: once
+// an instance is warm, FunctionalBatch over a 512-event window allocates
+// nothing. The sampling spine runs it for nearly every functional event.
+func checkBatchZeroAlloc(t *testing.T, h Harness) {
+	c := h.New()
+	ops := newOpStream(59)
+	driveFunctional(c, ops, 20_000)
+	lines, flags := fillWindow(ops, nil, nil, 512)
+	if avg := testing.AllocsPerRun(20, func() { c.FunctionalBatch(lines, flags) }); avg != 0 {
+		t.Fatalf("FunctionalBatch allocated %.1f times per 512-event window, want 0", avg)
 	}
 }
 

@@ -366,6 +366,11 @@ type Cache struct {
 	lru   []uint64 // replacement stamps, used only with LRUReplacement
 	clock uint64
 
+	// touched keeps touchSets' loads live. It is not cache state: no
+	// snapshot, invariant or result reads it, and it lives per instance
+	// because concurrent simulations would race on a package-level sink.
+	touched wayMeta
+
 	devMap dram.Mapper // set -> device row (sets per DRAM row precomputed)
 	nvmMap dram.Mapper // line -> NVM row
 
@@ -505,6 +510,20 @@ func matchWay(set []wayMeta, tag uint64) int {
 		}
 	}
 	return -1
+}
+
+// touchSets loads the first tag word of each line's set and returns the
+// OR of the words. The loads are independent of one another and of the
+// tag store's contents, so the processor issues them back to back and
+// their misses overlap; the ops that follow then find their sets in the
+// host's caches. Callers OR the result into a per-instance touched field
+// so the compiler cannot drop the loads.
+func touchSets(meta []wayMeta, lines []memtypes.LineAddr, setMask uint64, ways int) wayMeta {
+	var acc wayMeta
+	for _, line := range lines {
+		acc |= meta[int(uint64(line)&setMask)*ways]
+	}
+	return acc
 }
 
 func (c *Cache) index(line memtypes.LineAddr) (set, tag uint64) {

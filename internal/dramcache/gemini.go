@@ -31,7 +31,8 @@ type Gemini struct {
 	setMask  uint64
 	setShift uint
 
-	meta []wayMeta // sets * geminiWays
+	meta    []wayMeta // sets * geminiWays
+	touched wayMeta   // keeps touchSets' loads live; not state (see Cache)
 
 	devMap dram.Mapper // set -> device row
 	nvmMap dram.Mapper // line -> NVM row

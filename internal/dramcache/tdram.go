@@ -33,9 +33,10 @@ type TDRAM struct {
 	setShift uint
 	ways     int
 
-	meta []wayMeta
-	mru  []uint8 // per-set most-recently-used way (the burst guess)
-	rr   []uint8 // per-set round-robin victim cursor
+	meta    []wayMeta
+	mru     []uint8 // per-set most-recently-used way (the burst guess)
+	rr      []uint8 // per-set round-robin victim cursor
+	touched wayMeta // keeps touchSets' loads live; not state (see Cache)
 
 	devMap dram.Mapper // set -> device row
 	nvmMap dram.Mapper // line -> NVM row
