@@ -59,10 +59,12 @@ lint:
 # A fast benchmark pass that catches gross performance or allocation
 # regressions on the hot paths the scheduler multiplies, plus the L4
 # functional layer the sampling spine runs on (one window per backend,
-# so it only proves the benchmark still builds and runs allocation-free).
+# so it only proves the benchmark still builds and runs allocation-free)
+# and one interval fork each way, codec and in-memory copy.
 bench-smoke:
 	$(GO) test -run xxx -bench 'BenchmarkSimulatorThroughput|BenchmarkSessionParallel|BenchmarkDRAMCacheRead' -benchtime 2x .
 	$(GO) test -run xxx -bench BenchmarkFunctionalBatch -benchtime 1x ./internal/dramcache
+	$(GO) test -run xxx -bench BenchmarkSpineFork -benchtime 1x ./internal/sim
 
 # Capture the benchmark trajectory: run the paper-artifact suite and
 # reduce it to a committed JSON document (medians, geomean, manifest).

@@ -2,6 +2,7 @@ package cache
 
 import (
 	"encoding/binary"
+	"fmt"
 
 	"accord/internal/ckpt"
 )
@@ -102,4 +103,27 @@ func (h *Hierarchy) Restore(d *ckpt.Decoder) error {
 		return err
 	}
 	return h.l2.Restore(d)
+}
+
+// CopyFrom makes c a copy of src, a cache of the same geometry, leaving
+// c exactly as restoring src's Snapshot would: lines, LRU clock and
+// statistics. It allocates nothing.
+func (c *Cache) CopyFrom(src *Cache) error {
+	if len(src.lines) != len(c.lines) || src.ways != c.ways {
+		return fmt.Errorf("cache: cannot copy a %d-line %d-way cache into a %d-line %d-way cache",
+			len(src.lines), src.ways, len(c.lines), c.ways)
+	}
+	copy(c.lines, src.lines)
+	c.clock = src.clock
+	c.stats = src.stats
+	return nil
+}
+
+// CopyFrom copies src's private L1 and L2 into h. Like Snapshot it
+// leaves the shared L3 to the composing system.
+func (h *Hierarchy) CopyFrom(src *Hierarchy) error {
+	if err := h.l1.CopyFrom(src.l1); err != nil {
+		return err
+	}
+	return h.l2.CopyFrom(src.l2)
 }

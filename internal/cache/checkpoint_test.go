@@ -120,3 +120,79 @@ func TestHierarchyRoundTrip(t *testing.T) {
 		}
 	}
 }
+
+// snapshotBytes encodes anything with a cache-style Snapshot.
+func snapshotBytes(s interface{ Snapshot(*ckpt.Encoder) }) string {
+	e := ckpt.NewEncoder(0)
+	s.Snapshot(e)
+	return string(e.Finish())
+}
+
+// TestCacheCopyFrom copies a cache churned 20k accesses into one churned
+// 5k others: the copy must snapshot to the source's bytes, stay put while
+// the source churns on, match it again after the same churn, and copy
+// without allocating once warm.
+func TestCacheCopyFrom(t *testing.T) {
+	a, b := testCache(), testCache()
+	churn(a, 20_000, 9)
+	churn(b, 5_000, 10)
+	if err := b.CopyFrom(a); err != nil {
+		t.Fatal(err)
+	}
+	copied := snapshotBytes(b)
+	if copied != snapshotBytes(a) {
+		t.Fatal("Snapshot(copy) != Snapshot(source)")
+	}
+	churn(a, 10_000, 31)
+	if snapshotBytes(b) != copied {
+		t.Fatal("churning the source changed the copy: state is shared")
+	}
+	churn(b, 10_000, 31)
+	if snapshotBytes(b) != snapshotBytes(a) || b.Stats() != a.Stats() {
+		t.Fatal("copy and source diverged after the same churn")
+	}
+	if avg := testing.AllocsPerRun(20, func() {
+		if err := b.CopyFrom(a); err != nil {
+			t.Fatal(err)
+		}
+	}); avg != 0 {
+		t.Fatalf("warm CopyFrom allocated %.1f times, want 0", avg)
+	}
+	if err := b.CopyFrom(New(smallCfg())); err == nil {
+		t.Error("copy across geometries accepted")
+	}
+}
+
+// TestHierarchyCopyFrom does the same for the private L1/L2 pair; the
+// shared L3 is the composing system's to copy.
+func TestHierarchyCopyFrom(t *testing.T) {
+	cfg := DefaultHierarchy(1 << 20)
+	src, _ := NewSharedHierarchies(cfg, 1)
+	dst, _ := NewSharedHierarchies(cfg, 1)
+	access := func(h *Hierarchy, n int, seed int64) {
+		rng := xrand.New(seed)
+		for i := 0; i < n; i++ {
+			h.Access(memtypes.LineAddr(rng.Intn(4096)), i%4 == 0)
+		}
+	}
+	access(src[0], 20_000, 4)
+	access(dst[0], 5_000, 5)
+	if err := dst[0].CopyFrom(src[0]); err != nil {
+		t.Fatal(err)
+	}
+	if snapshotBytes(dst[0]) != snapshotBytes(src[0]) {
+		t.Fatal("Snapshot(copy) != Snapshot(source)")
+	}
+	access(src[0], 10_000, 6)
+	access(dst[0], 10_000, 6)
+	if snapshotBytes(dst[0]) != snapshotBytes(src[0]) {
+		t.Fatal("copy and source diverged after the same accesses")
+	}
+	if avg := testing.AllocsPerRun(20, func() {
+		if err := dst[0].CopyFrom(src[0]); err != nil {
+			t.Fatal(err)
+		}
+	}); avg != 0 {
+		t.Fatalf("warm CopyFrom allocated %.1f times, want 0", avg)
+	}
+}

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+
 	"accord/internal/ckpt"
 	"accord/internal/memtypes"
 )
@@ -207,4 +209,81 @@ func (t *regionTable) restore(d *ckpt.Decoder, ways int) error {
 	}
 	*t = *fresh
 	return nil
+}
+
+// The CopyFrom methods are the in-memory counterpart of Snapshot and
+// Restore: each makes the receiver a copy of src, a policy of the same
+// type and shape, leaving it exactly as restoring src's Snapshot would.
+// They copy into the receiver's own buffers and allocate nothing, so
+// interval forks of a sampled run skip the codec (the DRAM cache finds
+// the method by type assertion, like Checkpointable).
+
+// errPolicyCopy reports a copy between policies of different types or
+// shapes.
+func errPolicyCopy(dst, src Policy) error {
+	return fmt.Errorf("core: cannot copy policy %s (%T) into %s (%T)", src.Name(), src, dst.Name(), dst)
+}
+
+// CopyFrom copies src, a RandPolicy of the same geometry, into p.
+func (p *RandPolicy) CopyFrom(src Policy) error {
+	s, ok := src.(*RandPolicy)
+	if !ok || s.geom != p.geom {
+		return errPolicyCopy(p, src)
+	}
+	*p.rng = *s.rng
+	return nil
+}
+
+// CopyFrom copies src, an MRUPolicy of the same geometry, into p.
+func (p *MRUPolicy) CopyFrom(src Policy) error {
+	s, ok := src.(*MRUPolicy)
+	if !ok || s.geom != p.geom {
+		return errPolicyCopy(p, src)
+	}
+	*p.rng = *s.rng
+	copy(p.mru, s.mru)
+	return nil
+}
+
+// CopyFrom copies src, a PartialTagPolicy of the same geometry and tag
+// width, into p.
+func (p *PartialTagPolicy) CopyFrom(src Policy) error {
+	s, ok := src.(*PartialTagPolicy)
+	if !ok || s.geom != p.geom || s.bits != p.bits {
+		return errPolicyCopy(p, src)
+	}
+	*p.rng = *s.rng
+	copy(p.tags, s.tags)
+	copy(p.live, s.live)
+	return nil
+}
+
+// CopyFrom copies src, an ACCORD policy with the same ways, GWS setting
+// and region-table capacities, into a: the RNG, both region tables slot
+// for slot, and the diagnostic counters Snapshot carries.
+func (a *ACCORD) CopyFrom(src Policy) error {
+	s, ok := src.(*ACCORD)
+	if !ok || s.ways != a.ways || s.cfg.UseGWS != a.cfg.UseGWS ||
+		a.cfg.UseGWS && (s.rit.cap != a.rit.cap || s.rlt.cap != a.rlt.cap) {
+		return errPolicyCopy(a, src)
+	}
+	*a.rng = *s.rng
+	if a.cfg.UseGWS {
+		a.rit.copyFrom(s.rit)
+		a.rlt.copyFrom(s.rlt)
+	}
+	a.ritHits, a.ritMisses = s.ritHits, s.ritMisses
+	a.rltHits, a.rltMisses = s.rltHits, s.rltMisses
+	return nil
+}
+
+// copyFrom makes t a slot-for-slot copy of src, a table of the same
+// capacity: the same entries in the same slots, recency list, probe
+// index and memo. Restore rebuilds the same logical content in other
+// slots; lookups, inserts and snapshots see only the logical content, so
+// the two are indistinguishable.
+func (t *regionTable) copyFrom(src *regionTable) {
+	copy(t.slots, src.slots)
+	copy(t.probe, src.probe)
+	t.head, t.tail, t.used, t.memo = src.head, src.tail, src.used, src.memo
 }

@@ -162,3 +162,82 @@ func TestRegionTableRestoreRejectsDuplicates(t *testing.T) {
 		t.Error("duplicate region accepted")
 	}
 }
+
+// copier is the in-memory fork method every bundled policy has.
+type copier interface{ CopyFrom(Policy) error }
+
+// policySnapshot encodes a checkpointable policy.
+func policySnapshot(p Policy) string {
+	e := ckpt.NewEncoder(0)
+	p.(Checkpointable).Snapshot(e)
+	return string(e.Finish())
+}
+
+// TestPolicyCopyFrom copies a policy driven 20k ops into an instance of
+// the same kind (built from another seed) driven 5k other ops. The copy
+// must snapshot to the source's bytes, then make the same next 10k
+// decisions and still snapshot alike, which shows it shares no buffer
+// with its source. Once warm, a copy allocates nothing.
+func TestPolicyCopyFrom(t *testing.T) {
+	for name, a := range policies(1) {
+		t.Run(name, func(t *testing.T) {
+			b := policies(99)[name]
+			exercise(a, 20_000, 11)
+			exercise(b, 5_000, 13)
+			if err := b.(copier).CopyFrom(a); err != nil {
+				t.Fatal(err)
+			}
+			if policySnapshot(b) != policySnapshot(a) {
+				t.Fatal("Snapshot(copy) != Snapshot(source)")
+			}
+			want := exercise(a, 10_000, 23)
+			got := exercise(b, 10_000, 23)
+			for i := range want {
+				if want[i] != got[i] {
+					t.Fatalf("decision %d diverged after copy: %d != %d", i, got[i], want[i])
+				}
+			}
+			if policySnapshot(b) != policySnapshot(a) {
+				t.Fatal("copy and source diverged after the same ops")
+			}
+			if avg := testing.AllocsPerRun(20, func() {
+				if err := b.(copier).CopyFrom(a); err != nil {
+					t.Fatal(err)
+				}
+			}); avg != 0 {
+				t.Fatalf("warm CopyFrom allocated %.1f times, want 0", avg)
+			}
+		})
+	}
+}
+
+// TestPolicyCopyFromRejectsMismatch covers copies across policy kinds and
+// geometries.
+func TestPolicyCopyFromRejectsMismatch(t *testing.T) {
+	other := Geometry{Sets: 128, Ways: 4}
+	for name, p := range policies(1) {
+		for srcName, src := range policies(1) {
+			if srcName != name {
+				if err := p.(copier).CopyFrom(src); err == nil {
+					t.Errorf("%s accepted a copy of %s", name, srcName)
+				}
+			}
+		}
+		var src Policy
+		switch name {
+		case "rand":
+			src = NewRand(other, 1)
+		case "mru":
+			src = NewMRU(other, 1)
+		case "partialtag":
+			src = NewPartialTag(other, 4, 1)
+		case "accord":
+			cfg := DefaultACCORD(other, 1)
+			cfg.RITEntries = 32
+			src = NewACCORD(cfg)
+		}
+		if err := p.(copier).CopyFrom(src); err == nil {
+			t.Errorf("%s accepted a copy of another geometry", name)
+		}
+	}
+}

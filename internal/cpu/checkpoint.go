@@ -92,6 +92,32 @@ func (c *Core) RestoreFunctional(d *ckpt.Decoder) error {
 	return nil
 }
 
+// streamCopier is the optional in-memory counterpart of
+// workloads.Checkpointer; every bundled stream implements it.
+type streamCopier interface {
+	CopyFrom(src workloads.Stream) error
+}
+
+// CopyFunctionalFrom makes c a copy of src's functional state, leaving c
+// exactly as RestoreFunctional of src's FunctionalSnapshot would:
+// retired instructions, issue carry, event-mix counters and the stream
+// position, with the timing state reset by ResetSampleTiming. It
+// allocates nothing. It fails when c's stream has no CopyFrom method or
+// src replays another stream; the core is then unspecified.
+func (c *Core) CopyFunctionalFrom(src *Core) error {
+	sc, ok := c.stream.(streamCopier)
+	if !ok {
+		return fmt.Errorf("cpu: core %d stream %T does not support copying", c.id, c.stream)
+	}
+	if err := sc.CopyFrom(src.stream); err != nil {
+		return err
+	}
+	c.instr, c.instCarry = src.instr, src.instCarry
+	c.reads, c.writes, c.depStalls = src.reads, src.writes, src.depStalls
+	c.ResetSampleTiming()
+	return nil
+}
+
 // Restore replaces the core's state with a snapshot. On error the core
 // is left in an unspecified state and must be discarded.
 func (c *Core) Restore(d *ckpt.Decoder) error {

@@ -1,9 +1,10 @@
 // Package dctest is the reusable conformance harness for L4 backend
 // implementations. Every organization registered with dramcache.Register
 // must pass RunAll: functional-vs-detailed state equivalence, checkpoint
-// round-trip byte-identity, stats monotonicity and universal accounting
-// invariants, and adversarial codec robustness (truncation, corruption,
-// version skew, structural mismatch — reject, never panic).
+// round-trip byte-identity, in-memory fork copies equal to the codec's,
+// stats monotonicity and universal accounting invariants, and
+// adversarial codec robustness (truncation, corruption, version skew,
+// structural mismatch — reject, never panic).
 //
 // The harness deliberately checks only contract obligations every
 // organization shares. Organization-specific identities (e.g. the nway
@@ -215,6 +216,7 @@ func RunAll(t *testing.T, h Harness) {
 	t.Run("batch-equivalence", func(t *testing.T) { checkBatchEquivalence(t, h) })
 	t.Run("batch-zero-alloc", func(t *testing.T) { checkBatchZeroAlloc(t, h) })
 	t.Run("checkpoint-roundtrip", func(t *testing.T) { checkCheckpointRoundTrip(t, h) })
+	t.Run("fork-copy", func(t *testing.T) { checkForkCopy(t, h) })
 	t.Run("stats-invariants", func(t *testing.T) { checkStatsInvariants(t, h) })
 	t.Run("codec-adversarial", func(t *testing.T) { checkCodecAdversarial(t, h) })
 }
@@ -330,6 +332,67 @@ func checkCheckpointRoundTrip(t *testing.T, h Harness) {
 	driveFunctional(b, bOps, 5_000)
 	if string(snapshot(t, a)) != string(snapshot(t, b)) {
 		t.Fatal("instances diverged after post-restore ops")
+	}
+}
+
+// copier is the optional in-memory fork method the sampled-run driver
+// looks for on a backend (outside dramcache.Interface): CopyFrom leaves
+// the receiver exactly as restoring src's Snapshot would.
+type copier interface {
+	CopyFrom(src dramcache.Interface) error
+}
+
+// checkForkCopy proves a backend's CopyFrom is a complete, unaliased
+// copy: an instance driven 5k ops and then copied from one driven 20k
+// other ops snapshots to its source's bytes with equal stats; the copy
+// stays put while the source runs 10k more ops, then matches it again
+// after the same 10k ops; and once warm a copy allocates nothing. Every
+// bundled backend must have the method: without it sampled runs fork
+// through the codec.
+func checkForkCopy(t *testing.T, h Harness) {
+	a, b := h.New(), h.New()
+	driveDetailed(a, newOpStream(61), 20_000)
+	driveDetailed(b, newOpStream(67), 5_000)
+	bc, ok := b.(copier)
+	if !ok {
+		t.Fatalf("%T has no CopyFrom(dramcache.Interface) error method", b)
+	}
+	if err := bc.CopyFrom(a); err != nil {
+		t.Fatalf("CopyFrom: %v", err)
+	}
+	copied := snapshot(t, b)
+	if string(copied) != string(snapshot(t, a)) {
+		t.Fatal("Snapshot(copy) != Snapshot(source)")
+	}
+	if *a.Stats() != *b.Stats() {
+		t.Fatal("stats diverged after copy")
+	}
+	if err := b.CheckInvariants(); err != nil {
+		t.Fatalf("copied instance violates invariants: %v", err)
+	}
+
+	// The same ops, first on the source alone, then on the copy.
+	driveFunctional(a, newOpStream(71), 10_000)
+	if string(snapshot(t, b)) != string(copied) {
+		t.Fatal("driving the source changed the copy: state is shared")
+	}
+	driveFunctional(b, newOpStream(71), 10_000)
+	if string(snapshot(t, b)) != string(snapshot(t, a)) {
+		t.Fatal("copy and source diverged after the same ops")
+	}
+	if *a.Stats() != *b.Stats() {
+		t.Fatal("stats diverged after the same ops")
+	}
+
+	if avg := testing.AllocsPerRun(20, func() {
+		if err := bc.CopyFrom(a); err != nil {
+			t.Fatal(err)
+		}
+	}); avg != 0 {
+		t.Fatalf("warm CopyFrom allocated %.1f times, want 0", avg)
+	}
+	if err := bc.CopyFrom(h.NewMismatched()); err == nil {
+		t.Error("copy from a differently sized instance accepted")
 	}
 }
 

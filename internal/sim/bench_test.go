@@ -113,3 +113,61 @@ func BenchmarkSampledParallel(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkSpineFork measures one interval fork of a parallel sampled
+// run, the layer the benchmark's traced run cannot isolate (its probes
+// wrap the L4, so traced runs fork through the codec). The system is the
+// benchmark's sampled configuration: ACCORD 2-way at Scale 64 (a 1 M-line
+// L4), 8 cores on mcf, trace-cache cursors, warmed functionally. codec
+// encodes the boundary (FunctionalSnapshot) and restores it into a fork;
+// copy copies the live system into a holder and the holder into a fork,
+// the two copies an in-memory fork costs. ns/fork is ns/op; B/op shows
+// the codec's blob per boundary against the copy's zero.
+func BenchmarkSpineFork(b *testing.B) {
+	const wlName = "mcf"
+	cfg := ACCORD(2)
+	cfg.Cores = 8
+	cfg.Scale = 64
+	cfg.DisableAdaptiveBudgets = true
+	cfg.WarmupInstr = 1_250_000
+	cfg.Seed = 1
+	gen := workloads.MustGet(wlName, cfg.Cores)
+	wl := gen
+	wl.Source = workloads.NewTraceCache(0).Source(gen.Specs, cfg.AnchorLines(), cfg.Seed)
+
+	live := New(cfg, wl)
+	live.RunWarmupFunctional()
+	live.resetIntervalState()
+	holder, fork := New(cfg, wl), New(cfg, wl)
+
+	fork1 := func(b *testing.B, f func() error) {
+		if err := f(); err != nil { // warm the destination's buffers
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := f(); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/fork")
+	}
+	b.Run("codec", func(b *testing.B) {
+		fork1(b, func() error {
+			blob, err := live.FunctionalSnapshot(wlName)
+			if err != nil {
+				return err
+			}
+			return fork.RestoreFunctional(blob, wlName)
+		})
+	})
+	b.Run("copy", func(b *testing.B) {
+		fork1(b, func() error {
+			if err := holder.copyFunctionalFrom(live); err != nil {
+				return err
+			}
+			return fork.copyFunctionalFrom(holder)
+		})
+	})
+}

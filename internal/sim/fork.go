@@ -1,0 +1,123 @@
+package sim
+
+import (
+	"fmt"
+	"sync"
+
+	"accord/internal/dramcache"
+	"accord/internal/workloads"
+)
+
+// In-memory interval forks (DESIGN.md §12.1). Without a spine lattice
+// the boundary state a parallel sampled run hands its workers never
+// leaves the process, so encoding it (FunctionalSnapshot) and decoding
+// it (RestoreFunctional) is wasted work. Instead the spine copies the
+// live system into a pooled holder System, and a worker copies the
+// holder into its own fork. Each component copies into the
+// destination's existing buffers, leaving it exactly as a restore of the
+// source's snapshot would, so the two fork paths give byte-identical
+// results (TestForkCopyMatchesRestore).
+
+// l4Copier is the optional in-memory fork method of an L4 backend (every
+// bundled organization has one, see dramcache/copy.go). It is not part
+// of dramcache.Interface: a backend without it, such as a wrapper that
+// forwards only the interface, makes the run fork through the codec.
+type l4Copier interface {
+	CopyFrom(src dramcache.Interface) error
+}
+
+// copyFunctionalFrom makes s a copy of src's functional state, leaving s
+// exactly as s.RestoreFunctional(src.FunctionalSnapshot()) would, the
+// interval reset included. s and src must be built from the same Config
+// and workload. Once s is warm it allocates nothing. It fails when a
+// component of s has no copy method (a stream, the L4 or its policy);
+// s is then unspecified, as after a failed restore.
+func (s *System) copyFunctionalFrom(src *System) error {
+	for i, c := range s.cores {
+		if err := c.CopyFunctionalFrom(src.cores[i]); err != nil {
+			return err
+		}
+	}
+	l4, ok := s.l4.(l4Copier)
+	if !ok {
+		return fmt.Errorf("sim: L4 backend %T does not support copying", s.l4)
+	}
+	if err := l4.CopyFrom(src.l4); err != nil {
+		return err
+	}
+	if err := s.vmsys.CopyFrom(src.vmsys); err != nil {
+		return err
+	}
+	if s.cfg.FullHierarchy {
+		if err := s.l3.CopyFrom(src.l3); err != nil {
+			return err
+		}
+		for i, h := range s.hiers {
+			if err := h.CopyFrom(src.hiers[i]); err != nil {
+				return err
+			}
+		}
+	}
+	s.resetIntervalState()
+	return nil
+}
+
+// holderPool recycles the boundary holders of a run that forks in
+// memory: Systems that carry one boundary's functional state from the
+// spine to a worker, and the last committed one to finishSampled. The
+// spine takes holders; workers return cancelled ones and the committer
+// discarded and superseded ones, so the pool is shared by goroutines.
+// The speculation depth bounds how many are ever in use.
+type holderPool struct {
+	cfg Config
+	wl  workloads.Workload
+
+	mu   sync.Mutex
+	free []*System
+}
+
+// newHolderPool decides, once per run, how a parallel sampled run forks
+// its intervals: it returns a pool when every component can copy its
+// state in memory, or nil to fork through the codec. A run with a spine
+// lattice always uses the codec, since its spine must encode every
+// boundary it computes for the save, and lattice hits arrive as bytes.
+// Otherwise the first holder takes a trial copy of the live system; a
+// stream or policy without a copy method makes it fail. An L4 without
+// one is caught before any holder is built.
+func (s *System) newHolderPool(lat *spineLattice) *holderPool {
+	if lat != nil {
+		return nil
+	}
+	if _, ok := s.l4.(l4Copier); !ok {
+		return nil
+	}
+	p := &holderPool{cfg: s.cfg, wl: s.wl}
+	h := p.get()
+	if h.copyFunctionalFrom(s) != nil {
+		return nil
+	}
+	p.put(h)
+	return p
+}
+
+// get returns a free holder, building one when none is free (always,
+// under the forceFreshForkSystems test hook).
+func (p *holderPool) get() *System {
+	p.mu.Lock()
+	n := len(p.free)
+	if n == 0 || forceFreshForkSystems {
+		p.mu.Unlock()
+		return New(p.cfg, p.wl)
+	}
+	h := p.free[n-1]
+	p.free = p.free[:n-1]
+	p.mu.Unlock()
+	return h
+}
+
+// put returns a holder nothing reads any more.
+func (p *holderPool) put(h *System) {
+	p.mu.Lock()
+	p.free = append(p.free, h)
+	p.mu.Unlock()
+}

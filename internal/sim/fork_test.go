@@ -1,0 +1,176 @@
+package sim
+
+import (
+	"bytes"
+	"fmt"
+	"reflect"
+	"testing"
+
+	"accord/internal/ckpt"
+	"accord/internal/core"
+	"accord/internal/metrics"
+	"accord/internal/workloads"
+)
+
+// forkSampling is the interval geometry of the fork tests.
+var forkSampling = SamplingConfig{Period: 50_000, DetailLen: 12_000, WarmLen: 5_000, MinIntervals: 2}
+
+// TestForkCopyMatchesRestore is the guard for the two fork paths: for
+// every backend, flat and FullHierarchy, on trace-cache and generator
+// streams, one and two cores, a boundary copied through a holder into a
+// fork (the spine's and the worker's copies) must leave the fork
+// exactly as restoring the boundary's functional snapshot does. The
+// copy fork is dirty from an earlier interval and the holder from an
+// earlier boundary, so leftover state would show. Both forks must
+// snapshot to the boundary's bytes, measure identical intervals, and
+// still agree afterwards. ACCORD_BACKEND narrows the matrix like
+// TestEngineDifferential's.
+func TestForkCopyMatchesRestore(t *testing.T) {
+	const wlName = "libquantum"
+	for _, bc := range engineCases() {
+		if backendFilterSkip(t, bc.name) {
+			continue
+		}
+		for _, hier := range []bool{false, true} {
+			for _, source := range []string{"trace", "generator"} {
+				for _, cores := range []int{1, 2} {
+					cfg := bc.cfg
+					cfg.Cores = cores
+					cfg.FullHierarchy = hier
+					cfg.Sampling = forkSampling
+					wl := workloads.MustGet(wlName, cores)
+					if source == "trace" {
+						wl = traceWorkload(wlName, cfg)
+					}
+					name := fmt.Sprintf("%s/hier=%t/%s/cores=%d", bc.name, hier, source, cores)
+					t.Run(name, func(t *testing.T) {
+						t.Parallel()
+						checkForkCopy(t, cfg, wl, wlName)
+					})
+				}
+			}
+		}
+	}
+}
+
+// checkForkCopy runs one cell of TestForkCopyMatchesRestore.
+func checkForkCopy(t *testing.T, cfg Config, wl workloads.Workload, wlName string) {
+	sc := cfg.Sampling
+	live := New(cfg, wl)
+	live.RunWarmupFunctional()
+	advance := func() {
+		targets := make([]int64, len(live.cores))
+		for i, c := range live.cores {
+			targets[i] = c.Instructions() + sc.Period
+		}
+		live.advanceFunctional(targets)
+		live.resetIntervalState()
+	}
+	holder, viaCopy := New(cfg, wl), New(cfg, wl)
+
+	// Dirty the holder and the copy fork with an earlier boundary.
+	advance()
+	if err := holder.copyFunctionalFrom(live); err != nil {
+		t.Fatal(err)
+	}
+	if err := viaCopy.copyFunctionalFrom(holder); err != nil {
+		t.Fatal(err)
+	}
+	viaCopy.measureInterval(sc)
+
+	advance()
+	blob, err := live.FunctionalSnapshot(wlName)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := holder.copyFunctionalFrom(live); err != nil {
+		t.Fatal(err)
+	}
+	if err := viaCopy.copyFunctionalFrom(holder); err != nil {
+		t.Fatal(err)
+	}
+	viaRestore := New(cfg, wl)
+	if err := viaRestore.RestoreFunctional(blob, wlName); err != nil {
+		t.Fatal(err)
+	}
+	for name, s := range map[string]*System{"holder": holder, "copy fork": viaCopy, "restored fork": viaRestore} {
+		got, err := s.FunctionalSnapshot(wlName)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, blob) {
+			t.Fatalf("%s: FunctionalSnapshot differs from the boundary's (%d vs %d bytes)", name, len(got), len(blob))
+		}
+	}
+
+	rc, rr := viaCopy.measureInterval(sc), viaRestore.measureInterval(sc)
+	if !reflect.DeepEqual(rc, rr) {
+		t.Fatalf("measured intervals differ:\ncopy    %+v\nrestore %+v", rc, rr)
+	}
+	after, err := viaCopy.FunctionalSnapshot(wlName)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want, _ := viaRestore.FunctionalSnapshot(wlName); !bytes.Equal(after, want) {
+		t.Fatal("forks diverged over the measured interval")
+	}
+}
+
+// nonCopyingPolicy forwards an ACCORD policy, its checkpoint methods and
+// its metrics, but not CopyFrom, like a custom policy written before the
+// method existed.
+type nonCopyingPolicy struct {
+	core.Policy
+	acc *core.ACCORD
+}
+
+func (p nonCopyingPolicy) Snapshot(e *ckpt.Encoder)      { p.acc.Snapshot(e) }
+func (p nonCopyingPolicy) Restore(d *ckpt.Decoder) error { return p.acc.Restore(d) }
+func (p nonCopyingPolicy) RegisterMetrics(r *metrics.Registry, prefix string) {
+	p.acc.RegisterMetrics(r, prefix)
+}
+
+// TestMemoryForks pins which fork each parallel run uses. The
+// benchmark's kind of run (nway + ACCORD, flat hierarchy, trace-cache
+// cursors, two workers) hands every boundary over as a copy; a run with
+// a spine lattice, one with a policy that cannot copy itself, and the
+// sequential driver use the codec. Every run gives the same Result.
+func TestMemoryForks(t *testing.T) {
+	const wlName = "libquantum"
+	cfg := parallelCases(2, false)[1] // accord-2way
+	cfg.SampleWorkers = 2
+	wl := traceWorkload(wlName, cfg)
+	run := func(cfg Config) (Result, SampleWork) {
+		s := New(cfg, wl)
+		res := s.Run(wlName)
+		return res, s.SampleWork()
+	}
+
+	want, work := run(cfg)
+	if work.Dispatched == 0 || work.MemoryForks != work.Dispatched {
+		t.Fatalf("copy-forked run: memory_forks %d, dispatched %d", work.MemoryForks, work.Dispatched)
+	}
+	if got := work.ManifestEntry()["memory_forks"]; got != int64(work.MemoryForks) {
+		t.Errorf("manifest memory_forks = %d, want %d", got, work.MemoryForks)
+	}
+
+	lattice := cfg
+	lattice.SpineCheckpointDir = t.TempDir()
+	custom := cfg
+	custom.Policy = func(g core.Geometry, seed int64) core.Policy {
+		p := core.NewACCORD(core.DefaultACCORD(g, seed))
+		return nonCopyingPolicy{Policy: p, acc: p}
+	}
+	sequential := cfg
+	sequential.SampleWorkers = 1
+	for name, c := range map[string]Config{"lattice": lattice, "non-copying policy": custom, "sequential": sequential} {
+		res, work := run(c)
+		if work.MemoryForks != 0 || work.Dispatched == 0 {
+			t.Errorf("%s: memory_forks %d, dispatched %d; want a codec-forked run", name, work.MemoryForks, work.Dispatched)
+		}
+		res.Config, want.Config = "", ""
+		if !reflect.DeepEqual(res, want) {
+			t.Errorf("%s: Result differs from the copy-forked run", name)
+		}
+	}
+}

@@ -432,11 +432,13 @@ func (s *System) resetIntervalState() {
 // fold it in without touching live component state.
 type intervalResult struct {
 	index int
-	// blob is the functional snapshot of the boundary state the detailed
-	// legs started from. finishSampled restores the last committed one to
-	// canonicalize the final system state; nil in in-place sequential
-	// mode, where the live system already carries that state.
-	blob []byte
+	// holder or blob carries the boundary state the detailed legs started
+	// from, as a pooled in-memory copy or a functional snapshot.
+	// finishSampled copies or restores the last committed one to
+	// canonicalize the final system state; both are nil in in-place
+	// sequential mode, where the live system already carries that state.
+	holder *System
+	blob   []byte
 
 	// Per-core detail-leg end state, copied out of the run buffers.
 	endInstr  []int64
@@ -554,8 +556,8 @@ type sampleState struct {
 	winInstrSum []int64
 	winCycSum   []int64
 
-	// last is the most recently committed interval; its blob anchors the
-	// final-state canonicalization.
+	// last is the most recently committed interval; its holder or blob
+	// anchors the final-state canonicalization.
 	last *intervalResult
 }
 
@@ -847,19 +849,26 @@ func (s *System) runSampledSequential(st *sampleState, forkable bool, lat *spine
 // finishSampled canonicalizes the final system state, imposes the
 // committed aggregates, and builds the Result. The canonical final state
 // is "the last committed interval's boundary, plus its warm+detail
-// events executed functionally": restoring the boundary blob erases
-// everything any speculative or discarded work did to the live system
-// (including policy diagnostic counters inside the L4 state), and the
-// functional re-advance lands exactly where the in-place sequential
-// path's detailed legs would (§9). Component stats are then overwritten
-// with the sums over committed intervals, so the registry snapshot the
-// Result exports is identical at every worker count.
+// events executed functionally": copying the boundary's holder (or
+// restoring its blob, which leaves the same state) erases everything any
+// speculative or discarded work did to the live system (including policy
+// diagnostic counters inside the L4 state), and the functional
+// re-advance lands exactly where the in-place sequential path's detailed
+// legs would (§9). Component stats are then overwritten with the sums
+// over committed intervals, so the registry snapshot the Result exports
+// is identical at every worker count.
 func (s *System) finishSampled(st *sampleState, wlName string) Result {
 	sc := st.sc
 	if last := st.last; last != nil {
-		if last.blob != nil {
+		if last.holder != nil || last.blob != nil {
 			t0 := time.Now()
-			if err := s.RestoreFunctional(last.blob, st.wlName); err != nil {
+			var err error
+			if last.holder != nil {
+				err = s.copyFunctionalFrom(last.holder)
+			} else {
+				err = s.RestoreFunctional(last.blob, st.wlName)
+			}
+			if err != nil {
 				panic(fmt.Sprintf("sim: final boundary restore failed: %v", err))
 			}
 			if adv := sc.WarmLen + sc.DetailLen; adv > 0 {
@@ -870,7 +879,7 @@ func (s *System) finishSampled(st *sampleState, wlName string) Result {
 				s.advanceFunctional(targets)
 			}
 			s.work.SpineTime += time.Since(t0)
-			last.blob = nil
+			last.holder, last.blob = nil, nil
 		}
 		*s.l4.Stats() = st.aggL4
 		s.hbm.SetStats(st.aggHBM)

@@ -9,13 +9,15 @@ import (
 
 // Parallel interval sampling (DESIGN.md §12). One spine goroutine owns
 // the live system and advances it functionally, period by period. At
-// each interval boundary it resets the canonical interval-start state,
-// serializes a functional snapshot, and hands {index, blob} to a worker
-// pool; each worker restores the blob into its own fork System and runs
-// the detailed warm+measured legs there. Results are committed strictly
-// in interval order on the caller's goroutine, so the observation
-// sequence — and therefore the early-stop decision — is identical to
-// the sequential sampler's at any worker count.
+// each interval boundary it resets the canonical interval-start state
+// and hands the boundary to a worker pool, as a pooled in-memory copy
+// (fork.go) or, when the run has a spine lattice or a component cannot
+// copy itself, as a functional snapshot blob. Each worker copies or
+// restores the boundary into its own fork System and runs the detailed
+// warm+measured legs there. Results are committed strictly in interval
+// order on the caller's goroutine, so the observation sequence — and
+// therefore the early-stop decision — is identical to the sequential
+// sampler's at any worker count.
 //
 // Speculation accounting: the spine runs ahead of the committed prefix
 // by up to the jobs-channel buffer plus the in-flight workers (~2x the
@@ -23,13 +25,14 @@ import (
 // cancelled (workers observe the stop channel and skip them) or their
 // results discarded by the committer; SampleWork reports the split. The
 // discarded work never touches the live system — forks are separate
-// Systems — and finishSampled's restore of the last committed boundary
-// erases the spine's own speculative functional advance.
+// Systems — and finishSampled's copy or restore of the last committed
+// boundary erases the spine's own speculative functional advance.
 
 // forceFreshForkSystems makes every worker rebuild its fork System per
-// job instead of reusing one across intervals. Test hook: the pooled-
-// fork differential test proves RestoreFunctional + resetIntervalState
-// fully reset a reused fork by comparing against this mode.
+// job, and the holder pool build a fresh holder per boundary, instead of
+// reusing them across intervals. Test hook: the pooled-fork differential
+// test proves a copy or restore (which ends with resetIntervalState)
+// fully resets a reused System by comparing against this mode.
 var forceFreshForkSystems = false
 
 // SampleWork reports how a sampled run's execution was split. It is
@@ -56,6 +59,12 @@ type SampleWork struct {
 	SpineTime  time.Duration
 	DetailTime time.Duration
 	WallTime   time.Duration
+	// MemoryForks counts dispatched intervals whose boundary was handed
+	// to the worker as an in-memory copy rather than a snapshot blob:
+	// Dispatched on a parallel run that forks in memory, zero on one with
+	// a spine lattice, on the sequential driver, or when a component
+	// cannot copy its state.
+	MemoryForks int
 	// SpineSaveTime is wall-clock the background writer spent persisting
 	// boundary snapshots into the spine checkpoint lattice; it overlaps
 	// worker execution, so it is cost only when the disk is the
@@ -75,6 +84,7 @@ func (w SampleWork) ManifestEntry() map[string]int64 {
 		"dispatched":     int64(w.Dispatched),
 		"committed":      int64(w.Committed),
 		"discarded":      int64(w.Discarded),
+		"memory_forks":   int64(w.MemoryForks),
 		"spine_ns":       int64(w.SpineTime),
 		"detail_ns":      int64(w.DetailTime),
 		"wall_ns":        int64(w.WallTime),
@@ -88,14 +98,22 @@ func (w SampleWork) ManifestEntry() map[string]int64 {
 // value before any).
 func (s *System) SampleWork() SampleWork { return s.work }
 
-// sampleJob hands one interval boundary to the worker pool.
+// sampleJob hands one interval boundary to the worker pool, as a pooled
+// holder or as a functional snapshot blob.
 type sampleJob struct {
-	index int
-	blob  []byte
+	index  int
+	holder *System
+	blob   []byte
 }
 
 // runSampledParallel drives intervals on a worker pool fed by a
 // functional spine. The caller's goroutine is the committer.
+//
+// Without a lattice, and when every component can copy itself, the spine
+// copies each boundary into a holder from the pool. The holder stays
+// attached to its interval's result until a later commit supersedes it
+// or the interval is cancelled or discarded, and then goes back to the
+// pool; the last committed one anchors finishSampled.
 //
 // With a lattice, the spine probes each boundary before computing it. A
 // hit dispatches the stored blob without touching the live system, which
@@ -120,8 +138,16 @@ func (s *System) runSampledParallel(st *sampleState, workers int, lat *spineLatt
 	var stopOnce sync.Once
 	stopAll := func() { stopOnce.Do(func() { close(stop) }) }
 
+	pool := s.newHolderPool(lat)
+	release := func(r *intervalResult) {
+		if r.holder != nil {
+			pool.put(r.holder)
+			r.holder = nil
+		}
+	}
+
 	// Spine-local counters, published to s.work only after spineDone.
-	var dispatched int
+	var dispatched, memoryForks int
 	var spineNS int64
 	var detailNS int64 // atomic: added by every worker
 	spineDone := make(chan struct{})
@@ -144,6 +170,7 @@ func (s *System) runSampledParallel(st *sampleState, workers int, lat *spineLatt
 			}
 			t0 := time.Now()
 			var blob []byte
+			var holder *System
 			if p, ok := lat.probe(k); ok {
 				blob = p
 				lastBlob = p
@@ -171,13 +198,20 @@ func (s *System) runSampledParallel(st *sampleState, workers int, lat *spineLatt
 					s.advanceFunctional(next)
 				}
 				s.resetIntervalState()
-				b, err := s.FunctionalSnapshot(st.wlName)
-				if err != nil {
-					panic(fmt.Sprintf("sim: interval snapshot failed after passing the forkability trial: %v", err))
+				if pool != nil {
+					holder = pool.get()
+					if err := holder.copyFunctionalFrom(s); err != nil {
+						panic(fmt.Sprintf("sim: interval copy failed after passing the trial copy: %v", err))
+					}
+				} else {
+					b, err := s.FunctionalSnapshot(st.wlName)
+					if err != nil {
+						panic(fmt.Sprintf("sim: interval snapshot failed after passing the forkability trial: %v", err))
+					}
+					blob = b
+					lastBlob = b
+					lat.saveAsync(k, b)
 				}
-				blob = b
-				lastBlob = b
-				lat.saveAsync(k, b)
 				// The next boundary is an absolute target captured at this one:
 				// B + Period, independent of any detailed leg's overshoot.
 				for i, c := range s.cores {
@@ -186,9 +220,15 @@ func (s *System) runSampledParallel(st *sampleState, workers int, lat *spineLatt
 			}
 			spineNS += int64(time.Since(t0))
 			select {
-			case jobs <- sampleJob{index: k, blob: blob}:
+			case jobs <- sampleJob{index: k, holder: holder, blob: blob}:
 				dispatched++
+				if holder != nil {
+					memoryForks++
+				}
 			case <-stop:
+				if holder != nil {
+					pool.put(holder)
+				}
 				return
 			}
 		}
@@ -203,19 +243,30 @@ func (s *System) runSampledParallel(st *sampleState, workers int, lat *spineLatt
 			for job := range jobs {
 				select {
 				case <-stop:
-					continue // cancelled: drain the queue without simulating
+					// Cancelled: drain the queue without simulating.
+					if job.holder != nil {
+						pool.put(job.holder)
+					}
+					continue
 				default:
 				}
 				if fork == nil || forceFreshForkSystems {
 					fork = New(s.cfg, s.wl)
 				}
-				if err := fork.RestoreFunctional(job.blob, st.wlName); err != nil {
+				var err error
+				if job.holder != nil {
+					err = fork.copyFunctionalFrom(job.holder)
+				} else {
+					err = fork.RestoreFunctional(job.blob, st.wlName)
+				}
+				if err != nil {
 					panic(fmt.Sprintf("sim: fork restore failed: %v", err))
 				}
 				t0 := time.Now()
 				r := fork.measureInterval(sc)
 				atomic.AddInt64(&detailNS, int64(time.Since(t0)))
 				r.index = job.index
+				r.holder = job.holder
 				r.blob = job.blob
 				results <- r
 			}
@@ -233,7 +284,8 @@ func (s *System) runSampledParallel(st *sampleState, workers int, lat *spineLatt
 	stopped := false
 	for r := range results {
 		if stopped {
-			continue // past the stop point: discard
+			release(r) // past the stop point: discard
+			continue
 		}
 		pending[r.index] = r
 		for {
@@ -243,7 +295,12 @@ func (s *System) runSampledParallel(st *sampleState, workers int, lat *spineLatt
 			}
 			delete(pending, nextCommit)
 			nextCommit++
-			if st.commit(q) {
+			superseded := st.last
+			stop := st.commit(q)
+			if superseded != nil {
+				release(superseded)
+			}
+			if stop {
 				stopped = true
 				stopAll()
 				break
@@ -254,6 +311,7 @@ func (s *System) runSampledParallel(st *sampleState, workers int, lat *spineLatt
 	<-spineDone
 
 	s.work.Dispatched = dispatched
+	s.work.MemoryForks = memoryForks
 	s.work.SpineTime = time.Duration(spineNS)
 	s.work.DetailTime = time.Duration(atomic.LoadInt64(&detailNS))
 }

@@ -144,16 +144,22 @@ func TestSampledParallelGeneratorWorkload(t *testing.T) {
 	}
 }
 
-// TestSampledPooledForkReset proves a pooled fork System is fully reset
-// between intervals: a run whose workers rebuild a fresh fork for every
-// job must match a run that reuses one fork across all of them. Any
-// state RestoreFunctional + the interval reset miss would surface as a
-// divergence here. Mutates the global test hook, so no t.Parallel.
+// TestSampledPooledForkReset proves pooled fork and holder Systems are
+// fully reset between intervals: a run whose workers rebuild a fresh
+// fork for every job, and whose spine a fresh holder for every boundary,
+// must match a run that reuses them across intervals. Any state the
+// copy (or RestoreFunctional) plus the interval reset miss would surface
+// as a divergence here. The spine, the workers and the committer all
+// share the holder pool, so run it under -race -count=10. Mutates the
+// global test hook, so no t.Parallel.
 func TestSampledPooledForkReset(t *testing.T) {
 	const wlName = "libquantum"
 	for _, cfg := range []Config{parallelCases(2, false)[1], parallelCases(2, true)[5]} {
 		wl := traceWorkload(wlName, cfg)
-		pooledRes, pooledJS, pooledState, _ := runSampledWorkers(t, cfg, wl, wlName, 3)
+		pooledRes, pooledJS, pooledState, work := runSampledWorkers(t, cfg, wl, wlName, 3)
+		if work.MemoryForks != work.Dispatched {
+			t.Errorf("%s: %d of %d boundaries forked in memory, want all", cfg.Name, work.MemoryForks, work.Dispatched)
+		}
 
 		forceFreshForkSystems = true
 		freshRes, freshJS, freshState, _ := runSampledWorkers(t, cfg, wl, wlName, 3)

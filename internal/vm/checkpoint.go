@@ -1,15 +1,18 @@
 package vm
 
-import "accord/internal/ckpt"
+import (
+	"fmt"
+
+	"accord/internal/ckpt"
+)
 
 // vmVersion tags the System encoding; bump on any layout change.
 const vmVersion = 1
 
 // Snapshot serializes the allocator (frame bitmap, cursors, RNG) and
 // every address space's page table. Leaves are written in directory
-// probe-index order; the order is a reconstruction detail — translation
-// depends only on the hi → leaf mapping — so restore re-inserts them into
-// a fresh directory.
+// cell order, and Restore puts them back into the same cells, so a
+// restored space later writes its leaves in the order its source would.
 func (s *System) Snapshot(e *ckpt.Encoder) {
 	e.U8(vmVersion)
 	e.U64(s.numFrames)
@@ -78,7 +81,8 @@ func (s *System) Restore(d *ckpt.Decoder) error {
 			return err
 		}
 		dir := newPTDir()
-		for i := 0; i < nLeaves; i++ {
+		leaves := make([]*ptLeaf, nLeaves)
+		for i := range leaves {
 			l := &ptLeaf{hi: d.U64()}
 			d.U64s(l.frames[:])
 			if err := d.Err(); err != nil {
@@ -96,6 +100,26 @@ func (s *System) Restore(d *ckpt.Decoder) error {
 				return d.Err()
 			}
 			dir.insert(l)
+			leaves[i] = l
+		}
+		// The same leaf count grows the directory to the same size, and
+		// linear probing without deletion fills the same cells whatever
+		// the insertion order. Snapshot wrote the leaves in cell order, so
+		// handing them to the occupied cells in ascending order rebuilds
+		// the snapshotted layout. A blob with the leaves in any other
+		// order could leave one unreachable from its home cell; reject it.
+		next := 0
+		for c, l := range dir.leaves {
+			if l != nil {
+				dir.leaves[c] = leaves[next]
+				next++
+			}
+		}
+		for _, l := range leaves {
+			if dir.find(l.hi) != l {
+				d.Failf("vm: space %d leaf %#x is out of directory order", si, l.hi)
+				return d.Err()
+			}
 		}
 		sp.dir = dir
 		sp.mru = [mruWays]*ptLeaf{}
@@ -104,5 +128,28 @@ func (s *System) Restore(d *ckpt.Decoder) error {
 	s.usedCount = usedCount
 	s.nextSeq = nextSeq
 	copy(s.used, used)
+	return nil
+}
+
+// CopyFrom makes s a copy of src, leaving s exactly as restoring src's
+// Snapshot would: the frame bitmap, allocator cursors and RNG, and every
+// space's page table, directory cell for cell, with the leaf MRU
+// cleared. It reuses s's leaf nodes, so once s holds as many leaves as
+// src a copy allocates nothing. src must have the same frame count,
+// allocation policy and number of spaces.
+func (s *System) CopyFrom(src *System) error {
+	if s.numFrames != src.numFrames || s.policy != src.policy || len(s.spaces) != len(src.spaces) {
+		return fmt.Errorf("vm: cannot copy a %d-frame %v system with %d spaces into a %d-frame %v system with %d spaces",
+			src.numFrames, src.policy, len(src.spaces), s.numFrames, s.policy, len(s.spaces))
+	}
+	s.usedCount, s.nextSeq = src.usedCount, src.nextSeq
+	*s.rng = *src.rng
+	copy(s.used, src.used)
+	for i, sp := range s.spaces {
+		from := src.spaces[i]
+		sp.dir.copyFrom(from.dir)
+		sp.mru = [mruWays]*ptLeaf{}
+		sp.mapped = from.mapped
+	}
 	return nil
 }

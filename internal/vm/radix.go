@@ -42,6 +42,11 @@ type ptDir struct {
 	leaves []*ptLeaf // probe table, nil = empty
 	mask   uint64
 	used   int
+
+	// spare is copyFrom's scratch list of reusable leaf nodes, sized by
+	// the first copy so later ones allocate nothing. It holds no leaves
+	// between calls.
+	spare []*ptLeaf
 }
 
 func newPTDir() *ptDir {
@@ -98,6 +103,42 @@ func (d *ptDir) grow() {
 		}
 		d.leaves[i] = l
 	}
+}
+
+// copyFrom makes d a cell-for-cell copy of src: the same table size and
+// every leaf in the same cell with the same frames. It reuses d's leaf
+// nodes, whatever pages they covered, and allocates only when src has
+// more leaves than d (or a differently sized table).
+func (d *ptDir) copyFrom(src *ptDir) {
+	spare := d.spare[:0]
+	for _, l := range d.leaves {
+		if l != nil {
+			spare = append(spare, l)
+		}
+	}
+	if len(d.leaves) != len(src.leaves) {
+		d.leaves = make([]*ptLeaf, len(src.leaves))
+	}
+	for i, l := range src.leaves {
+		if l == nil {
+			d.leaves[i] = nil
+			continue
+		}
+		var dl *ptLeaf
+		if n := len(spare); n > 0 {
+			dl, spare = spare[n-1], spare[:n-1]
+		} else {
+			dl = new(ptLeaf)
+		}
+		*dl = *l
+		d.leaves[i] = dl
+	}
+	d.mask, d.used = src.mask, src.used
+	clear(spare[:cap(spare)])
+	if cap(spare) < d.used {
+		spare = make([]*ptLeaf, 0, d.used)
+	}
+	d.spare = spare[:0]
 }
 
 // leafSlow returns the leaf covering hi when the way-0 MRU check missed,

@@ -62,3 +62,39 @@ func TestRestoreRejectsBadInput(t *testing.T) {
 		}
 	}
 }
+
+// TestValueCopyMatchesRestore pins the property in-memory forks rely on:
+// a value copy of a Rand is indistinguishable from restoring its
+// snapshot, both in the bytes it snapshots to and in the stream it
+// continues with.
+func TestValueCopyMatchesRestore(t *testing.T) {
+	src := New(42)
+	for i := 0; i < 1000; i++ {
+		src.Uint64()
+	}
+	e := ckpt.NewEncoder(0)
+	src.Snapshot(e)
+	blob := e.Finish()
+
+	restored := New(7)
+	d, err := ckpt.NewDecoderChecked(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := restored.Restore(d); err != nil {
+		t.Fatalf("Restore: %v", err)
+	}
+	copied := New(9)
+	*copied = *src
+
+	e = ckpt.NewEncoder(0)
+	copied.Snapshot(e)
+	if string(e.Finish()) != string(blob) {
+		t.Fatal("value copy snapshots differently from its source")
+	}
+	for i := 0; i < 2000; i++ {
+		if a, b := copied.Uint64(), restored.Uint64(); a != b {
+			t.Fatalf("draw %d: copy %#x != restore %#x", i, a, b)
+		}
+	}
+}

@@ -34,6 +34,10 @@ const (
 
 // Rand generates the same value stream as
 // rand.New(rand.NewSource(seed)) for the methods implemented here.
+//
+// Rand holds no pointers, so a value copy (*dst = *src) is a complete
+// copy of the generator: it leaves dst exactly as restoring src's
+// Snapshot would. In-memory forks of simulator state rely on this.
 type Rand struct {
 	tap  int32
 	feed int32
