@@ -60,27 +60,17 @@ func main() {
 		epoch      = flag.Int64("epoch", -1, "metrics sampling epoch in retired instructions summed over cores (-1 = auto when -metrics-out is set, 0 = final snapshots only)")
 		sample     = flag.Int64("sample", 0, "interval-sampling period in instructions per core (0 = exact detailed runs); sampled tables are estimates whose CIs go to -metrics-out")
 		ci         = flag.Float64("ci", 0.05, "with -sample: stop each run early once its IPC estimate's relative CI half-width reaches this (0 = run every planned interval)")
-		sampleWkrs = flag.Int("sample-workers", 0, "with -sample: worker goroutines per simulation running detailed windows off the functional spine (0 = GOMAXPROCS, 1 = sequential; results are identical at any setting)")
+		sampleWkrs = flag.Int("sample-workers", 0, "with -sample: worker goroutines per simulation running detailed windows off the functional spine (0 = GOMAXPROCS; 1 runs the same pipeline with one worker; results are identical at any setting)")
 		spineDir   = flag.String("spine-ckpt-dir", "", "with -sample: spine checkpoint lattice directory shared by every design point — boundary snapshots are saved on cold runs and restored instead of re-simulated on repeat runs (results are byte-identical either way)")
 		spineStr   = flag.Int("spine-stride", 0, "with -spine-ckpt-dir: save every Nth interval boundary (0 = automatic from snapshot size)")
 		ckptDir    = flag.String("checkpoint-dir", "", "warm-state checkpoint store: skip warmup for design points with a stored checkpoint, populate it for the rest")
 		traceCache = flag.Bool("trace-cache", true, "share one recording of each workload stream across every design point instead of re-generating it per run")
 		traceMB    = flag.Int64("trace-cache-mb", 0, "trace cache byte budget in MiB (0 = default)")
 		list       = flag.Bool("list", false, "list experiments and exit")
-		engine     = flag.String("engine", "specialized", "detailed timing engine: 'specialized' (backend-monomorphized dispatch) or 'generic' (interface-dispatch fallback); results are byte-identical, this only trades speed for a cross-check")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile = flag.String("memprofile", "", "write a heap profile to this file on exit")
 	)
 	flag.Parse()
-
-	switch *engine {
-	case "specialized":
-	case "generic":
-		sim.UseGenericEngine(true)
-	default:
-		fmt.Fprintf(os.Stderr, "unknown -engine %q (want specialized or generic)\n", *engine)
-		os.Exit(2)
-	}
 
 	if *list {
 		for _, e := range exp.All() {

@@ -43,25 +43,15 @@ func main() {
 		epoch      = flag.Int64("epoch", -1, "metrics sampling epoch in retired instructions summed over cores (-1 = auto when -metrics-out is set, 0 = final snapshot only)")
 		sample     = flag.Int64("sample", 0, "interval-sampling period in instructions per core (0 = exact detailed run); each period is mostly functional fast-forward with a short detailed measured window, and results carry Student-t confidence intervals")
 		ci         = flag.Float64("ci", 0.05, "with -sample: stop early once the IPC estimate's relative CI half-width reaches this (0 = run every planned interval)")
-		sampleWkrs = flag.Int("sample-workers", 0, "with -sample: worker goroutines running detailed windows off the functional spine (0 = GOMAXPROCS, 1 = sequential; results are identical at any setting)")
-		spineDir   = flag.String("spine-ckpt-dir", "", "with -sample: spine checkpoint lattice directory — boundary snapshots are saved there on cold runs and restored instead of re-simulated on later runs with the same configuration and interval geometry (results are byte-identical either way)")
+		sampleWkrs = flag.Int("sample-workers", 0, "with -sample: worker goroutines running detailed windows off the functional spine (0 = GOMAXPROCS; 1 runs the same pipeline with one worker; results are identical at any setting)")
+		spineDir   = flag.String("spine-ckpt-dir", "", "with -sample: spine checkpoint lattice directory — boundary snapshots are saved there on cold runs and restored instead of re-simulated on later runs with the same configuration and interval geometry (results are byte-identical either way; ignored with -trace)")
 		spineStr   = flag.Int("spine-stride", 0, "with -spine-ckpt-dir: save every Nth interval boundary (0 = automatic from snapshot size, targeting ~128 KiB per period)")
 		ckptDir    = flag.String("checkpoint-dir", "", "warm-state checkpoint store: restore the warmup/measure boundary when a matching checkpoint exists, populate it otherwise (ignored with -trace)")
 		traceCache = flag.Bool("trace-cache", true, "record each workload stream once and replay it, sharing the recording with the -baseline run (ignored with -trace)")
 		ckptSchema = flag.Bool("ckpt-schema", false, "print the checkpoint schema ID (for cache keys) and exit")
-		engine     = flag.String("engine", "specialized", "detailed timing engine: 'specialized' (backend-monomorphized dispatch) or 'generic' (interface-dispatch fallback); results are byte-identical, this only trades speed for a cross-check")
 		list       = flag.Bool("list", false, "list workloads and exit")
 	)
 	flag.Parse()
-
-	switch *engine {
-	case "specialized":
-	case "generic":
-		sim.UseGenericEngine(true)
-	default:
-		fmt.Fprintf(os.Stderr, "unknown -engine %q (want specialized or generic)\n", *engine)
-		os.Exit(2)
-	}
 
 	if *ckptSchema {
 		fmt.Println(sim.SnapshotSchemaID())
@@ -120,9 +110,14 @@ func main() {
 		os.Exit(2)
 	}
 
-	// Trace streams are shared, stateful FixedStreams; a failed restore
-	// could leave them half-mutated, so checkpointing is gated off.
+	// A trace workload is named by its file path, and the warm and spine
+	// fingerprints hold that name, not the trace's contents: a trace
+	// rewritten at the same path would restore the old trace's state. So
+	// both memo layers are gated off under -trace.
 	store := openStore(*ckptDir, *trace != "")
+	if *trace != "" {
+		cfg.SpineCheckpointDir = ""
+	}
 
 	// The trace cache records the workload stream on first use and
 	// replays it for the -baseline run (same workload, same anchor, same
@@ -143,9 +138,9 @@ func main() {
 		man.SampleWork = w.ManifestEntry()
 		fmt.Fprintf(os.Stderr, "accordsim: sampled workers=%d dispatched=%d committed=%d discarded=%d spine=%s detail=%s\n",
 			w.Workers, w.Dispatched, w.Committed, w.Discarded, w.SpineTime.Round(time.Millisecond), w.DetailTime.Round(time.Millisecond))
-		if *spineDir != "" {
+		if cfg.SpineCheckpointDir != "" {
 			fmt.Fprintf(os.Stderr, "accordsim: spine lattice %s: hits=%d misses=%d save=%s\n",
-				*spineDir, w.LatticeHits, w.LatticeMisses, w.SpineSaveTime.Round(time.Millisecond))
+				cfg.SpineCheckpointDir, w.LatticeHits, w.LatticeMisses, w.SpineSaveTime.Round(time.Millisecond))
 		}
 	}
 	if *metricsOut != "" {
@@ -187,17 +182,10 @@ func main() {
 		base.SampleWorkers = cfg.SampleWorkers
 		base.SpineCheckpointDir = cfg.SpineCheckpointDir
 		base.SpineStride = cfg.SpineStride
-		if *trace != "" {
-			// Trace streams are stateful; the baseline needs a fresh replay.
-			wl, err2 = loadTrace(*trace, cfg.Cores)
-			if err2 != nil {
-				fmt.Fprintln(os.Stderr, err2)
-				os.Exit(1)
-			}
-		}
-		// With the trace cache on, wl.Source is already set: sim.New asks
-		// it for fresh cursors, which replay the recordings the main run
-		// just produced (the baseline shares scale, seed, and anchor).
+		// When wl.Source is set, sim.New asks it for fresh streams: a
+		// trace replays from event zero, and the trace cache's cursors
+		// replay the recordings the main run just produced (the baseline
+		// shares scale, seed, and anchor).
 		bres, _ := sim.RunWithStore(base, wl, store, wl.Name)
 		fmt.Printf("\nbaseline (direct-mapped) mean IPC: %.4f\n", bres.MeanIPC())
 		fmt.Printf("weighted speedup:                  %.4f\n", sim.WeightedSpeedup(res, bres))

@@ -5,8 +5,8 @@
 // stream over the 64-million-line tag array, warmed functionally and
 // measured in SMARTS-style detailed windows.
 //
-// It runs the same sampled simulation four times: sequentially
-// (SampleWorkers=1), with a worker pool that executes the detailed
+// It runs the same sampled simulation four times: on one worker
+// (SampleWorkers=1), on a worker pool that executes the detailed
 // windows concurrently off the functional spine, then twice more
 // against a spine checkpoint lattice — a populating run that saves
 // every boundary snapshot in the background (its wall-clock against
@@ -109,16 +109,16 @@ func main() {
 		return res, s.SampleWork(), time.Since(start)
 	}
 
-	fmt.Printf("sequential run (1 worker)...\n")
-	seqRes, _, seqT := run(1, "")
+	fmt.Printf("one-worker run...\n")
+	oneRes, _, oneT := run(1, "")
 	fmt.Printf("  %.1fs wall (%.1f M instr/s)\n",
-		seqT.Seconds(), float64(seqRes.InstructionsTotal)/seqT.Seconds()/1e6)
+		oneT.Seconds(), float64(oneRes.InstructionsTotal)/oneT.Seconds()/1e6)
 
 	fmt.Printf("parallel run (%d workers)...\n", *workers)
 	parRes, parWork, parT := run(*workers, "")
-	fmt.Printf("  %.1fs wall (%.1f M instr/s) — %.2fx over sequential\n",
+	fmt.Printf("  %.1fs wall (%.1f M instr/s) — %.2fx over one worker\n",
 		parT.Seconds(), float64(parRes.InstructionsTotal)/parT.Seconds()/1e6,
-		seqT.Seconds()/parT.Seconds())
+		oneT.Seconds()/parT.Seconds())
 
 	// The functional spine is the serial fraction; the detailed windows
 	// are the parallel work. With W workers the windows overlap each
@@ -131,10 +131,10 @@ func main() {
 		100*parWork.DetailTime.Seconds()/(parT.Seconds()*float64(parWork.Workers)))
 	fmt.Printf("  intervals: %d dispatched, %d committed, %d speculative discarded\n",
 		parWork.Dispatched, parWork.Committed, parWork.Discarded)
-	if !reflect.DeepEqual(seqRes, parRes) {
-		fmt.Println("  ERROR: parallel result diverged from sequential")
+	if !reflect.DeepEqual(oneRes, parRes) {
+		fmt.Println("  ERROR: parallel result diverged from the one-worker run")
 	} else {
-		fmt.Println("  results identical to sequential: yes")
+		fmt.Println("  results identical to the one-worker run: yes")
 	}
 
 	// Third leg: memoize the functional spine through the checkpoint
@@ -159,8 +159,8 @@ func main() {
 
 	fmt.Printf("lattice-resumed run (%d workers)...\n", *workers)
 	resRes, resWork, resT := run(*workers, dir)
-	fmt.Printf("  %.1fs wall — %.2fx over the populating run, %.2fx over sequential\n",
-		resT.Seconds(), popT.Seconds()/resT.Seconds(), seqT.Seconds()/resT.Seconds())
+	fmt.Printf("  %.1fs wall — %.2fx over the populating run, %.2fx over one worker\n",
+		resT.Seconds(), popT.Seconds()/resT.Seconds(), oneT.Seconds()/resT.Seconds())
 	fmt.Printf("  lattice: %d hits, %d misses; spine %.1fs (was %.1fs cold)\n",
 		resWork.LatticeHits, resWork.LatticeMisses,
 		resWork.SpineTime.Seconds(), popWork.SpineTime.Seconds())

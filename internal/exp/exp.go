@@ -87,10 +87,11 @@ type Params struct {
 
 	// SampleWorkers sets sim.Config.SampleWorkers for sampled runs: how
 	// many goroutines execute detailed interval windows in parallel
-	// (0 = GOMAXPROCS, 1 = sequential). It is pure execution strategy —
-	// results are identical at any setting by construction — so it is
-	// deliberately excluded from the memo key: a session warmed at one
-	// worker count serves another without recomputation.
+	// (0 = GOMAXPROCS; 1 runs the same pipeline with one worker). It is
+	// pure execution strategy — results are identical at any setting by
+	// construction — so it is deliberately excluded from the memo key: a
+	// session warmed at one worker count serves another without
+	// recomputation.
 	SampleWorkers int
 
 	// SpineCheckpointDir, when non-empty, memoizes every sampled run's
@@ -325,7 +326,7 @@ func (s *Session) run(worker int, cfg sim.Config, workload string) sim.Result {
 	defer close(e.done)
 	start := time.Now()
 	wl := workloads.MustGet(workload, cfg.Cores)
-	if s.traces != nil && wl.Streams == nil && wl.Source == nil {
+	if s.traces != nil {
 		wl.Source = s.traces.Source(wl.Specs, cfg.AnchorLines(), cfg.Seed)
 	}
 	var info sim.RunInfo

@@ -1,47 +1,37 @@
 package sim
 
 import (
-	"fmt"
 	"testing"
 
 	"accord/internal/workloads"
 )
 
 // TestDetailedWindowZeroAlloc enforces the steady-state allocation
-// contract of the detailed measured-window path on both engines: once a
+// contract of the detailed measured-window path on every backend: once a
 // system is warm, advancing it through detailed events — the batched
 // StepRun loop over the windowed stream, the MSHR admit scan, the DRAM
 // calendar-ring reservations — must allocate nothing per event. The
-// generic interface-dispatch engine is held to the same bar so the
-// specialized engine can never hide an allocation behind the fallback
-// (or vice versa).
+// subtests sit under "generic/": every core drives its L4 through the
+// dramcache.Interface dispatch, the one detailed engine there is.
 func TestDetailedWindowZeroAlloc(t *testing.T) {
-	for _, generic := range []bool{false, true} {
-		engine := "specialized"
-		if generic {
-			engine = "generic"
-		}
-		for _, bc := range engineCases() {
-			cfg := bc.cfg
-			cfg.Cores = 1
-			t.Run(fmt.Sprintf("%s/%s", engine, bc.name), func(t *testing.T) {
-				UseGenericEngine(generic)
-				defer UseGenericEngine(false)
-				wl := workloads.MustGet("libquantum", cfg.Cores)
-				s := New(cfg, wl)
-				s.RunWarmupFunctional()
-				// One detailed advance off the measurement to fault in lazy
-				// state (stream window buffers, row activations).
-				target := s.Cores()[0].Instructions()
-				target += 20_000
+	for _, bc := range backendCases() {
+		cfg := bc.cfg
+		cfg.Cores = 1
+		t.Run("generic/"+bc.name, func(t *testing.T) {
+			wl := workloads.MustGet("libquantum", cfg.Cores)
+			s := New(cfg, wl)
+			s.RunWarmupFunctional()
+			// One detailed advance off the measurement to fault in lazy
+			// state (stream window buffers, row activations).
+			target := s.Cores()[0].Instructions()
+			target += 20_000
+			s.advanceUntil([]int64{target})
+			if avg := testing.AllocsPerRun(20, func() {
+				target += 10_000
 				s.advanceUntil([]int64{target})
-				if avg := testing.AllocsPerRun(20, func() {
-					target += 10_000
-					s.advanceUntil([]int64{target})
-				}); avg != 0 {
-					t.Errorf("detailed window allocates %.4f per 10k-instr advance, want 0", avg)
-				}
-			})
-		}
+			}); avg != 0 {
+				t.Errorf("detailed window allocates %.4f per 10k-instr advance, want 0", avg)
+			}
+		})
 	}
 }

@@ -80,13 +80,13 @@ func BenchmarkSampledRun(b *testing.B) {
 	b.Run("exact", func(b *testing.B) { run(b, exact) })
 }
 
-// BenchmarkSampledParallel measures the parallel interval-sampling
-// driver against the sequential one on the same sampled run: detailed
-// windows fork off the functional spine onto a worker pool and commit
-// in interval order, so wall-clock should approach
-// max(spine, detail/workers) on real cores. Results are byte-identical
-// at every worker count (TestSampledParallelMatchesSequential), so the
-// ratio between sub-benchmarks is pure execution speedup — on a
+// BenchmarkSampledParallel measures one sampled run at one, two and
+// four workers: detailed windows fork off the functional spine onto a
+// worker pool and commit in interval order, so wall-clock should
+// approach max(spine, detail/workers) on real cores. Results are
+// byte-identical at every worker count
+// (TestSampledParallelMatchesSequential), so the ratio between
+// sub-benchmarks is pure execution speedup — on a
 // single-hardware-thread host the workers>1 variants honestly report
 // ~1x plus coordination overhead. The stream is recorded once off the
 // clock; every timed run replays it.

@@ -228,7 +228,7 @@ func (s *System) Restore(blob []byte, wlName string) error {
 // RestoreFunctional loads a FunctionalSnapshot blob into a system of the
 // same Config and workload, then resets the interval-start timing state
 // — the snapshot deliberately omits timing, and every consumer (interval
-// forks, the sequential fork protocol, final-state canonicalization)
+// forks, the spine's lattice catch-up, final-state canonicalization)
 // wants the canonical fresh-timing condition, so the reset is part of
 // the restore contract. On error the system state is unspecified and
 // must be discarded.

@@ -4,19 +4,20 @@ import (
 	"fmt"
 	"sync"
 
+	"accord/internal/ckpt"
 	"accord/internal/dramcache"
 	"accord/internal/workloads"
 )
 
 // In-memory interval forks (DESIGN.md §12.1). Without a spine lattice
-// the boundary state a parallel sampled run hands its workers never
-// leaves the process, so encoding it (FunctionalSnapshot) and decoding
-// it (RestoreFunctional) is wasted work. Instead the spine copies the
-// live system into a pooled holder System, and a worker copies the
-// holder into its own fork. Each component copies into the
-// destination's existing buffers, leaving it exactly as a restore of the
-// source's snapshot would, so the two fork paths give byte-identical
-// results (TestForkCopyMatchesRestore).
+// the boundary state a sampled run hands its workers never leaves the
+// process, so encoding it (FunctionalSnapshot) and decoding it
+// (RestoreFunctional) is wasted work. Instead the spine copies the live
+// system into a pooled holder System, and a worker copies the holder
+// into its own fork. Each component copies into the destination's
+// existing buffers, leaving it exactly as a restore of the source's
+// snapshot would, so the two fork paths give byte-identical results
+// (TestForkCopyMatchesRestore).
 
 // l4Copier is the optional in-memory fork method of an L4 backend (every
 // bundled organization has one, see dramcache/copy.go). It is not part
@@ -76,28 +77,44 @@ type holderPool struct {
 	free []*System
 }
 
-// newHolderPool decides, once per run, how a parallel sampled run forks
-// its intervals: it returns a pool when every component can copy its
-// state in memory, or nil to fork through the codec. A run with a spine
-// lattice always uses the codec, since its spine must encode every
-// boundary it computes for the save, and lattice hits arrive as bytes.
-// Otherwise the first holder takes a trial copy of the live system; a
-// stream or policy without a copy method makes it fail. An L4 without
-// one is caught before any holder is built.
-func (s *System) newHolderPool(lat *spineLattice) *holderPool {
-	if lat != nil {
-		return nil
+// forkPlan decides, once per sampled run, how boundaries reach the
+// workers: as in-memory copies through the returned pool, or as
+// snapshot blobs when the pool is nil. A run with a spine lattice always
+// uses blobs, since its spine must encode every boundary it computes for
+// the save, and lattice hits arrive as bytes. The lattice needs
+// snapshots, so a system that cannot take them runs without it. A system
+// that can neither copy nor snapshot its state cannot fork at all, and
+// forkPlan panics naming the components that failed both trials.
+func (s *System) forkPlan(wlName string) (*spineLattice, *holderPool) {
+	snapErr := s.writeState(ckpt.NewMeasurer(), s.WarmFingerprint(wlName), true)
+	if snapErr == nil {
+		if lat := s.openSpineLattice(wlName); lat != nil {
+			return lat, nil
+		}
 	}
+	pool, copyErr := s.newHolderPool()
+	if pool == nil && snapErr != nil {
+		panic(fmt.Sprintf("sim: sampled run cannot fork its intervals: copy: %v; snapshot: %v", copyErr, snapErr))
+	}
+	return nil, pool
+}
+
+// newHolderPool returns a pool when every component can copy its state
+// in memory, or the error that shows one cannot. The first holder takes
+// a trial copy of the live system; a stream or policy without a copy
+// method makes it fail. An L4 without one is caught before any holder is
+// built.
+func (s *System) newHolderPool() (*holderPool, error) {
 	if _, ok := s.l4.(l4Copier); !ok {
-		return nil
+		return nil, fmt.Errorf("sim: L4 backend %T does not support copying", s.l4)
 	}
 	p := &holderPool{cfg: s.cfg, wl: s.wl}
 	h := p.get()
-	if h.copyFunctionalFrom(s) != nil {
-		return nil
+	if err := h.copyFunctionalFrom(s); err != nil {
+		return nil, err
 	}
 	p.put(h)
-	return p
+	return p, nil
 }
 
 // get returns a free holder, building one when none is free (always,

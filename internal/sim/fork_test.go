@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"accord/internal/ckpt"
@@ -23,11 +24,11 @@ var forkSampling = SamplingConfig{Period: 50_000, DetailLen: 12_000, WarmLen: 5_
 // copy fork is dirty from an earlier interval and the holder from an
 // earlier boundary, so leftover state would show. Both forks must
 // snapshot to the boundary's bytes, measure identical intervals, and
-// still agree afterwards. ACCORD_BACKEND narrows the matrix like
-// TestEngineDifferential's.
+// still agree afterwards. ACCORD_BACKEND narrows the matrix to one
+// backend.
 func TestForkCopyMatchesRestore(t *testing.T) {
 	const wlName = "libquantum"
-	for _, bc := range engineCases() {
+	for _, bc := range backendCases() {
 		if backendFilterSkip(t, bc.name) {
 			continue
 		}
@@ -130,11 +131,12 @@ func (p nonCopyingPolicy) RegisterMetrics(r *metrics.Registry, prefix string) {
 	p.acc.RegisterMetrics(r, prefix)
 }
 
-// TestMemoryForks pins which fork each parallel run uses. The
+// TestMemoryForks pins which fork each sampled run uses. The
 // benchmark's kind of run (nway + ACCORD, flat hierarchy, trace-cache
-// cursors, two workers) hands every boundary over as a copy; a run with
-// a spine lattice, one with a policy that cannot copy itself, and the
-// sequential driver use the codec. Every run gives the same Result.
+// cursors, two workers) hands every boundary over as a copy, and so does
+// a one-worker run, on one core and on two; a run with a spine lattice
+// and one with a policy that cannot copy itself use the codec. Every
+// two-core run gives the same Result.
 func TestMemoryForks(t *testing.T) {
 	const wlName = "libquantum"
 	cfg := parallelCases(2, false)[1] // accord-2way
@@ -154,6 +156,21 @@ func TestMemoryForks(t *testing.T) {
 		t.Errorf("manifest memory_forks = %d, want %d", got, work.MemoryForks)
 	}
 
+	for _, cores := range []int{1, 2} {
+		one := parallelCases(cores, false)[1]
+		one.SampleWorkers = 1
+		s := New(one, traceWorkload(wlName, one))
+		res := s.Run(wlName)
+		work := s.SampleWork()
+		if work.Workers != 1 || work.Dispatched == 0 || work.MemoryForks != work.Dispatched {
+			t.Errorf("one worker, %d cores: workers %d, memory_forks %d, dispatched %d; want every boundary copied",
+				cores, work.Workers, work.MemoryForks, work.Dispatched)
+		}
+		if cores == 2 && !reflect.DeepEqual(res, want) {
+			t.Errorf("one worker: Result differs from the two-worker run")
+		}
+	}
+
 	lattice := cfg
 	lattice.SpineCheckpointDir = t.TempDir()
 	custom := cfg
@@ -161,9 +178,7 @@ func TestMemoryForks(t *testing.T) {
 		p := core.NewACCORD(core.DefaultACCORD(g, seed))
 		return nonCopyingPolicy{Policy: p, acc: p}
 	}
-	sequential := cfg
-	sequential.SampleWorkers = 1
-	for name, c := range map[string]Config{"lattice": lattice, "non-copying policy": custom, "sequential": sequential} {
+	for name, c := range map[string]Config{"lattice": lattice, "non-copying policy": custom} {
 		res, work := run(c)
 		if work.MemoryForks != 0 || work.Dispatched == 0 {
 			t.Errorf("%s: memory_forks %d, dispatched %d; want a codec-forked run", name, work.MemoryForks, work.Dispatched)
@@ -172,5 +187,39 @@ func TestMemoryForks(t *testing.T) {
 		if !reflect.DeepEqual(res, want) {
 			t.Errorf("%s: Result differs from the copy-forked run", name)
 		}
+	}
+}
+
+// opaquePolicy forwards only the core.Policy methods of an ACCORD
+// policy: it can neither snapshot nor copy itself.
+type opaquePolicy struct{ core.Policy }
+
+// TestSampledUnforkablePanics pins that a system which can neither copy
+// nor snapshot its state makes RunSampled panic, naming the policy,
+// before it warms up or dispatches anything.
+func TestSampledUnforkablePanics(t *testing.T) {
+	const wlName = "libquantum"
+	cfg := parallelCases(1, false)[1] // accord-2way
+	cfg.SampleWorkers = 1
+	cfg.Policy = func(g core.Geometry, seed int64) core.Policy {
+		return opaquePolicy{core.NewACCORD(core.DefaultACCORD(g, seed))}
+	}
+	s := New(cfg, traceWorkload(wlName, cfg))
+	func() {
+		defer func() {
+			msg, _ := recover().(string)
+			for _, want := range []string{"cannot fork", "does not support copying", "does not support checkpointing"} {
+				if !strings.Contains(msg, want) {
+					t.Errorf("panic %q does not contain %q", msg, want)
+				}
+			}
+		}()
+		s.Run(wlName)
+	}()
+	if work := s.SampleWork(); work.Dispatched != 0 {
+		t.Errorf("dispatched %d intervals before panicking", work.Dispatched)
+	}
+	if n := s.Cores()[0].Instructions(); n != 0 {
+		t.Errorf("core retired %d instructions before the panic, want 0", n)
 	}
 }

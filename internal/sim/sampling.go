@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"accord/internal/cache"
-	"accord/internal/ckpt"
 	"accord/internal/dram"
 	"accord/internal/dramcache"
 	"accord/internal/memtypes"
@@ -407,11 +406,11 @@ func (s *System) RunWarmupFunctional() {
 // resetIntervalState puts the system's timing and statistics state into
 // the canonical interval-start condition: zeroed component stats, fresh
 // device timing (row buffers, busy intervals, write backlogs), and cores
-// at cycle zero with empty MSHRs and cold translation memos. Both the
-// sequential and the parallel samplers apply it at every interval
-// boundary, so a measured window's starting state is a pure function of
-// the functional state at its boundary — the property that makes
-// worker-count-independent results possible (DESIGN.md §12).
+// at cycle zero with empty MSHRs and cold translation memos. Sampled
+// runs apply it at every interval boundary, so a measured window's
+// starting state is a pure function of the functional state at its
+// boundary — the property that makes worker-count-independent results
+// possible (DESIGN.md §12).
 func (s *System) resetIntervalState() {
 	s.l4.ResetStats()
 	s.hbm.ResetStats()
@@ -427,16 +426,14 @@ func (s *System) resetIntervalState() {
 }
 
 // intervalResult is everything one measured interval contributes to the
-// sampled run, captured on whichever System executed the detailed legs
-// (the main system sequentially, a fork in parallel mode) so commit can
-// fold it in without touching live component state.
+// sampled run, captured on the fork that executed the detailed legs so
+// commit can fold it in without touching live component state.
 type intervalResult struct {
 	index int
 	// holder or blob carries the boundary state the detailed legs started
 	// from, as a pooled in-memory copy or a functional snapshot.
 	// finishSampled copies or restores the last committed one to
-	// canonicalize the final system state; both are nil in in-place
-	// sequential mode, where the live system already carries that state.
+	// canonicalize the final system state.
 	holder *System
 	blob   []byte
 
@@ -648,33 +645,19 @@ func (st *sampleState) commit(r *intervalResult) (stop bool) {
 	return st.intervals >= st.planned
 }
 
-// sampleForkable reports whether this system's intervals can run on
-// forked copies: the workload must be reconstructible per fork (a
-// Streams override hands the system pre-built stream objects that a fork
-// would share destructively; generator and trace-cache workloads rebuild
-// cleanly), and the functional state must snapshot (an nway policy
-// without checkpoint support cannot). The trial writes into a measurer,
-// so it builds no blob, and leaves the first boundary's blob to be sized
-// by its own measuring pass. Non-forkable systems degrade to the
-// in-place sequential sampler.
-func (s *System) sampleForkable(wlName string) bool {
-	if s.wl.Streams != nil && s.wl.Source == nil {
-		return false
-	}
-	return s.writeState(ckpt.NewMeasurer(), s.WarmFingerprint(wlName), true) == nil
-}
-
 // RunSampled executes a sampled run: functional warmup, then alternating
 // functional/detailed windows per SamplingConfig, collecting
 // per-interval observations until the budget is exhausted or the IPC
 // confidence interval tightens below TargetCI. Run dispatches here when
 // sampling is enabled.
 //
-// Config.SampleWorkers picks the executor: ≤1 runs intervals on the
-// caller's goroutine; >1 forks each interval's detailed legs off the
-// functional spine onto a worker pool (sampling_parallel.go). The two
-// produce identical Results — same observation sequence, same summary,
-// same final registry snapshot — by construction; see DESIGN.md §12.
+// Every interval's detailed legs run on a fork off the functional spine
+// (sampling_parallel.go); Config.SampleWorkers sizes the worker pool.
+// Every worker count produces identical Results — same observation
+// sequence, same summary, same final registry snapshot — by
+// construction; see DESIGN.md §12. RunSampled panics before doing any
+// work when the system can neither copy nor snapshot its functional
+// state, since then no interval can be forked.
 //
 // Config.SpineCheckpointDir additionally memoizes the spine through the
 // checkpoint lattice (spine.go, DESIGN.md §14): boundary snapshots are
@@ -707,26 +690,9 @@ func (s *System) RunSampled(wlName string) Result {
 	if workers > planned {
 		workers = planned
 	}
-	forkable := false
-	if workers > 1 || len(s.cores) > 1 || s.cfg.SpineCheckpointDir != "" {
-		forkable = s.sampleForkable(wlName)
-	}
-	if !forkable {
-		workers = 1
-	}
-	// The lattice requires snapshotability: boundary state must serialize
-	// to be saved and restore cleanly to be consumed. A non-forkable
-	// system silently runs without it, like it degrades to one worker.
-	var lat *spineLattice
-	if forkable {
-		lat = s.openSpineLattice(wlName)
-	}
+	lat, pool := s.forkPlan(wlName)
 	s.work = SampleWork{Workers: workers}
-	if workers <= 1 {
-		s.runSampledSequential(st, forkable, lat)
-	} else {
-		s.runSampledParallel(st, workers, lat)
-	}
+	s.runSampledParallel(st, workers, lat, pool)
 	if lat != nil {
 		lat.close()
 		s.work.SpineSaveTime = time.Duration(lat.saveNS)
@@ -741,111 +707,6 @@ func (s *System) RunSampled(wlName string) Result {
 	return res
 }
 
-// runSampledSequential drives intervals on the caller's goroutine. Two
-// modes share the loop:
-//
-//   - In-place (single core, or a system that cannot fork): the detailed
-//     legs run on the live system and the following functional advance
-//     continues from wherever they ended. For a single core this is
-//     byte-equivalent to the fork protocol — the §9 contract makes
-//     functional and detailed execution of the same events produce
-//     identical functional state, and absolute leg targets make them
-//     consume the same events — so it is used as the cheaper path.
-//   - Fork protocol (multi-core forkable systems): snapshot the boundary,
-//     measure, restore, and re-advance functionally — the exact
-//     trajectory the parallel spine takes, which is what makes
-//     SampleWorkers=1 and SampleWorkers=N byte-identical even though
-//     multi-core functional and detailed interleavings differ.
-//
-// With a lattice, each boundary is probed before it is computed: a hit
-// restores the stored snapshot straight into the live system, replacing
-// the functional warmup/advance that would have produced it (the blob
-// carries the identical bytes — that is the lattice's key contract).
-// Warmup runs lazily on the first miss, so a hit at boundary 0 skips it.
-//
-// Fork mode re-establishes each boundary lazily (the stale protocol the
-// parallel spine also uses): after an interval's detailed legs move the
-// live system, nothing is restored until the next boundary actually
-// needs it — a miss restores the previous boundary's blob and advances,
-// while a hit restores its own blob directly. Consecutive hits thus
-// cost one restore each instead of a restore-back plus a restore-
-// forward, without changing the state each interval measures from.
-func (s *System) runSampledSequential(st *sampleState, forkable bool, lat *spineLattice) {
-	sc := st.sc
-	funcLen := sc.Period - sc.WarmLen - sc.DetailLen
-	n := len(s.cores)
-	inPlace := n == 1 || !forkable
-
-	next := make([]int64, n)
-	warmed := false
-	stale := false // fork mode: live system has moved past lastBlob's boundary
-	var lastBlob []byte
-	for k := 0; ; k++ {
-		t0 := time.Now()
-		var blob []byte
-		if p, ok := lat.probe(k); ok {
-			// RestoreFunctional ends with resetIntervalState, so the live
-			// system lands in exactly the canonical boundary state the miss
-			// path constructs.
-			if err := s.RestoreFunctional(p, st.wlName); err != nil {
-				panic(fmt.Sprintf("sim: lattice restore failed after probe validation: %v", err))
-			}
-			warmed, stale = true, false
-			if !inPlace {
-				blob, lastBlob = p, p
-			}
-		} else {
-			if !warmed {
-				s.RunWarmupFunctional()
-				for i, c := range s.cores {
-					next[i] = c.Instructions() + funcLen
-				}
-				warmed = true
-			}
-			if stale {
-				if err := s.RestoreFunctional(lastBlob, st.wlName); err != nil {
-					panic(fmt.Sprintf("sim: boundary restore failed: %v", err))
-				}
-				for i, c := range s.cores {
-					next[i] = c.Instructions() + sc.Period
-				}
-				stale = false
-			}
-			if k > 0 || funcLen > 0 {
-				s.advanceFunctional(next)
-			}
-			s.resetIntervalState()
-			if !inPlace || lat.wantSave(k) {
-				b, err := s.FunctionalSnapshot(st.wlName)
-				if err != nil {
-					panic(fmt.Sprintf("sim: interval snapshot failed after passing the forkability trial: %v", err))
-				}
-				lat.saveAsync(k, b)
-				if !inPlace {
-					blob, lastBlob = b, b
-				}
-			}
-		}
-		// The next boundary is an absolute target captured NOW, before the
-		// detailed legs move the cores: B + Period.
-		for i, c := range s.cores {
-			next[i] = c.Instructions() + sc.Period
-		}
-		s.work.SpineTime += time.Since(t0)
-
-		t1 := time.Now()
-		r := s.measureInterval(sc)
-		s.work.DetailTime += time.Since(t1)
-		r.index = k
-		r.blob = blob
-		s.work.Dispatched++
-		if st.commit(r) {
-			return
-		}
-		stale = !inPlace
-	}
-}
-
 // finishSampled canonicalizes the final system state, imposes the
 // committed aggregates, and builds the Result. The canonical final state
 // is "the last committed interval's boundary, plus its warm+detail
@@ -853,34 +714,32 @@ func (s *System) runSampledSequential(st *sampleState, forkable bool, lat *spine
 // restoring its blob, which leaves the same state) erases everything any
 // speculative or discarded work did to the live system (including policy
 // diagnostic counters inside the L4 state), and the functional
-// re-advance lands exactly where the in-place sequential path's detailed
-// legs would (§9). Component stats are then overwritten with the sums
-// over committed intervals, so the registry snapshot the Result exports
-// is identical at every worker count.
+// re-advance lands exactly where running those legs functionally from
+// the boundary would (§9). Component stats are then overwritten with the
+// sums over committed intervals, so the registry snapshot the Result
+// exports is identical at every worker count.
 func (s *System) finishSampled(st *sampleState, wlName string) Result {
 	sc := st.sc
 	if last := st.last; last != nil {
-		if last.holder != nil || last.blob != nil {
-			t0 := time.Now()
-			var err error
-			if last.holder != nil {
-				err = s.copyFunctionalFrom(last.holder)
-			} else {
-				err = s.RestoreFunctional(last.blob, st.wlName)
-			}
-			if err != nil {
-				panic(fmt.Sprintf("sim: final boundary restore failed: %v", err))
-			}
-			if adv := sc.WarmLen + sc.DetailLen; adv > 0 {
-				targets := make([]int64, len(s.cores))
-				for i, c := range s.cores {
-					targets[i] = c.Instructions() + adv
-				}
-				s.advanceFunctional(targets)
-			}
-			s.work.SpineTime += time.Since(t0)
-			last.holder, last.blob = nil, nil
+		t0 := time.Now()
+		var err error
+		if last.holder != nil {
+			err = s.copyFunctionalFrom(last.holder)
+		} else {
+			err = s.RestoreFunctional(last.blob, st.wlName)
 		}
+		if err != nil {
+			panic(fmt.Sprintf("sim: final boundary restore failed: %v", err))
+		}
+		if adv := sc.WarmLen + sc.DetailLen; adv > 0 {
+			targets := make([]int64, len(s.cores))
+			for i, c := range s.cores {
+				targets[i] = c.Instructions() + adv
+			}
+			s.advanceFunctional(targets)
+		}
+		s.work.SpineTime += time.Since(t0)
+		last.holder, last.blob = nil, nil
 		*s.l4.Stats() = st.aggL4
 		s.hbm.SetStats(st.aggHBM)
 		s.pcm.SetStats(st.aggPCM)

@@ -16,8 +16,8 @@ import (
 // restores the boundary into its own fork System and runs the detailed
 // warm+measured legs there. Results are committed strictly in interval
 // order on the caller's goroutine, so the observation sequence — and
-// therefore the early-stop decision — is identical to the sequential
-// sampler's at any worker count.
+// therefore the early-stop decision — is the same at any worker count,
+// one included.
 //
 // Speculation accounting: the spine runs ahead of the committed prefix
 // by up to the jobs-channel buffer plus the in-flight workers (~2x the
@@ -41,8 +41,7 @@ var forceFreshForkSystems = false
 // exported metrics, which are identical at any worker count.
 type SampleWork struct {
 	// Workers is the resolved worker count actually used (after the
-	// GOMAXPROCS default, the planned-interval cap, and the forkability
-	// gate).
+	// GOMAXPROCS default and the planned-interval cap).
 	Workers int
 	// Dispatched counts intervals whose detailed legs were started;
 	// Committed counts those folded into the result (always the ordered
@@ -61,9 +60,8 @@ type SampleWork struct {
 	WallTime   time.Duration
 	// MemoryForks counts dispatched intervals whose boundary was handed
 	// to the worker as an in-memory copy rather than a snapshot blob:
-	// Dispatched on a parallel run that forks in memory, zero on one with
-	// a spine lattice, on the sequential driver, or when a component
-	// cannot copy its state.
+	// Dispatched on a run that forks in memory, zero on one with a spine
+	// lattice or when a component cannot copy its state.
 	MemoryForks int
 	// SpineSaveTime is wall-clock the background writer spent persisting
 	// boundary snapshots into the spine checkpoint lattice; it overlaps
@@ -109,11 +107,11 @@ type sampleJob struct {
 // runSampledParallel drives intervals on a worker pool fed by a
 // functional spine. The caller's goroutine is the committer.
 //
-// Without a lattice, and when every component can copy itself, the spine
-// copies each boundary into a holder from the pool. The holder stays
-// attached to its interval's result until a later commit supersedes it
-// or the interval is cancelled or discarded, and then goes back to the
-// pool; the last committed one anchors finishSampled.
+// With a pool (forkPlan), the spine copies each boundary into a holder
+// from it. The holder stays attached to its interval's result until a
+// later commit supersedes it or the interval is cancelled or discarded,
+// and then goes back to the pool; the last committed one anchors
+// finishSampled. Without one, the spine snapshots each boundary instead.
 //
 // With a lattice, the spine probes each boundary before computing it. A
 // hit dispatches the stored blob without touching the live system, which
@@ -123,7 +121,7 @@ type sampleJob struct {
 // boundaries is identical to a cold spine's. Warmup runs lazily on the
 // first miss; a fully warm run never warms up, never advances, and the
 // spine degenerates to lattice lookups.
-func (s *System) runSampledParallel(st *sampleState, workers int, lat *spineLattice) {
+func (s *System) runSampledParallel(st *sampleState, workers int, lat *spineLattice, pool *holderPool) {
 	sc := st.sc
 	funcLen := sc.Period - sc.WarmLen - sc.DetailLen
 	n := len(s.cores)
@@ -138,7 +136,6 @@ func (s *System) runSampledParallel(st *sampleState, workers int, lat *spineLatt
 	var stopOnce sync.Once
 	stopAll := func() { stopOnce.Do(func() { close(stop) }) }
 
-	pool := s.newHolderPool(lat)
 	release := func(r *intervalResult) {
 		if r.holder != nil {
 			pool.put(r.holder)
@@ -206,7 +203,7 @@ func (s *System) runSampledParallel(st *sampleState, workers int, lat *spineLatt
 				} else {
 					b, err := s.FunctionalSnapshot(st.wlName)
 					if err != nil {
-						panic(fmt.Sprintf("sim: interval snapshot failed after passing the forkability trial: %v", err))
+						panic(fmt.Sprintf("sim: interval snapshot failed after passing the trial snapshot: %v", err))
 					}
 					blob = b
 					lastBlob = b

@@ -78,17 +78,21 @@ func runSampledWorkers(t *testing.T, cfg Config, wl workloads.Workload, wlName s
 
 // TestSampledParallelMatchesSequential is the tentpole equivalence gate:
 // for every L4 organization, single- and multi-core, with and without
-// early stopping, a parallel sampled run must reproduce the sequential
-// run exactly — same Result (summary, per-interval series, stats,
-// registry snapshot), same exported metrics JSON, and byte-identical
-// final functional state — at every worker count. Run it under -race to
-// also prove the fork protocol shares no state it shouldn't.
+// early stopping, a sampled run on several workers must reproduce the
+// one-worker run exactly — same Result (summary, per-interval series,
+// stats, registry snapshot), same exported metrics JSON, and
+// byte-identical final functional state. Run it under -race to also
+// prove the fork protocol shares no state it shouldn't. ACCORD_BACKEND
+// narrows the matrix to one backend.
 func TestSampledParallelMatchesSequential(t *testing.T) {
 	const wlName = "libquantum"
 	for _, cores := range []int{1, 2} {
 		for _, earlyStop := range []bool{false, true} {
 			for _, cfg := range parallelCases(cores, earlyStop) {
 				cfg := cfg
+				if backendFilterSkip(t, cfg.BackendName()) {
+					continue
+				}
 				name := fmt.Sprintf("%s-%dc-stop=%t", cfg.Name, cores, earlyStop)
 				t.Run(name, func(t *testing.T) {
 					t.Parallel()
@@ -201,8 +205,7 @@ func TestSampledParallelNoGoroutineLeak(t *testing.T) {
 }
 
 // TestSampleWorkersResolution pins the worker-count policy: 0 means
-// GOMAXPROCS, the count is capped by planned intervals, and non-forkable
-// systems (pre-built stream overrides) degrade to one worker.
+// GOMAXPROCS, and the count is capped by planned intervals.
 func TestSampleWorkersResolution(t *testing.T) {
 	cfg := parallelCases(1, false)[0] // 6 planned intervals
 	wl := traceWorkload("libquantum", cfg)
@@ -221,21 +224,38 @@ func TestSampleWorkersResolution(t *testing.T) {
 		t.Errorf("SampleWorkers=64 resolved to %d workers, want planned cap 6", work.Workers)
 	}
 
-	// A Streams override hands the system shared pre-built stream objects;
-	// forks would consume them destructively, so the run must degrade to
-	// one worker (and still complete correctly).
-	gen := workloads.MustGet("libquantum", cfg.Cores)
-	streams := make([]workloads.Stream, len(gen.Specs))
-	for i, spec := range gen.Specs {
-		streams[i] = workloads.NewStream(spec, cfg.AnchorLines(), cfg.Cores, cfg.Seed)
+}
+
+// TestSampledTraceWorkloadForks pins that trace replay forks like any
+// other workload: a two-core TraceWorkload gives the same Result,
+// metrics JSON and final functional state at one and three workers, with
+// every boundary handed over as an in-memory copy.
+func TestSampledTraceWorkloadForks(t *testing.T) {
+	const wlName = "trace"
+	cfg := parallelCases(2, false)[1] // accord-2way
+	st := workloads.NewStream(workloads.MustGet("libquantum", 1).Specs[0], cfg.AnchorLines(), cfg.Cores, 1)
+	events := make([]workloads.Event, 20_000)
+	for i := range events {
+		st.Next(&events[i])
 	}
-	fixed := gen
-	fixed.Streams = streams
-	res, _, _, work := runSampledWorkers(t, cfg, fixed, "libquantum", 4)
-	if work.Workers != 1 {
-		t.Errorf("Streams-override workload resolved to %d workers, want 1", work.Workers)
+	wl, err := workloads.TraceWorkload(wlName, events, cfg.Cores)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if res.Sampled == nil || res.Sampled.Intervals == 0 {
-		t.Errorf("degraded run produced no intervals")
+	oneRes, oneJS, oneState, oneWork := runSampledWorkers(t, cfg, wl, wlName, 1)
+	res, js, state, work := runSampledWorkers(t, cfg, wl, wlName, 3)
+	for _, w := range []SampleWork{oneWork, work} {
+		if w.Dispatched == 0 || w.MemoryForks != w.Dispatched {
+			t.Errorf("workers=%d: memory_forks %d, dispatched %d; want every boundary copied", w.Workers, w.MemoryForks, w.Dispatched)
+		}
+	}
+	if !reflect.DeepEqual(oneRes, res) {
+		t.Errorf("trace workload: Result differs between 1 and 3 workers")
+	}
+	if !bytes.Equal(oneJS, js) {
+		t.Errorf("trace workload: exported metrics JSON differs between 1 and 3 workers")
+	}
+	if !bytes.Equal(oneState, state) {
+		t.Errorf("trace workload: final functional state differs between 1 and 3 workers")
 	}
 }

@@ -109,11 +109,11 @@ type Config struct {
 	// concurrently in a sampled run (see DESIGN.md §12): a single spine
 	// goroutine fast-forwards functionally and forks each interval's
 	// detailed re-warm + measured window onto a worker pool. Zero selects
-	// GOMAXPROCS; 1 forces the sequential driver. Results are identical
-	// at every setting by construction — observations, SampleSummary, and
-	// exported metrics are byte-for-byte the same — so this field only
-	// changes wall-clock time and is excluded from memo keys and warm
-	// fingerprints. Ignored for exact (non-sampled) runs.
+	// GOMAXPROCS; 1 runs the same pipeline with one worker. Results are
+	// identical at every setting by construction — observations,
+	// SampleSummary, and exported metrics are byte-for-byte the same — so
+	// this field only changes wall-clock time and is excluded from memo
+	// keys and warm fingerprints. Ignored for exact (non-sampled) runs.
 	SampleWorkers int
 
 	// SpineCheckpointDir, when non-empty, memoizes the sampled run's
@@ -362,7 +362,7 @@ type System struct {
 }
 
 // memAdapter bridges the core's MemorySystem to the DRAM cache in the
-// default (post-L3 stream) mode.
+// default (post-L3 stream) mode, for every L4 organization alike.
 type memAdapter struct{ l4 dramcache.Interface }
 
 func (m memAdapter) Read(at int64, line memtypes.LineAddr) int64 {
@@ -467,21 +467,15 @@ func New(cfg Config, wl workloads.Workload) *System {
 		params.SRAMLat = 0
 	}
 	anchor := cfg.AnchorLines()
-	if wl.Streams != nil && len(wl.Streams) != cfg.Cores {
-		panic(fmt.Sprintf("sim: workload %s has %d streams for %d cores", wl.Name, len(wl.Streams), cfg.Cores))
-	}
 	for i := 0; i < cfg.Cores; i++ {
 		var stream workloads.Stream
-		switch {
-		case wl.Source != nil:
+		if wl.Source != nil {
 			stream = wl.Source(i)
-		case wl.Streams != nil:
-			stream = wl.Streams[i]
-		default:
+		} else {
 			stream = workloads.NewStream(wl.Specs[i], anchor, cfg.Cores, workloads.StreamSeed(cfg.Seed, i))
 		}
 		space := vmsys.NewSpace()
-		mem := newMemAdapter(l4)
+		var mem cpu.MemorySystem = memAdapter{l4: l4}
 		if cfg.FullHierarchy {
 			mem = hierAdapter{h: hiers[i], l4: l4}
 		}

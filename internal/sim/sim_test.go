@@ -361,21 +361,6 @@ func TestTraceReplayThroughSim(t *testing.T) {
 	}
 }
 
-func TestStreamCountMismatchPanics(t *testing.T) {
-	cfg := quickConfig(DirectMapped())
-	wl, err := workloads.TraceWorkload("t", []workloads.Event{{Gap: 1, Line: 1}}, cfg.Cores+1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wl.Specs = wl.Specs[:cfg.Cores] // specs match, streams do not
-	defer func() {
-		if recover() == nil {
-			t.Error("no panic for stream/core mismatch")
-		}
-	}()
-	New(cfg, wl)
-}
-
 func TestSeedRobustness(t *testing.T) {
 	// Different seeds change the rng streams and VM layout but must not
 	// change the qualitative behaviour of a workload.

@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"testing"
 
+	"accord/internal/core"
 	"accord/internal/workloads"
 )
 
@@ -123,32 +124,6 @@ func TestSpineLatticeMeasureKnobsExcluded(t *testing.T) {
 	}
 }
 
-// TestSpineLatticeEngineExcluded proves the engine toggle is excluded
-// from the spine key: a lattice populated under the specialized engine is
-// fully warm under the generic engine, and the resumed generic run
-// matches a cold generic run exactly. Mutates the global engine toggle,
-// so no t.Parallel.
-func TestSpineLatticeEngineExcluded(t *testing.T) {
-	const wlName = "libquantum"
-	cfg := parallelCases(2, false)[5] // tdram-2way
-	wl := traceWorkload(wlName, cfg)
-	dir := t.TempDir()
-
-	runSampledWorkers(t, latticeCfg(cfg, dir), wl, wlName, 2)
-
-	UseGenericEngine(true)
-	defer UseGenericEngine(false)
-	coldRes, coldJS, coldState, _ := runSampledWorkers(t, cfg, wl, wlName, 2)
-	res, js, state, work := runSampledWorkers(t, latticeCfg(cfg, dir), wl, wlName, 2)
-	if work.LatticeHits == 0 || work.LatticeMisses != 0 {
-		t.Errorf("generic-engine resume of a specialized-engine lattice hit %d / missed %d, want all hits",
-			work.LatticeHits, work.LatticeMisses)
-	}
-	if !reflect.DeepEqual(coldRes, res) || !bytes.Equal(coldJS, js) || !bytes.Equal(coldState, state) {
-		t.Errorf("generic-engine resumed run diverged from generic-engine cold run")
-	}
-}
-
 // TestSpineLatticeStaleGeometry pins the stale-lattice contract: changing
 // the interval geometry moves every key, so a lattice populated under the
 // old geometry can only miss — the new-geometry run is correct and
@@ -235,9 +210,7 @@ func TestSpineLatticeCorruptionFallsBackCold(t *testing.T) {
 
 // TestSpineLatticeStride pins the stride contract: SpineStride N saves
 // every Nth boundary, so a resumed run hits exactly those and recomputes
-// the rest — still byte-identical to cold. Covers both the in-place
-// single-core driver (snapshots exist only because the stride selects
-// them) and the forking multi-core driver.
+// the rest — still byte-identical to cold, on one core and on two.
 func TestSpineLatticeStride(t *testing.T) {
 	const wlName = "libquantum"
 	for _, cores := range []int{1, 2} {
@@ -264,37 +237,59 @@ func TestSpineLatticeStride(t *testing.T) {
 	}
 }
 
-// TestSpineLatticeNonForkableDegrades pins the degradation path: a
-// system that cannot snapshot its workload (pre-built Streams override)
-// silently runs without the lattice — one worker, no lattice traffic, no
-// store files — instead of failing or saving unusable state.
-func TestSpineLatticeNonForkableDegrades(t *testing.T) {
-	cfg := parallelCases(1, false)[0]
-	gen := workloads.MustGet("libquantum", cfg.Cores)
-	streams := make([]workloads.Stream, len(gen.Specs))
-	for i, spec := range gen.Specs {
-		streams[i] = workloads.NewStream(spec, cfg.AnchorLines(), cfg.Cores, cfg.Seed)
-	}
-	fixed := gen
-	fixed.Streams = streams
+// copyOnlyPolicy forwards an ACCORD policy and its copy method, but not
+// its checkpoint methods: a system built on it can fork in memory but
+// cannot snapshot.
+type copyOnlyPolicy struct {
+	core.Policy
+	acc *core.ACCORD
+}
 
+func (p copyOnlyPolicy) CopyFrom(src core.Policy) error {
+	s, ok := src.(copyOnlyPolicy)
+	if !ok {
+		return fmt.Errorf("copyOnlyPolicy: cannot copy %T", src)
+	}
+	return p.acc.CopyFrom(s.acc)
+}
+
+// TestSpineLatticeNeedsSnapshots pins that a system which can copy its
+// state but not snapshot it runs with the lattice off: it forks every
+// boundary in memory, writes no store entry, and matches the same run
+// without a lattice.
+func TestSpineLatticeNeedsSnapshots(t *testing.T) {
+	const wlName = "libquantum"
+	cfg := parallelCases(2, false)[1] // accord-2way
+	cfg.SampleWorkers = 2
+	cfg.Policy = func(g core.Geometry, seed int64) core.Policy {
+		p := core.NewACCORD(core.DefaultACCORD(g, seed))
+		return copyOnlyPolicy{Policy: p, acc: p}
+	}
+	wl := traceWorkload(wlName, cfg)
+	run := func(cfg Config) (Result, SampleWork) {
+		s := New(cfg, wl)
+		res := s.Run(wlName)
+		return res, s.SampleWork()
+	}
+
+	want, _ := run(cfg)
 	dir := t.TempDir()
-	res, _, _, work := runSampledWorkers(t, latticeCfg(cfg, dir), fixed, "libquantum", 4)
-	if work.Workers != 1 {
-		t.Errorf("non-forkable lattice run resolved %d workers, want 1", work.Workers)
-	}
+	res, work := run(latticeCfg(cfg, dir))
 	if work.LatticeHits != 0 || work.LatticeMisses != 0 {
-		t.Errorf("non-forkable run touched the lattice: %+v", work)
+		t.Errorf("run without snapshots touched the lattice: %+v", work)
 	}
-	if res.Sampled == nil || res.Sampled.Intervals == 0 {
-		t.Errorf("degraded run produced no intervals")
+	if work.Dispatched == 0 || work.MemoryForks != work.Dispatched {
+		t.Errorf("memory_forks %d, dispatched %d; want every boundary copied", work.MemoryForks, work.Dispatched)
+	}
+	if !reflect.DeepEqual(res, want) {
+		t.Errorf("run with an unusable lattice diverged from the run without one")
 	}
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(entries) != 0 {
-		t.Errorf("non-forkable run created %d store entries, want an untouched directory", len(entries))
+		t.Errorf("run without snapshots created %d store entries, want an untouched directory", len(entries))
 	}
 }
 

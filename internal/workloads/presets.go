@@ -12,15 +12,12 @@ type Workload struct {
 	Name  string
 	Suite string // "spec", "gap", "hpc", "mix", or "trace"
 	Specs []Spec // one per core
-	// Streams, when non-nil, overrides generator construction with
-	// pre-built streams (trace replay); len must equal len(Specs).
-	Streams []Stream
 	// Source, when non-nil, overrides generator construction with a
-	// per-core stream factory (it takes precedence over Streams). It must
-	// return a fresh stream positioned at event zero on every call: system
-	// assembly invokes it once per core, and a failed warm-state restore
-	// rebuilds the system — and its streams — from scratch. The trace
-	// cache plugs in here (see TraceCache.Source).
+	// per-core stream factory. It must return a fresh stream positioned at
+	// event zero on every call: system assembly invokes it once per core,
+	// and a failed warm-state restore rebuilds the system — and its
+	// streams — from scratch. The trace cache and trace replay plug in
+	// here (see TraceCache.Source and TraceWorkload).
 	Source func(core int) Stream
 }
 

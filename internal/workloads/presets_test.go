@@ -116,8 +116,8 @@ func TestCoreSuiteMembersAreRateOrMix(t *testing.T) {
 		if w.Suite == "" {
 			t.Errorf("%s has no suite", name)
 		}
-		if w.Streams != nil {
-			t.Errorf("%s unexpectedly carries prebuilt streams", name)
+		if w.Source != nil {
+			t.Errorf("%s unexpectedly carries a stream source", name)
 		}
 	}
 }

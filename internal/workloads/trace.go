@@ -83,9 +83,11 @@ func ReadTrace(r io.Reader) (*FixedStream, error) {
 
 // TraceWorkload builds a Workload replaying the given events on every
 // core. Cores share the event sequence but hold independent replay
-// positions (and separate address spaces, so rate-mode semantics apply).
-// The spec's MPKI is derived from the trace's mean gap so the simulator's
-// adaptive windows size themselves correctly.
+// positions (and separate address spaces, so rate-mode semantics apply):
+// its Source gives each core a fresh FixedStream over the shared events,
+// so every system built from it, sampling forks included, replays from
+// event zero. The spec's MPKI is derived from the trace's mean gap so the
+// simulator's adaptive windows size themselves correctly.
 func TraceWorkload(name string, events []Event, cores int) (Workload, error) {
 	if len(events) == 0 {
 		return Workload{}, fmt.Errorf("workloads: empty trace for %q", name)
@@ -101,10 +103,13 @@ func TraceWorkload(name string, events []Event, cores int) (Workload, error) {
 		// Components are unused by replay but must validate.
 		Components: []Component{{Weight: 1, SizeRatio: 1, StrideLines: 1}},
 	}
-	w := Workload{Name: name, Suite: "trace"}
+	w := Workload{
+		Name:   name,
+		Suite:  "trace",
+		Source: func(int) Stream { return &FixedStream{Events: events} },
+	}
 	for i := 0; i < cores; i++ {
 		w.Specs = append(w.Specs, spec)
-		w.Streams = append(w.Streams, &FixedStream{Events: events})
 	}
 	return w, nil
 }

@@ -72,20 +72,22 @@ func TestTraceWorkload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(w.Specs) != 4 || len(w.Streams) != 4 {
-		t.Fatalf("specs/streams = %d/%d, want 4/4", len(w.Specs), len(w.Streams))
+	if len(w.Specs) != 4 || w.Source == nil {
+		t.Fatalf("specs = %d, source set = %t; want 4 and a source", len(w.Specs), w.Source != nil)
 	}
 	// Derived MPKI: 2 events per (10+20+2) instructions = ~62.5.
 	if m := w.Specs[0].MPKI; m < 60 || m < 0 || m > 65 {
 		t.Errorf("derived MPKI = %v, want ~62.5", m)
 	}
-	// Streams replay independently.
-	var a, b Event
-	w.Streams[0].Next(&a)
-	w.Streams[0].Next(&a) // core 0 advances twice
-	w.Streams[1].Next(&b) // core 1 starts fresh
-	if b.Line != 1 {
-		t.Errorf("core 1 first event line = %d, want 1", b.Line)
+	// Streams replay independently, and every call starts a fresh one.
+	var a, b, c Event
+	s0 := w.Source(0)
+	s0.Next(&a)
+	s0.Next(&a) // core 0 advances twice
+	w.Source(1).Next(&b)
+	w.Source(0).Next(&c) // a rebuilt core 0 starts over
+	if b.Line != 1 || c.Line != 1 {
+		t.Errorf("fresh streams' first event lines = %d, %d; want 1, 1", b.Line, c.Line)
 	}
 	if _, err := TraceWorkload("empty", nil, 2); err == nil {
 		t.Error("empty trace accepted")
