@@ -4,17 +4,6 @@
 
 GO ?= go
 
-# Benchmark-trajectory settings: the paper-artifact suite, run -count
-# times and reduced to medians by cmd/benchjson. BENCH_JSON is the
-# committed trajectory file CI compares fresh runs against.
-BENCH_PATTERN ?= BenchmarkFig|BenchmarkTab|BenchmarkLRU|BenchmarkAbl|BenchmarkCkpt|BenchmarkTraceSession|BenchmarkFunctionalStep|BenchmarkSampledRun|BenchmarkSampledParallel|BenchmarkSpineResume|BenchmarkLatticeProbe
-BENCH_COUNT   ?= 3
-BENCH_JSON    ?= BENCH_PR10.json
-# Packages holding trajectory benchmarks: the paper-artifact suite at the
-# repo root, the sampling and spine-lattice benchmarks next to their
-# drivers, and the lattice codec benchmark in the checkpoint package.
-BENCH_PKGS    ?= . ./internal/sim ./internal/ckpt
-
 # Lint: staticcheck at a pinned version, resolved through the module
 # proxy by `go run` (not a repo dependency). Requires network access on
 # first use; CI caches the module download.
@@ -25,7 +14,7 @@ STATICCHECK_VERSION ?= 2025.1.1
 # runs with ACCORD_CHECKPOINT_DIR pointing there skip their warmup.
 CKPT_DIR ?= .ckpt
 
-.PHONY: all build test race vet fmt-check lint bench-smoke bench-json bench-compare checkpoints profile verify
+.PHONY: all build test race vet fmt-check lint bench-smoke checkpoints profile verify
 
 all: verify
 
@@ -65,20 +54,6 @@ bench-smoke:
 	$(GO) test -run xxx -bench 'BenchmarkSimulatorThroughput|BenchmarkSessionParallel|BenchmarkDRAMCacheRead' -benchtime 2x .
 	$(GO) test -run xxx -bench BenchmarkFunctionalBatch -benchtime 1x ./internal/dramcache
 	$(GO) test -run xxx -bench BenchmarkSpineFork -benchtime 1x ./internal/sim
-
-# Capture the benchmark trajectory: run the paper-artifact suite and
-# reduce it to a committed JSON document (medians, geomean, manifest).
-bench-json:
-	$(GO) test -run '^$$' -bench '$(BENCH_PATTERN)' -benchtime 1x -count $(BENCH_COUNT) -timeout 3600s $(BENCH_PKGS) \
-		| $(GO) run ./cmd/benchjson -o $(BENCH_JSON)
-
-# Compare a fresh capture against the committed baseline; warns at a
-# 15% geomean regression and fails at 30% (wall-clock benchmarks on
-# shared runners are noisy — see cmd/benchjson).
-bench-compare:
-	$(GO) test -run '^$$' -bench '$(BENCH_PATTERN)' -benchtime 1x -count $(BENCH_COUNT) -timeout 3600s $(BENCH_PKGS) \
-		| $(GO) run ./cmd/benchjson -o /tmp/bench_current.json
-	$(GO) run ./cmd/benchjson -compare $(BENCH_JSON) /tmp/bench_current.json
 
 # Populate CKPT_DIR with warm-state checkpoints for the golden-suite
 # configurations (the three architectures at the pinned golden scale).

@@ -7,7 +7,6 @@ import (
 	"accord/internal/ckpt"
 	"accord/internal/dram"
 	"accord/internal/memtypes"
-	"accord/internal/metrics"
 )
 
 // Banshee models the page-granularity DRAM cache of Breslow et al.
@@ -30,8 +29,7 @@ import (
 // A per-line presence bitmap (LinesPerPage = 64 fits one uint64) plays
 // the role of Banshee's per-page line bitvector.
 type Banshee struct {
-	dev *dram.Device
-	nvm *dram.Device
+	deviceBase
 
 	pageSets uint64 // page-set count (power of two)
 	setMask  uint64
@@ -42,9 +40,6 @@ type Banshee struct {
 	cand []bansheeCand // pageSets * bansheeCandWays candidate counters
 
 	devMap dram.Mapper // cache line unit -> device row
-	nvmMap dram.Mapper // line -> NVM row
-
-	stats Stats
 }
 
 // bansheePage is one resident page slot.
@@ -99,36 +94,20 @@ func NewBanshee(capacityBytes int64, dev, nvm *dram.Device, frames uint64) (*Ban
 	if sets&(sets-1) != 0 {
 		return nil, fmt.Errorf("dramcache: banshee %d page sets, must be a power of two", sets)
 	}
-	upr := dev.Config().RowBytes / memtypes.LineSize
-	if upr < 1 {
-		upr = 1
-	}
-	nvmUPR := nvm.Config().RowBytes / memtypes.LineSize
-	if nvmUPR < 1 {
-		nvmUPR = 1
-	}
 	return &Banshee{
-		dev:      dev,
-		nvm:      nvm,
-		pageSets: sets,
-		setMask:  sets - 1,
-		setShift: log2(sets),
-		ways:     bansheePageWays,
-		meta:     make([]bansheePage, sets*bansheePageWays),
-		cand:     make([]bansheeCand, sets*bansheeCandWays),
-		devMap:   dev.Config().NewMapper(upr),
-		nvmMap:   nvm.Config().NewMapper(nvmUPR),
+		deviceBase: newDeviceBase(dev, nvm),
+		pageSets:   sets,
+		setMask:    sets - 1,
+		setShift:   log2(sets),
+		ways:       bansheePageWays,
+		meta:       make([]bansheePage, sets*bansheePageWays),
+		cand:       make([]bansheeCand, sets*bansheeCandWays),
+		devMap:     dev.Config().NewMapper(dev.Config().RowBytes / memtypes.LineSize),
 	}, nil
 }
 
 // Name implements Interface.
 func (c *Banshee) Name() string { return "banshee" }
-
-// Stats implements Interface.
-func (c *Banshee) Stats() *Stats { return &c.stats }
-
-// ResetStats implements Interface.
-func (c *Banshee) ResetStats() { c.stats = Stats{} }
 
 // StorageBytes implements Interface: the page mappings and per-page
 // counters live in page-table entries (and their TLB copies), so the only
@@ -136,11 +115,6 @@ func (c *Banshee) ResetStats() { c.stats = Stats{} }
 // bytes per entry.
 func (c *Banshee) StorageBytes() int64 {
 	return int64(c.pageSets) * bansheeCandWays * 8
-}
-
-// RegisterMetrics implements Interface.
-func (c *Banshee) RegisterMetrics(r *metrics.Registry, prefix string) {
-	c.stats.Register(r, prefix)
 }
 
 func (c *Banshee) index(line memtypes.LineAddr) (set, tag, off uint64) {
@@ -162,10 +136,6 @@ func (c *Banshee) lineOf(set, tag, off uint64) memtypes.LineAddr {
 func (c *Banshee) loc(set uint64, way int, off uint64) dram.Loc {
 	unit := uint64(c.slot(set, way))*memtypes.LinesPerPage + off
 	return c.devMap.Map(unit)
-}
-
-func (c *Banshee) nvmLoc(line memtypes.LineAddr) dram.Loc {
-	return c.nvmMap.Map(uint64(line))
 }
 
 // findPage returns the way holding (set, tag), or -1.
@@ -232,10 +202,9 @@ func (c *Banshee) coldestResident(set uint64) (way int, freq uint32) {
 }
 
 // touchCandidate counts one access to a non-resident page and decides
-// whether it has earned residency. It is pure bookkeeping — shared
-// verbatim by the detailed and functional paths — and returns the victim
-// way plus the candidate's counter when a remap is due. Invalid resident
-// slots are claimed immediately (a cold cache should fill, not bypass).
+// whether it has earned residency. It returns the victim way plus the
+// candidate's counter when a remap is due. Invalid resident slots are
+// claimed immediately (a cold cache should fill, not bypass).
 func (c *Banshee) touchCandidate(set, tag uint64) (remap bool, victim int, inherit uint32) {
 	cbase := int(set) * bansheeCandWays
 	idx := -1
@@ -276,36 +245,6 @@ func (c *Banshee) touchCandidate(set, tag uint64) (remap bool, victim int, inher
 	return false, victim, 0
 }
 
-// evictPage writes the victim page's dirty lines back to NVM (each needs
-// a device read first — the data lives only in the cache) and demotes its
-// counter into the candidate table so an evicted-but-hot page can earn
-// its way back.
-func (c *Banshee) evictPage(at int64, set uint64, victim int) {
-	m := &c.meta[c.slot(set, victim)]
-	if !m.valid {
-		return
-	}
-	for d := m.dirty; d != 0; d &= d - 1 {
-		off := uint64(bits.TrailingZeros64(d))
-		c.stats.VictimReads++
-		rd := c.dev.Access(at, c.loc(set, victim, off), memtypes.Read, memtypes.LineSize).DataAt
-		c.stats.NVMWrites++
-		c.nvm.Access(rd, c.nvmLoc(c.lineOf(set, m.tag, off)), memtypes.Write, memtypes.LineSize)
-	}
-	c.demoteToCandidate(set, m.tag, m.freq)
-	*m = bansheePage{}
-}
-
-// evictPageFunctional is evictPage without the device traffic.
-func (c *Banshee) evictPageFunctional(set uint64, victim int) {
-	m := &c.meta[c.slot(set, victim)]
-	if !m.valid {
-		return
-	}
-	c.demoteToCandidate(set, m.tag, m.freq)
-	*m = bansheePage{}
-}
-
 // demoteToCandidate re-enters an evicted page into the candidate table if
 // it is hotter than the coldest entry there.
 func (c *Banshee) demoteToCandidate(set, tag uint64, freq uint32) {
@@ -327,16 +266,73 @@ func (c *Banshee) demoteToCandidate(set, tag uint64, freq uint32) {
 	}
 }
 
-// mapPage installs (set, tag) into the victim way with a single line
-// already present. The line's data write is the only device traffic; the
-// mapping update itself is a PTE write, off the memory path.
-func (c *Banshee) mapPage(set, tag uint64, victim int, freq uint32, off uint64, dirtyLine bool) {
-	m := &c.meta[c.slot(set, victim)]
+// bansheeOutcome is what one Banshee transition did, for the timed path to
+// charge.
+type bansheeOutcome struct {
+	way     int         // the page's way afterwards, -1 when the access bypassed the cache
+	hit     bool        // the line was already filled
+	evicted bansheePage // the page a remap replaced (zero otherwise)
+}
+
+// access is the state transition of a read or (write) a writeback. A
+// resident page counts the access and fills the line lazily, marking it
+// dirty on a writeback. A non-resident page goes through the candidate
+// counters; when it has earned residency it replaces the coldest page,
+// whose counter is demoted into the candidate table so an
+// evicted-but-hot page can earn its way back. The new page starts with
+// just this line present; mapping it is a PTE write, off the memory path.
+func (c *Banshee) access(set, tag, off uint64, write bool) bansheeOutcome {
+	bit := uint64(1) << off
 	var dirty uint64
-	if dirtyLine {
-		dirty = 1 << off
+	if write {
+		dirty = bit
 	}
-	*m = bansheePage{tag: tag, freq: freq, valid: true, present: 1 << off, dirty: dirty}
+	if w := c.findPage(set, tag); w >= 0 {
+		c.bumpResident(set, w)
+		m := &c.meta[c.slot(set, w)]
+		a := bansheeOutcome{way: w, hit: m.present&bit != 0}
+		m.present |= bit
+		m.dirty |= dirty
+		return a
+	}
+	remap, victim, inherit := c.touchCandidate(set, tag)
+	if !remap {
+		return bansheeOutcome{way: -1}
+	}
+	m := &c.meta[c.slot(set, victim)]
+	a := bansheeOutcome{way: victim, evicted: *m}
+	if m.valid {
+		c.demoteToCandidate(set, m.tag, m.freq)
+	}
+	*m = bansheePage{tag: tag, freq: inherit, valid: true, present: bit, dirty: dirty}
+	return a
+}
+
+// evictTraffic writes the evicted page's dirty lines back to NVM, each
+// after a device read (the data lives only in the cache).
+func (c *Banshee) evictTraffic(at int64, set uint64, a bansheeOutcome) {
+	if !a.evicted.valid {
+		return
+	}
+	for d := a.evicted.dirty; d != 0; d &= d - 1 {
+		off := uint64(bits.TrailingZeros64(d))
+		c.stats.VictimReads++
+		rd := c.dev.Access(at, c.loc(set, a.way, off), memtypes.Read, memtypes.LineSize).DataAt
+		c.nvmWrite(rd, c.lineOf(set, a.evicted.tag, off))
+	}
+}
+
+// AccessReadFunctional implements Interface.
+func (c *Banshee) AccessReadFunctional(line memtypes.LineAddr) (way uint8, hit bool) {
+	set, tag, off := c.index(line)
+	a := c.access(set, tag, off, false)
+	return uint8(max(a.way, 0)), a.hit
+}
+
+// WritebackFunctional implements Interface.
+func (c *Banshee) WritebackFunctional(line memtypes.LineAddr) {
+	set, tag, off := c.index(line)
+	c.access(set, tag, off, true)
 }
 
 // AccessRead implements Interface. Hits pay exactly one 64-byte data
@@ -346,46 +342,28 @@ func (c *Banshee) mapPage(set, tag uint64, victim int, freq uint32, off uint64, 
 func (c *Banshee) AccessRead(at int64, line memtypes.LineAddr) ReadResult {
 	set, tag, off := c.index(line)
 	c.stats.Reads++
-
-	if w := c.findPage(set, tag); w >= 0 {
-		c.bumpResident(set, w)
-		m := &c.meta[c.slot(set, w)]
-		if m.present&(1<<off) != 0 {
-			// Mapped line: one plain data read, no tag probe.
-			c.stats.ReadHits++
-			c.stats.Predictions++
-			c.stats.Correct++
-			c.stats.ProbeReads++
-			done := c.dev.Access(at, c.loc(set, w, off), memtypes.Read, memtypes.LineSize).DataAt
-			c.stats.HitLatency.add(done - at)
-			return ReadResult{Done: done, Hit: true, Way: uint8(w), FirstProbeHit: true}
-		}
-		// Page mapped, line not yet filled: lazy per-line fill.
-		c.stats.NVMReads++
-		done := c.nvm.Access(at, c.nvmLoc(line), memtypes.Read, memtypes.LineSize).DataAt
-		m.present |= 1 << off
-		c.stats.InstallWrites++
-		c.dev.Access(at, c.loc(set, w, off), memtypes.Write, memtypes.LineSize)
-		c.stats.MissLatency.add(done - at)
-		return ReadResult{Done: done, Hit: false, Way: uint8(w)}
+	a := c.access(set, tag, off, false)
+	if a.hit {
+		// Mapped line: one plain data read, no tag probe.
+		c.stats.ReadHits++
+		c.stats.Predictions++
+		c.stats.Correct++
+		c.stats.ProbeReads++
+		done := c.dev.Access(at, c.loc(set, a.way, off), memtypes.Read, memtypes.LineSize).DataAt
+		c.stats.HitLatency.add(done - at)
+		return ReadResult{Done: done, Hit: true, Way: uint8(a.way), FirstProbeHit: true}
 	}
-
-	// Page not resident: the miss is known immediately (no probes — the
-	// translation says so), and the candidate counters decide whether this
-	// page finally earns a frame or the access bypasses the cache.
-	remap, victim, inherit := c.touchCandidate(set, tag)
-	c.stats.NVMReads++
-	done := c.nvm.Access(at, c.nvmLoc(line), memtypes.Read, memtypes.LineSize).DataAt
-	way := 0
-	if remap {
-		c.evictPage(at, set, victim)
-		c.mapPage(set, tag, victim, inherit, off, false)
+	// A miss is known immediately (no probes — the translation says so).
+	// The line is filled into its mapped page, lazily, or into the page
+	// the access just remapped; an unmapped page bypasses the cache.
+	done := c.nvmRead(at, line)
+	c.evictTraffic(at, set, a)
+	if a.way >= 0 {
 		c.stats.InstallWrites++
-		c.dev.Access(at, c.loc(set, victim, off), memtypes.Write, memtypes.LineSize)
-		way = victim
+		c.dev.Access(at, c.loc(set, a.way, off), memtypes.Write, memtypes.LineSize)
 	}
 	c.stats.MissLatency.add(done - at)
-	return ReadResult{Done: done, Hit: false, Way: uint8(way)}
+	return ReadResult{Done: done, Hit: false, Way: uint8(max(a.way, 0))}
 }
 
 // Writeback implements Interface. Dirty L3 evictions of mapped lines
@@ -396,71 +374,17 @@ func (c *Banshee) AccessRead(at int64, line memtypes.LineAddr) ReadResult {
 func (c *Banshee) Writeback(at int64, line memtypes.LineAddr) int64 {
 	set, tag, off := c.index(line)
 	c.stats.Writebacks++
-
-	if w := c.findPage(set, tag); w >= 0 {
-		c.bumpResident(set, w)
-		m := &c.meta[c.slot(set, w)]
-		if m.present&(1<<off) != 0 {
-			c.stats.WritebackHits++
-			m.dirty |= 1 << off
-			c.stats.WritebackWrites++
-			return c.dev.Access(at, c.loc(set, w, off), memtypes.Write, memtypes.LineSize).DataAt
-		}
-		m.present |= 1 << off
-		m.dirty |= 1 << off
-		c.stats.InstallWrites++
-		return c.dev.Access(at, c.loc(set, w, off), memtypes.Write, memtypes.LineSize).DataAt
+	a := c.access(set, tag, off, true)
+	switch {
+	case a.hit:
+		return c.writebackHit(at, c.loc(set, a.way, off), memtypes.LineSize)
+	case a.way < 0:
+		c.nvmWrite(at, line)
+		return at
 	}
-
-	remap, victim, inherit := c.touchCandidate(set, tag)
-	if remap {
-		c.evictPage(at, set, victim)
-		c.mapPage(set, tag, victim, inherit, off, true)
-		c.stats.InstallWrites++
-		return c.dev.Access(at, c.loc(set, victim, off), memtypes.Write, memtypes.LineSize).DataAt
-	}
-	c.stats.NVMWrites++
-	c.nvm.Access(at, c.nvmLoc(line), memtypes.Write, memtypes.LineSize)
-	return at
-}
-
-// AccessReadFunctional implements the state-only read path: identical
-// frequency, candidate, mapping, and bitmap mutations, no device traffic.
-func (c *Banshee) AccessReadFunctional(line memtypes.LineAddr) (way uint8, hit bool) {
-	set, tag, off := c.index(line)
-	if w := c.findPage(set, tag); w >= 0 {
-		c.bumpResident(set, w)
-		m := &c.meta[c.slot(set, w)]
-		if m.present&(1<<off) != 0 {
-			return uint8(w), true
-		}
-		m.present |= 1 << off
-		return uint8(w), false
-	}
-	remap, victim, inherit := c.touchCandidate(set, tag)
-	if remap {
-		c.evictPageFunctional(set, victim)
-		c.mapPage(set, tag, victim, inherit, off, false)
-		return uint8(victim), false
-	}
-	return 0, false
-}
-
-// WritebackFunctional implements the state-only writeback path.
-func (c *Banshee) WritebackFunctional(line memtypes.LineAddr) {
-	set, tag, off := c.index(line)
-	if w := c.findPage(set, tag); w >= 0 {
-		c.bumpResident(set, w)
-		m := &c.meta[c.slot(set, w)]
-		m.present |= 1 << off
-		m.dirty |= 1 << off
-		return
-	}
-	remap, victim, inherit := c.touchCandidate(set, tag)
-	if remap {
-		c.evictPageFunctional(set, victim)
-		c.mapPage(set, tag, victim, inherit, off, true)
-	}
+	c.evictTraffic(at, set, a)
+	c.stats.InstallWrites++
+	return c.dev.Access(at, c.loc(set, a.way, off), memtypes.Write, memtypes.LineSize).DataAt
 }
 
 // CheckInvariants implements Interface.

@@ -32,22 +32,17 @@ func errCopy(dst, src Interface) error {
 // replacement, into c: tags, LRU stamps and clock, statistics, and the
 // policy's state. It fails when the policy has no CopyFrom method.
 func (c *Cache) CopyFrom(src Interface) error {
-	s, ok := src.(*Cache)
-	if !ok || s.sets != c.sets || s.ways != c.ways || (s.lru == nil) != (c.lru == nil) {
-		return errCopy(c, src)
-	}
 	pc, ok := c.policy.(policyCopier)
 	if !ok {
 		return fmt.Errorf("dramcache: policy %q does not support copying", c.policy.Name())
 	}
-	if err := pc.CopyFrom(s.policy); err != nil {
-		return err
+	s, ok := src.(*Cache)
+	if !ok || (s.lru == nil) != (c.lru == nil) || !c.copyFrom(&s.tagStore) {
+		return errCopy(c, src)
 	}
 	c.clock = s.clock
-	copy(c.meta, s.meta)
 	copy(c.lru, s.lru)
-	c.stats = s.stats
-	return nil
+	return pc.CopyFrom(s.policy)
 }
 
 // CopyFrom copies src, a CA cache of the same size, into c.
@@ -78,12 +73,9 @@ func (c *Banshee) CopyFrom(src Interface) error {
 
 // CopyFrom copies src, a Gemini cache with as many sets, into c.
 func (c *Gemini) CopyFrom(src Interface) error {
-	s, ok := src.(*Gemini)
-	if !ok || s.sets != c.sets {
+	if s, ok := src.(*Gemini); !ok || !c.copyFrom(&s.tagStore) {
 		return errCopy(c, src)
 	}
-	copy(c.meta, s.meta)
-	c.stats = s.stats
 	return nil
 }
 
@@ -91,12 +83,10 @@ func (c *Gemini) CopyFrom(src Interface) error {
 // c: tags, the MRU and round-robin hints, and statistics.
 func (c *TDRAM) CopyFrom(src Interface) error {
 	s, ok := src.(*TDRAM)
-	if !ok || s.sets != c.sets || s.ways != c.ways {
+	if !ok || !c.copyFrom(&s.tagStore) {
 		return errCopy(c, src)
 	}
-	copy(c.meta, s.meta)
 	copy(c.mru, s.mru)
 	copy(c.rr, s.rr)
-	c.stats = s.stats
 	return nil
 }

@@ -71,7 +71,6 @@ func build(name string, capacity int64, seed int64) dramcache.Interface {
 		CapacityBytes: capacity,
 		Ways:          harnessWays,
 		Lookup:        dramcache.LookupPredicted,
-		Seed:          seed,
 	}
 	if spec.UsesPolicy {
 		cfg.Policy = core.NewACCORD(core.DefaultACCORD(cfg.Geometry(), seed))

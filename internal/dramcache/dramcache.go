@@ -304,14 +304,36 @@ func ratioOrNaN(num, den uint64) float64 {
 // organizations (nway, ca, banshee, gemini, tdram) implement it, and the
 // conformance suite in dctest exercises every obligation; new backends
 // register through Register and must pass the same suite.
+//
+// Each bundled organization writes every state change once, in one state
+// transition per operation. AccessRead and Writeback run the transition
+// and charge the record it returns to the devices; AccessReadFunctional
+// and WritebackFunctional run it alone, for functional fast-forwarding
+// (DESIGN.md §9). A functional access therefore mutates exactly the state
+// a timed one does — tags, valid/dirty bits, replacement stamps and hints,
+// and the attached policy's tables, counters and RNG — while touching
+// neither device (no probes, busy intervals or row buffers) and no Stats
+// field. Warm-state checkpoints zero Stats at the warmup boundary
+// (ResetStats) and never include device timing, so a functional run
+// leaves warm state byte-identical to a detailed run of the same events;
+// the differential tests in internal/sim enforce this.
+//
+// The policy calls are part of the transition, in a fixed order:
+// PredictWay, then FilterMiss on a miss (both for predicted lookups
+// only), ObserveAccess, then InstallWay (or the LRU victim choice) and
+// ObserveInstall. Policies draw from a checkpointed RNG and bump
+// checkpointed counters inside those calls, so skipping or reordering one
+// would silently fork the state. Only CandidateWays, pure for every
+// policy, is left out: the timed path asks it for probe schedules after
+// the transition.
 type Interface interface {
 	Name() string
 	AccessRead(at int64, line memtypes.LineAddr) ReadResult
 	Writeback(at int64, line memtypes.LineAddr) int64
 	// AccessReadFunctional and WritebackFunctional are the state-only
-	// counterparts of AccessRead/Writeback used by functional
-	// fast-forwarding: same tag/dirty/replacement/policy mutations, no
-	// device traffic, no Stats, no timestamps (see functional.go). A
+	// counterparts of AccessRead/Writeback: no device traffic, no Stats,
+	// no timestamps. AccessReadFunctional returns what ReadResult.Way and
+	// Hit would, so the SRAM hierarchy's DCP state warms identically. A
 	// functional op sequence must leave Snapshot-identical state to the
 	// same detailed sequence (stats reset at the comparison point).
 	AccessReadFunctional(line memtypes.LineAddr) (way uint8, hit bool)
@@ -321,10 +343,9 @@ type Interface interface {
 	// set, an AccessReadFunctional otherwise (other flag bits are
 	// ignored, so trace-cache flag bytes pass through unmasked). The
 	// state left behind must be byte-identical to the per-event calls in
-	// the same order; the point of the method is that each backend runs a
-	// concrete-receiver loop with no per-event interface dispatch, which
-	// is what the sampling spine's throughput rides on (see batch.go and
-	// DESIGN.md §12). len(flags) must be >= len(lines).
+	// the same order. The sampling spine hands whole trace-cache windows
+	// here, and a backend may order its host-memory loads ahead of the ops
+	// (see batch.go and DESIGN.md §12). len(flags) must be >= len(lines).
 	FunctionalBatch(lines []memtypes.LineAddr, flags []uint8)
 	Contains(line memtypes.LineAddr) (way int, ok bool)
 	Stats() *Stats
@@ -349,32 +370,13 @@ type Interface interface {
 
 // Cache is the set-associative DRAM cache model.
 type Cache struct {
+	tagStore
 	cfg    Config
-	dev    *dram.Device // stacked DRAM holding tags-with-data
-	nvm    *dram.Device // main memory behind the cache
 	policy core.Policy
 
-	sets     uint64
-	setMask  uint64
-	setShift uint
-	ways     int
-
-	// meta is the tag store findWay scans on every access, one packed
-	// word per way, so a whole 2-way set fits in a quarter of a host
-	// cache line.
-	meta  []wayMeta
 	lru   []uint64 // replacement stamps, used only with LRUReplacement
 	clock uint64
 
-	// touched keeps touchSets' loads live. It is not cache state: no
-	// snapshot, invariant or result reads it, and it lives per instance
-	// because concurrent simulations would race on a package-level sink.
-	touched wayMeta
-
-	devMap dram.Mapper // set -> device row (sets per DRAM row precomputed)
-	nvmMap dram.Mapper // line -> NVM row
-
-	stats   Stats
 	candBuf []int
 	probes  []int
 }
@@ -385,45 +387,17 @@ func New(cfg Config, policy core.Policy, dev, nvm *dram.Device) *Cache {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	sets := uint64(cfg.CapacityBytes / (int64(cfg.Ways) * memtypes.LineSize))
-	n := sets * uint64(cfg.Ways)
-	setBytes := cfg.Ways * memtypes.TagUnitSize
-	upr := dev.Config().RowBytes / setBytes
-	if upr < 1 {
-		upr = 1
-	}
-	nvmUPR := nvm.Config().RowBytes / memtypes.LineSize
-	if nvmUPR < 1 {
-		nvmUPR = 1
-	}
 	c := &Cache{
+		tagStore: newTagStore(cfg.CapacityBytes, cfg.Ways, memtypes.TagUnitSize, dev, nvm),
 		cfg:      cfg,
-		dev:      dev,
-		nvm:      nvm,
 		policy:   policy,
-		sets:     sets,
-		setMask:  sets - 1,
-		setShift: log2(sets),
-		ways:     cfg.Ways,
-		meta:     make([]wayMeta, n),
-		devMap:   dev.Config().NewMapper(upr),
-		nvmMap:   nvm.Config().NewMapper(nvmUPR),
 		candBuf:  make([]int, 0, cfg.Ways),
 		probes:   make([]int, 0, cfg.Ways),
 	}
 	if cfg.LRUReplacement {
-		c.lru = make([]uint64, n)
+		c.lru = make([]uint64, len(c.meta))
 	}
 	return c
-}
-
-func log2(x uint64) uint {
-	var n uint
-	for x > 1 {
-		x >>= 1
-		n++
-	}
-	return n
 }
 
 // Name identifies the configuration in reports.
@@ -434,12 +408,6 @@ func (c *Cache) Name() string {
 	}
 	return fmt.Sprintf("%dway-%s-%s-%s", c.ways, c.cfg.Lookup, c.policy.Name(), repl)
 }
-
-// Stats returns the mutable statistics block.
-func (c *Cache) Stats() *Stats { return &c.stats }
-
-// ResetStats zeroes statistics (cache contents persist), for warmup.
-func (c *Cache) ResetStats() { c.stats = Stats{} }
 
 // StorageBytes reports the SRAM metadata cost of the attached policy.
 func (c *Cache) StorageBytes() int64 { return c.policy.StorageBytes() }
@@ -466,111 +434,100 @@ func (c *Cache) NumSets() uint64 { return c.sets }
 // Policy returns the attached way policy.
 func (c *Cache) Policy() core.Policy { return c.policy }
 
-// wayMeta is one way of the tag store the simulator keeps in host memory
-// (the modeled machine keeps it in the DRAM array itself), packed into
-// one word as tag<<2 | dirty<<1 | valid. The nway cache, Gemini and TDRAM
-// share it.
-//
-// A tag is a line address shifted right by the set-index bits, and a line
-// address is a byte address shifted right by memtypes.LineShift, so every
-// tag the simulator forms fits in the 62 bits the packing leaves. Restore
-// rejects a snapshot tag that does not.
-type wayMeta uint64
-
-const (
-	metaValid wayMeta = 1 << iota
-	metaDirty
-	metaTagShift = 2
-	// maxMetaTag is the widest tag a packed way can hold.
-	maxMetaTag = ^uint64(0) >> metaTagShift
-)
-
-// residentMeta is the packed entry of a freshly installed line.
-func residentMeta(tag uint64, dirty bool) wayMeta {
-	m := wayMeta(tag<<metaTagShift) | metaValid
-	if dirty {
-		m |= metaDirty
-	}
-	return m
-}
-
-func (m wayMeta) tag() uint64 { return uint64(m >> metaTagShift) }
-func (m wayMeta) valid() bool { return m&metaValid != 0 }
-func (m wayMeta) dirty() bool { return m&metaDirty != 0 }
-
-// matchWay returns the way of set holding tag, or -1. Masking off the
-// dirty bit leaves a word that equals the wanted one exactly when the way
-// is valid and its tag matches, so each way costs one compare; an
-// invalidated entry's stale tag can never alias a live one.
-func matchWay(set []wayMeta, tag uint64) int {
-	want := wayMeta(tag<<metaTagShift) | metaValid
-	for w, m := range set {
-		if m&^metaDirty == want {
-			return w
+// read is the state transition of a demand read.
+func (c *Cache) read(set, tag uint64, region memtypes.RegionID) outcome {
+	a := outcome{hit: c.findWay(set, tag)}
+	hit := a.hit >= 0
+	// Only the predicted lookup consults the policy before probing; the
+	// other modes' probe schedules come from the pure CandidateWays.
+	if c.cfg.Lookup == LookupPredicted {
+		a.pred = c.policy.PredictWay(set, tag, region)
+		if !hit {
+			a.filtered = c.policy.FilterMiss(set, tag)
 		}
 	}
-	return -1
-}
-
-// touchSets loads the first tag word of each line's set and returns the
-// OR of the words. The loads are independent of one another and of the
-// tag store's contents, so the processor issues them back to back and
-// their misses overlap; the ops that follow then find their sets in the
-// host's caches. Callers OR the result into a per-instance touched field
-// so the compiler cannot drop the loads.
-func touchSets(meta []wayMeta, lines []memtypes.LineAddr, setMask uint64, ways int) wayMeta {
-	var acc wayMeta
-	for _, line := range lines {
-		acc |= meta[int(uint64(line)&setMask)*ways]
+	c.policy.ObserveAccess(set, tag, region, a.hit, hit)
+	if !hit {
+		a.way, a.replaced = c.install(set, tag, region, false)
+		return a
 	}
-	return acc
+	a.way = a.hit
+	if c.cfg.LRUReplacement {
+		c.lru[c.slot(set, a.hit)] = c.bump()
+	}
+	return a
 }
 
-func (c *Cache) index(line memtypes.LineAddr) (set, tag uint64) {
-	return uint64(line) & c.setMask, uint64(line) >> c.setShift
+// writeback is the state transition of a dirty L3 eviction: a resident
+// line turns dirty, an absent one is installed dirty (write-allocate).
+func (c *Cache) writeback(set, tag uint64, region memtypes.RegionID) outcome {
+	a := outcome{hit: c.findWay(set, tag)}
+	if a.hit < 0 {
+		a.way, a.replaced = c.install(set, tag, region, true)
+		return a
+	}
+	a.way = a.hit
+	s := c.slot(set, a.hit)
+	c.meta[s] |= metaDirty
+	if c.cfg.LRUReplacement {
+		c.lru[s] = c.bump()
+	}
+	return a
 }
 
-func (c *Cache) slot(set uint64, way int) int { return int(set)*c.ways + way }
-
-func (c *Cache) lineOf(set, tag uint64) memtypes.LineAddr {
-	return memtypes.LineAddr(tag<<c.setShift | set)
+// install places (set, tag) into the steered (or LRU) way and returns the
+// way and what it replaced.
+func (c *Cache) install(set, tag uint64, region memtypes.RegionID, dirty bool) (int, wayMeta) {
+	var way int
+	if c.cfg.LRUReplacement {
+		way = c.lruVictim(set, tag)
+	} else {
+		way = c.policy.InstallWay(set, tag, region)
+	}
+	replaced := c.fill(set, tag, way, dirty)
+	if c.cfg.LRUReplacement {
+		c.lru[c.slot(set, way)] = c.bump()
+	}
+	c.policy.ObserveInstall(set, tag, region, way)
+	return way, replaced
 }
 
-// findWay returns the way holding (set, tag), or -1.
-func (c *Cache) findWay(set, tag uint64) int {
-	base := int(set) * c.ways
-	return matchWay(c.meta[base:base+c.ways], tag)
+func (c *Cache) bump() uint64 {
+	c.clock++
+	return c.clock
 }
 
-// Contains implements Interface (the simulator's idealized DCP source).
-func (c *Cache) Contains(line memtypes.LineAddr) (way int, ok bool) {
+// lruVictim picks the least-recently-stamped candidate way.
+func (c *Cache) lruVictim(set, tag uint64) int {
+	cands := c.policy.CandidateWays(tag, c.candBuf)
+	best := cands[0]
+	for _, w := range cands[1:] {
+		if c.lru[c.slot(set, w)] < c.lru[c.slot(set, best)] {
+			best = w
+		}
+	}
+	return best
+}
+
+// AccessReadFunctional implements Interface.
+func (c *Cache) AccessReadFunctional(line memtypes.LineAddr) (way uint8, hit bool) {
 	set, tag := c.index(line)
-	w := c.findWay(set, tag)
-	return w, w >= 0
+	a := c.read(set, tag, line.Region())
+	return uint8(a.way), a.hit >= 0
 }
 
-// loc maps a set to its device row (all ways co-located, Figure 2b).
-func (c *Cache) loc(set uint64) dram.Loc {
-	return c.devMap.Map(set)
-}
-
-func (c *Cache) nvmLoc(line memtypes.LineAddr) dram.Loc {
-	return c.nvmMap.Map(uint64(line))
-}
-
-// probeRead streams one 72-byte tag+data unit from the set's row; callers
-// compute the set's Loc once per access and reuse it across probes.
-func (c *Cache) probeRead(at int64, loc dram.Loc) int64 {
-	c.stats.ProbeReads++
-	return c.dev.Access(at, loc, memtypes.Read, memtypes.TagUnitSize).DataAt
+// WritebackFunctional implements Interface.
+func (c *Cache) WritebackFunctional(line memtypes.LineAddr) {
+	set, tag := c.index(line)
+	c.writeback(set, tag, line.Region())
 }
 
 // AccessRead services a demand read that missed the SRAM hierarchy.
 func (c *Cache) AccessRead(at int64, line memtypes.LineAddr) ReadResult {
 	set, tag := c.index(line)
-	region := line.Region()
 	loc := c.devMap.Map(set) // one mapping per access, shared by every probe
-	actual := c.findWay(set, tag)
+	a := c.read(set, tag, line.Region())
+	actual := a.hit
 	hit := actual >= 0
 	c.stats.Reads++
 
@@ -633,7 +590,7 @@ func (c *Cache) AccessRead(at int64, line memtypes.LineAddr) ReadResult {
 		}
 
 	default: // LookupPredicted
-		pred := c.policy.PredictWay(set, tag, region)
+		pred := a.pred
 		firstProbe = pred
 		if hit {
 			c.stats.Predictions++
@@ -641,13 +598,10 @@ func (c *Cache) AccessRead(at int64, line memtypes.LineAddr) ReadResult {
 				c.stats.Correct++
 			}
 		}
-		if !hit && c.policy.FilterMiss(set, tag) {
+		if a.filtered {
 			// Metadata proves absence: no probes at all, and the fill
 			// launches immediately.
 			c.stats.FilteredMisses++
-			confirmedAt = at
-			missKnownAt = at
-			done = at
 			firstProbe = -1
 		} else {
 			first := c.probeRead(at, loc)
@@ -665,15 +619,12 @@ func (c *Cache) AccessRead(at int64, line memtypes.LineAddr) ReadResult {
 		}
 	}
 
-	c.policy.ObserveAccess(set, tag, region, actual, hit)
-
 	if hit {
 		c.stats.ReadHits++
 		c.stats.HitLatency.add(done - at)
 		if c.cfg.LRUReplacement {
 			// Replacement-state update is a write to the line's tag+data
 			// unit in DRAM (footnote 2's bandwidth tax).
-			c.lru[c.slot(set, actual)] = c.bump()
 			c.stats.ReplStateOps++
 			c.dev.Access(done, loc, memtypes.Write, memtypes.TagUnitSize)
 		}
@@ -694,17 +645,15 @@ func (c *Cache) AccessRead(at int64, line memtypes.LineAddr) ReadResult {
 	// consumed at the right rate, but the resource-reservation model must
 	// not reserve buses hundreds of cycles in the future, which would
 	// penalize unrelated earlier accesses (see DESIGN.md).
-	victimProbed := firstProbe >= 0
-	c.stats.NVMReads++
-	nvmDone := c.nvm.Access(missKnownAt, c.nvmLoc(line), memtypes.Read, memtypes.LineSize).DataAt
-	way := c.install(missKnownAt, loc, set, tag, region, false, victimProbed)
+	nvmDone := c.nvmRead(missKnownAt, line)
+	c.installTraffic(missKnownAt, loc, set, a.replaced, firstProbe >= 0)
 	if nvmDone < confirmedAt {
 		// Data cannot be released before every way has been ruled out (a
 		// later way could hold a newer dirty copy).
 		nvmDone = confirmedAt
 	}
 	c.stats.MissLatency.add(nvmDone - at)
-	return ReadResult{Done: nvmDone, Hit: false, Way: uint8(way)}
+	return ReadResult{Done: nvmDone, Hit: false, Way: uint8(a.way)}
 }
 
 // remainingCandidates returns the candidate ways excluding the one already
@@ -757,81 +706,21 @@ func (c *Cache) probeSerial(at int64, loc dram.Loc, ways []int, target int) (dat
 	return t, t, firstDone
 }
 
-func (c *Cache) bump() uint64 {
-	c.clock++
-	return c.clock
-}
-
-// install places (set, tag) into the cache at the steered (or LRU) way,
-// writing the 72-byte unit and writing any dirty victim back to NVM.
-// victimProbed says whether the lookup already streamed the victim's data;
-// when it did not, the victim unit must be read before being overwritten.
-// It returns the chosen way.
-func (c *Cache) install(at int64, loc dram.Loc, set, tag uint64, region memtypes.RegionID, dirty, victimProbed bool) int {
-	var way int
-	if c.cfg.LRUReplacement {
-		way = c.lruVictim(set, tag)
-	} else {
-		way = c.policy.InstallWay(set, tag, region)
-	}
-	s := c.slot(set, way)
-	if !victimProbed {
-		// Whether the slot even holds valid data is only discoverable by
-		// reading its tag+data unit from the DRAM array.
-		c.stats.VictimReads++
-		at = c.dev.Access(at, loc, memtypes.Read, memtypes.TagUnitSize).DataAt
-	}
-	m := &c.meta[s]
-	if m.valid() && m.dirty() {
-		victim := c.lineOf(set, m.tag())
-		c.stats.NVMWrites++
-		c.nvm.Access(at, c.nvmLoc(victim), memtypes.Write, memtypes.LineSize)
-	}
-	*m = residentMeta(tag, dirty)
-	if c.cfg.LRUReplacement {
-		c.lru[s] = c.bump()
-	}
-	c.stats.InstallWrites++
-	c.dev.Access(at, loc, memtypes.Write, memtypes.TagUnitSize)
-	c.policy.ObserveInstall(set, tag, region, way)
-	return way
-}
-
-// lruVictim picks the least-recently-stamped candidate way.
-func (c *Cache) lruVictim(set, tag uint64) int {
-	cands := c.policy.CandidateWays(tag, c.candBuf)
-	best := cands[0]
-	for _, w := range cands[1:] {
-		if c.lru[c.slot(set, w)] < c.lru[c.slot(set, best)] {
-			best = w
-		}
-	}
-	return best
-}
-
 // Writeback handles a dirty L3 eviction. With the paper's DCP+way
 // extension the L3 already knows whether and where the line resides, so a
 // resident line is updated with a single write and no probe; an absent
 // line is installed (one victim-read plus one write).
 func (c *Cache) Writeback(at int64, line memtypes.LineAddr) int64 {
 	set, tag := c.index(line)
-	region := line.Region()
 	loc := c.devMap.Map(set)
 	c.stats.Writebacks++
-	if way := c.findWay(set, tag); way >= 0 {
-		c.stats.WritebackHits++
-		c.meta[c.slot(set, way)] |= metaDirty
-		c.stats.WritebackWrites++
-		res := c.dev.Access(at, loc, memtypes.Write, memtypes.TagUnitSize)
-		if c.cfg.LRUReplacement {
-			c.lru[c.slot(set, way)] = c.bump()
-		}
-		return res.DataAt
+	a := c.writeback(set, tag, line.Region())
+	if a.hit >= 0 {
+		return c.writebackHit(at, loc, memtypes.TagUnitSize)
 	}
 	// Absent: write-allocate. The victim unit must be read before it is
-	// overwritten (its tag and dirty state live in DRAM), which install
-	// accounts for via victimProbed=false.
-	c.install(at, loc, set, tag, region, true, false)
+	// overwritten (its tag and dirty state live in DRAM).
+	c.installTraffic(at, loc, set, a.replaced, false)
 	return at
 }
 
@@ -839,21 +728,16 @@ func (c *Cache) Writeback(at int64, line memtypes.LineAddr) int64 {
 // SWS-restricted lines are in allowed ways; tests call it after random
 // operation sequences.
 func (c *Cache) CheckInvariants() error {
+	if err := c.checkTags("dramcache"); err != nil {
+		return err
+	}
 	buf := make([]int, 0, c.ways)
-	seen := make([]uint64, 0, c.ways) // reused across sets; no per-set map
 	for set := uint64(0); set < c.sets; set++ {
-		seen = seen[:0]
 		for w := 0; w < c.ways; w++ {
 			m := c.meta[c.slot(set, w)]
 			if !m.valid() {
 				continue
 			}
-			for _, t := range seen {
-				if t == m.tag() {
-					return fmt.Errorf("dramcache: duplicate tag %#x in set %d", m.tag(), set)
-				}
-			}
-			seen = append(seen, m.tag())
 			ok := false
 			for _, cw := range c.policy.CandidateWays(m.tag(), buf) {
 				if cw == w {

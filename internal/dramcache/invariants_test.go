@@ -22,7 +22,6 @@ func registryInstance(t *testing.T, name string, seed int64) Interface {
 		CapacityBytes: 256 << 10,
 		Ways:          2,
 		Lookup:        LookupPredicted,
-		Seed:          seed,
 	}
 	spec, ok := GetBackend(name)
 	if !ok {

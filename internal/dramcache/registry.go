@@ -21,10 +21,6 @@ type BackendConfig struct {
 	// Policy is the way-steering/prediction policy for backends that
 	// declare UsesPolicy; others must be built with Policy == nil.
 	Policy core.Policy
-	// Seed feeds any backend-private randomized structure. The bundled
-	// backends are deterministic without it, but the field keeps the
-	// contract wide enough for randomized designs.
-	Seed int64
 }
 
 // Geometry returns the line-granularity set/way shape the config implies.

@@ -6,7 +6,6 @@ import (
 	"accord/internal/ckpt"
 	"accord/internal/dram"
 	"accord/internal/memtypes"
-	"accord/internal/metrics"
 )
 
 // TDRAM models the tag-enhanced DRAM organization of Babaie et al.
@@ -25,28 +24,15 @@ import (
 // resident way. Installs write tag and data in the same access — the
 // flush-reduction property of the design.
 type TDRAM struct {
-	dev *dram.Device
-	nvm *dram.Device
+	tagStore
 
-	sets     uint64
-	setMask  uint64
-	setShift uint
-	ways     int
-
-	meta    []wayMeta
-	mru     []uint8 // per-set most-recently-used way (the burst guess)
-	rr      []uint8 // per-set round-robin victim cursor
-	touched wayMeta // keeps touchSets' loads live; not state (see Cache)
-
-	devMap dram.Mapper // set -> device row
-	nvmMap dram.Mapper // line -> NVM row
+	mru []uint8 // per-set most-recently-used way (the burst guess)
+	rr  []uint8 // per-set round-robin victim cursor
 
 	// tagEarly is how many cycles before data-burst completion the on-die
 	// tag compare resolves: the access-time delta between a full line and
 	// a tag-sized beat, precomputed from the device timing.
 	tagEarly int64
-
-	stats Stats
 }
 
 // tdramTagBytes sizes the early tag readout used to precompute tagEarly.
@@ -61,36 +47,19 @@ func NewTDRAM(capacityBytes int64, ways int, dev, nvm *dram.Device) (*TDRAM, err
 	if ways > 256 {
 		return nil, fmt.Errorf("dramcache: tdram ways %d exceed the uint8 MRU hint", ways)
 	}
-	sets := uint64(capacityBytes / (int64(ways) * memtypes.LineSize))
-	// Sets map at line granularity: tags live in separate mats, so a row
-	// holds plain 64-byte lines (the organization's density advantage over
-	// tags-with-data). One set's ways stay co-located per row where they
-	// fit.
-	setBytes := ways * memtypes.LineSize
-	upr := dev.Config().RowBytes / setBytes
-	if upr < 1 {
-		upr = 1
-	}
-	nvmUPR := nvm.Config().RowBytes / memtypes.LineSize
-	if nvmUPR < 1 {
-		nvmUPR = 1
-	}
 	early := dev.UnloadedReadLatency(memtypes.LineSize) - dev.UnloadedReadLatency(tdramTagBytes)
 	if early < 0 {
 		early = 0
 	}
+	// Sets map at line granularity: tags live in separate mats, so a row
+	// holds plain 64-byte lines (the organization's density advantage over
+	// tags-with-data). One set's ways stay co-located per row where they
+	// fit.
+	ts := newTagStore(capacityBytes, ways, memtypes.LineSize, dev, nvm)
 	return &TDRAM{
-		dev:      dev,
-		nvm:      nvm,
-		sets:     sets,
-		setMask:  sets - 1,
-		setShift: log2(sets),
-		ways:     ways,
-		meta:     make([]wayMeta, sets*uint64(ways)),
-		mru:      make([]uint8, sets),
-		rr:       make([]uint8, sets),
-		devMap:   dev.Config().NewMapper(upr),
-		nvmMap:   nvm.Config().NewMapper(nvmUPR),
+		tagStore: ts,
+		mru:      make([]uint8, ts.sets),
+		rr:       make([]uint8, ts.sets),
 		tagEarly: early,
 	}, nil
 }
@@ -98,48 +67,9 @@ func NewTDRAM(capacityBytes int64, ways int, dev, nvm *dram.Device) (*TDRAM, err
 // Name implements Interface.
 func (c *TDRAM) Name() string { return fmt.Sprintf("tdram-%dway", c.ways) }
 
-// Stats implements Interface.
-func (c *TDRAM) Stats() *Stats { return &c.stats }
-
-// ResetStats implements Interface.
-func (c *TDRAM) ResetStats() { c.stats = Stats{} }
-
 // StorageBytes implements Interface: tags, MRU hints, and replacement
 // state all live in the DRAM tag mats, so no SRAM is needed.
 func (c *TDRAM) StorageBytes() int64 { return 0 }
-
-// RegisterMetrics implements Interface.
-func (c *TDRAM) RegisterMetrics(r *metrics.Registry, prefix string) {
-	c.stats.Register(r, prefix)
-}
-
-func (c *TDRAM) index(line memtypes.LineAddr) (set, tag uint64) {
-	return uint64(line) & c.setMask, uint64(line) >> c.setShift
-}
-
-func (c *TDRAM) slot(set uint64, way int) int { return int(set)*c.ways + way }
-
-func (c *TDRAM) lineOf(set, tag uint64) memtypes.LineAddr {
-	return memtypes.LineAddr(tag<<c.setShift | set)
-}
-
-func (c *TDRAM) findWay(set, tag uint64) int {
-	base := int(set) * c.ways
-	return matchWay(c.meta[base:base+c.ways], tag)
-}
-
-// Contains implements Interface.
-func (c *TDRAM) Contains(line memtypes.LineAddr) (way int, ok bool) {
-	set, tag := c.index(line)
-	w := c.findWay(set, tag)
-	return w, w >= 0
-}
-
-func (c *TDRAM) loc(set uint64) dram.Loc { return c.devMap.Map(set) }
-
-func (c *TDRAM) nvmLoc(line memtypes.LineAddr) dram.Loc {
-	return c.nvmMap.Map(uint64(line))
-}
 
 // victimWay picks the install victim: the first invalid way, else the
 // round-robin cursor (skipping the MRU way when associativity allows, so
@@ -159,24 +89,53 @@ func (c *TDRAM) victimWay(set uint64) int {
 	return w
 }
 
+// access is the state transition of a read or a writeback: tags, the
+// round-robin cursor on an install, and the MRU hint, which names the
+// accessed way afterwards.
+func (c *TDRAM) access(set, tag uint64, write bool) outcome {
+	a := outcome{hit: c.findWay(set, tag), guess: int(c.mru[set])}
+	if a.hit >= 0 {
+		a.way = a.hit
+		if write {
+			c.meta[c.slot(set, a.hit)] |= metaDirty
+		}
+	} else {
+		a.way = c.victimWay(set)
+		a.replaced = c.fill(set, tag, a.way, write)
+	}
+	c.mru[set] = uint8(a.way)
+	return a
+}
+
+// AccessReadFunctional implements Interface.
+func (c *TDRAM) AccessReadFunctional(line memtypes.LineAddr) (way uint8, hit bool) {
+	set, tag := c.index(line)
+	a := c.access(set, tag, false)
+	return uint8(a.way), a.hit >= 0
+}
+
+// WritebackFunctional implements Interface.
+func (c *TDRAM) WritebackFunctional(line memtypes.LineAddr) {
+	set, tag := c.index(line)
+	c.access(set, tag, true)
+}
+
 // AccessRead implements Interface. Every access streams one 64-byte line
 // (the MRU guess); the concurrent tag-mat read resolves hit/miss and the
 // resident way on-die.
 func (c *TDRAM) AccessRead(at int64, line memtypes.LineAddr) ReadResult {
 	set, tag := c.index(line)
 	loc := c.devMap.Map(set)
-	actual := c.findWay(set, tag)
-	hit := actual >= 0
-	guess := int(c.mru[set])
+	a := c.access(set, tag, false)
 	c.stats.Reads++
 
 	c.stats.ProbeReads++
 	first := c.dev.Access(at, loc, memtypes.Read, memtypes.LineSize).DataAt
 
-	if hit {
+	if a.hit >= 0 {
 		c.stats.Predictions++
 		done := first
-		fastPath := guess == actual
+		fastPath := a.guess == a.hit
 		if fastPath {
 			c.stats.Correct++
 		} else {
@@ -184,10 +143,9 @@ func (c *TDRAM) AccessRead(at int64, line memtypes.LineAddr) ReadResult {
 			c.stats.ProbeReads++
 			done = c.dev.Access(first, loc, memtypes.Read, memtypes.LineSize).DataAt
 		}
-		c.mru[set] = uint8(actual)
 		c.stats.ReadHits++
 		c.stats.HitLatency.add(done - at)
-		return ReadResult{Done: done, Hit: true, Way: uint8(actual), FirstProbeHit: fastPath}
+		return ReadResult{Done: done, Hit: true, Way: uint8(a.hit), FirstProbeHit: fastPath}
 	}
 
 	// Miss: known tagEarly cycles before the (useless) data burst
@@ -198,35 +156,26 @@ func (c *TDRAM) AccessRead(at int64, line memtypes.LineAddr) ReadResult {
 	if missKnownAt < at {
 		missKnownAt = at
 	}
-	c.stats.NVMReads++
-	nvmDone := c.nvm.Access(missKnownAt, c.nvmLoc(line), memtypes.Read, memtypes.LineSize).DataAt
-	way := c.installTDRAM(missKnownAt, loc, set, tag, false, guess)
-	c.mru[set] = uint8(way)
+	nvmDone := c.nvmRead(missKnownAt, line)
+	c.installTraffic(missKnownAt, loc, set, a, a.guess)
 	c.stats.MissLatency.add(nvmDone - at)
-	return ReadResult{Done: nvmDone, Hit: false, Way: uint8(way)}
+	return ReadResult{Done: nvmDone, Hit: false, Way: uint8(a.way)}
 }
 
-// installTDRAM places (set, tag) into the victim way with a single
-// combined tag+data write. streamedWay is the way whose data the access
-// already burst (-1 when none): a dirty victim in any other way must be
-// read out before being overwritten.
-func (c *TDRAM) installTDRAM(at int64, loc dram.Loc, set, tag uint64, dirty bool, streamedWay int) int {
-	way := c.victimWay(set)
-	s := c.slot(set, way)
-	m := &c.meta[s]
-	if m.valid() && m.dirty() {
-		if way != streamedWay {
+// installTraffic charges a miss's install with a single combined tag+data
+// write. streamedWay is the way whose data the access already burst (-1
+// when none): a dirty victim in any other way must be read out before
+// being overwritten.
+func (c *TDRAM) installTraffic(at int64, loc dram.Loc, set uint64, a outcome, streamedWay int) {
+	if a.replaced.valid() && a.replaced.dirty() {
+		if a.way != streamedWay {
 			c.stats.VictimReads++
 			at = c.dev.Access(at, loc, memtypes.Read, memtypes.LineSize).DataAt
 		}
-		victim := c.lineOf(set, m.tag())
-		c.stats.NVMWrites++
-		c.nvm.Access(at, c.nvmLoc(victim), memtypes.Write, memtypes.LineSize)
+		c.nvmWrite(at, c.lineOf(set, a.replaced.tag()))
 	}
-	*m = residentMeta(tag, dirty)
 	c.stats.InstallWrites++
 	c.dev.Access(at, loc, memtypes.Write, memtypes.LineSize)
-	return way
 }
 
 // Writeback implements Interface. Tag and data update in one access;
@@ -236,48 +185,12 @@ func (c *TDRAM) Writeback(at int64, line memtypes.LineAddr) int64 {
 	set, tag := c.index(line)
 	loc := c.devMap.Map(set)
 	c.stats.Writebacks++
-	if way := c.findWay(set, tag); way >= 0 {
-		c.stats.WritebackHits++
-		c.meta[c.slot(set, way)] |= metaDirty
-		c.mru[set] = uint8(way)
-		c.stats.WritebackWrites++
-		return c.dev.Access(at, loc, memtypes.Write, memtypes.LineSize).DataAt
+	a := c.access(set, tag, true)
+	if a.hit >= 0 {
+		return c.writebackHit(at, loc, memtypes.LineSize)
 	}
-	way := c.installTDRAM(at, loc, set, tag, true, -1)
-	c.mru[set] = uint8(way)
+	c.installTraffic(at, loc, set, a, -1)
 	return at
-}
-
-// AccessReadFunctional implements the state-only read path: identical
-// MRU, round-robin, and tag mutations, no device traffic.
-func (c *TDRAM) AccessReadFunctional(line memtypes.LineAddr) (way uint8, hit bool) {
-	set, tag := c.index(line)
-	if actual := c.findWay(set, tag); actual >= 0 {
-		c.mru[set] = uint8(actual)
-		return uint8(actual), true
-	}
-	w := c.installFunctionalTDRAM(set, tag, false)
-	c.mru[set] = uint8(w)
-	return uint8(w), false
-}
-
-// installFunctionalTDRAM is installTDRAM without device traffic.
-func (c *TDRAM) installFunctionalTDRAM(set, tag uint64, dirty bool) int {
-	way := c.victimWay(set)
-	c.meta[c.slot(set, way)] = residentMeta(tag, dirty)
-	return way
-}
-
-// WritebackFunctional implements the state-only writeback path.
-func (c *TDRAM) WritebackFunctional(line memtypes.LineAddr) {
-	set, tag := c.index(line)
-	if way := c.findWay(set, tag); way >= 0 {
-		c.meta[c.slot(set, way)] |= metaDirty
-		c.mru[set] = uint8(way)
-		return
-	}
-	way := c.installFunctionalTDRAM(set, tag, true)
-	c.mru[set] = uint8(way)
 }
 
 // CheckInvariants implements Interface.
@@ -289,18 +202,8 @@ func (c *TDRAM) CheckInvariants() error {
 		if int(c.rr[set]) >= c.ways {
 			return fmt.Errorf("tdram: victim cursor %d out of range in set %d", c.rr[set], set)
 		}
-		base := int(set) * c.ways
-		for w := 0; w < c.ways; w++ {
-			m := c.meta[base+w]
-			if !m.valid() {
-				continue
-			}
-			if matchWay(c.meta[base+w+1:base+c.ways], m.tag()) >= 0 {
-				return fmt.Errorf("tdram: duplicate tag %#x in set %d", m.tag(), set)
-			}
-		}
 	}
-	return nil
+	return c.checkTags("tdram")
 }
 
 // tdramVersion is the snapshot encoding version.

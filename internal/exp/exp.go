@@ -149,7 +149,6 @@ type key struct {
 	Ways           int
 	Lookup         dramcache.Lookup
 	LRUReplacement bool
-	UseCA          bool
 	Backend        string
 	FullHierarchy  bool
 
@@ -183,7 +182,6 @@ func makeKey(cfg sim.Config, workload string) key {
 		Ways:                   cfg.Ways,
 		Lookup:                 cfg.Lookup,
 		LRUReplacement:         cfg.LRUReplacement,
-		UseCA:                  cfg.UseCA,
 		Backend:                cfg.BackendName(),
 		FullHierarchy:          cfg.FullHierarchy,
 		NVMCapacityFull:        cfg.NVMCapacityFull,

@@ -8,8 +8,8 @@ import (
 
 // TestDetailedWindowZeroAlloc enforces the steady-state allocation
 // contract of the detailed measured-window path on every backend: once a
-// system is warm, advancing it through detailed events — the batched
-// StepRun loop over the windowed stream, the MSHR admit scan, the DRAM
+// system is warm, advancing it through detailed events — the StepRun
+// loop over the core's stream, the MSHR admit scan, the DRAM
 // calendar-ring reservations — must allocate nothing per event. The
 // subtests sit under "generic/": every core drives its L4 through the
 // dramcache.Interface dispatch, the one detailed engine there is.
@@ -22,7 +22,7 @@ func TestDetailedWindowZeroAlloc(t *testing.T) {
 			s := New(cfg, wl)
 			s.RunWarmupFunctional()
 			// One detailed advance off the measurement to fault in lazy
-			// state (stream window buffers, row activations).
+			// state (row activations).
 			target := s.Cores()[0].Instructions()
 			target += 20_000
 			s.advanceUntil([]int64{target})

@@ -15,8 +15,7 @@ import (
 // advance, so ns/op ÷ 2e6 is ns/instruction; allocs/op on the functional
 // variant is the zero-alloc contract (also enforced per event by
 // TestFunctionalStepZeroAlloc). The functional/detailed ratio is the
-// sampling speedup recorded in BENCH_PR6.json and discussed in
-// DESIGN.md §9.5.
+// sampling speedup DESIGN.md §9.5 discusses.
 func BenchmarkFunctionalStep(b *testing.B) {
 	cfg := ACCORD(2)
 	cfg.Scale = 8192

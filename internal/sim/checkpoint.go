@@ -53,7 +53,7 @@ func (s *System) WarmFingerprint(wlName string) string {
 		"nvmcap=%d|anchor=%d|hbm=%+v|pcm=%+v|warm=%d|noadapt=%t|seed=%d",
 		SnapshotSchemaID(), wlName, s.l4.Name(), s.l4.StorageBytes(), c.BackendName(),
 		c.Cores, c.IssueWidth, c.MSHRs, c.CPUGHz, c.SRAMLat,
-		c.Scale, c.L4CapacityFull, c.Ways, c.Lookup, c.LRUReplacement, c.UseCA,
+		c.Scale, c.L4CapacityFull, c.Ways, c.Lookup, c.LRUReplacement, c.BackendName() == "ca",
 		c.FullHierarchy, c.NVMCapacityFull, c.WorkloadAnchorLines,
 		c.HBM, c.PCM, c.WarmupInstr, c.DisableAdaptiveBudgets, c.Seed)
 }

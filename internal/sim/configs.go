@@ -143,7 +143,7 @@ func PartialTag(ways int) Config {
 func CACache() Config {
 	c := Default()
 	c.Name = "ca-cache"
-	c.UseCA = true
+	c.Backend = "ca"
 	return c
 }
 

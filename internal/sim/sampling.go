@@ -238,9 +238,9 @@ func (m memAdapter) WriteFunctional(line memtypes.LineAddr) {
 }
 
 // BatchFunctional implements cpu.BatchFunctionalMemory: one interface
-// call hands a whole trace-cache window to the backend, whose concrete
-// batch loop applies the same per-event transitions without a dynamic
-// dispatch per event. The flag convention matches by construction:
+// call hands a whole trace-cache window to the backend, whose batch loop
+// applies the same per-event transitions, touching each group's tag sets
+// first (dramcache/batch.go). The flag convention matches by construction:
 // dramcache.FunctionalWrite == workloads.FlagWrite, and backends ignore
 // the remaining bits (FlagDep is a core-side stall hint).
 func (m memAdapter) BatchFunctional(lines []memtypes.LineAddr, flags []uint8) {

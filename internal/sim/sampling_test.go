@@ -347,12 +347,11 @@ func TestFunctionalStepZeroAlloc(t *testing.T) {
 // burns extra Step calls on MSHR-full stalls that retire nothing).
 //
 // Measured ratios on an idle machine are ~3-5x depending on the
-// organization and scale (see BENCH_PR6.json and DESIGN.md §9.5 for why
-// the classic 20-60x sampling speedups of cycle-accurate simulators do
-// not appear against a detailed model that already costs only a few
-// ns/instruction); the floor enforced here is set with margin for noisy
-// CI runners and guards against regressions that would gut sampling's
-// reason to exist.
+// organization and scale (see DESIGN.md §9.5 for why the classic 20-60x
+// sampling speedups of cycle-accurate simulators do not appear against a
+// detailed model that already costs only a few ns/instruction); the
+// floor enforced here is set with margin for noisy CI runners and guards
+// against regressions that would gut sampling's reason to exist.
 func TestFunctionalSpeedRatio(t *testing.T) {
 	if testing.Short() {
 		t.Skip("benchmark-based test")

@@ -44,15 +44,10 @@ type Config struct {
 	Ways           int
 	Lookup         dramcache.Lookup
 	LRUReplacement bool
-	// UseCA replaces the set-associative organization with the
-	// column-associative baseline (Ways/Lookup/Policy are then ignored).
-	// It predates Backend and is equivalent to Backend = "ca".
-	UseCA bool
 	// Backend selects the L4 organization by registry name ("nway", "ca",
 	// "banshee", "gemini", "tdram", or any externally registered backend).
-	// Empty means the legacy selection: "ca" when UseCA is set, "nway"
-	// otherwise. Ways/Lookup/LRUReplacement/Policy apply only to backends
-	// that use them.
+	// Empty means "nway". Ways/Lookup/LRUReplacement/Policy apply only to
+	// backends that use them.
 	Backend string
 
 	// FullHierarchy models the on-chip SRAM levels explicitly: workload
@@ -158,14 +153,11 @@ func Default() Config {
 	}
 }
 
-// BackendName resolves the effective L4 backend: the explicit Backend
-// field, or the legacy UseCA switch, defaulting to "nway".
+// BackendName resolves the effective L4 backend: the Backend field,
+// defaulting to "nway".
 func (c Config) BackendName() string {
 	if c.Backend != "" {
 		return c.Backend
-	}
-	if c.UseCA {
-		return "ca"
 	}
 	return "nway"
 }
@@ -183,8 +175,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("sim: CPU clock %v must be positive", c.CPUGHz)
 	case c.Backend != "" && !dramcache.HasBackend(c.Backend):
 		return fmt.Errorf("sim: unknown L4 backend %q (have %v)", c.Backend, dramcache.BackendNames())
-	case c.Backend != "" && c.Backend != "ca" && c.UseCA:
-		return fmt.Errorf("sim: Backend %q conflicts with UseCA", c.Backend)
 	case c.Ways < 1 && (c.BackendName() == "nway" || c.BackendName() == "tdram"):
 		return fmt.Errorf("sim: ways %d must be >= 1", c.Ways)
 	case c.WarmupInstr < 0 || c.MeasureInstr <= 0:
@@ -440,7 +430,6 @@ func New(cfg Config, wl workloads.Workload) *System {
 		Ways:           cfg.Ways,
 		Lookup:         cfg.Lookup,
 		LRUReplacement: cfg.LRUReplacement,
-		Seed:           cfg.Seed,
 	}
 	if spec.UsesPolicy {
 		factory := cfg.Policy

@@ -194,7 +194,7 @@ func TestConfigCatalog(t *testing.T) {
 		}
 	}
 	ca := CACache()
-	if err := ca.Validate(); err != nil || !ca.UseCA {
+	if err := ca.Validate(); err != nil || ca.BackendName() != "ca" {
 		t.Errorf("CA config: %v", err)
 	}
 	if !LRU2Way().LRUReplacement {

@@ -23,8 +23,14 @@ const digestFile = "testdata/snapshot_digests.json"
 // digestOrgs are the organizations whose snapshot bytes are pinned: every
 // registered backend, with the nway backend taken direct-mapped, with
 // ACCORD's policy tables and with LRU stamps, so every array section of
-// the format is covered.
-var digestOrgs = []string{"direct", "accord", "lru", "ca", "banshee", "gemini", "tdram"}
+// the format is covered; and the nway backend under every lookup mode and
+// the MRU and partial-tag policies. The "snapshot" kind holds the
+// detailed warmup's device timing state, so those entries pin each
+// lookup's probe schedule, which no golden covers.
+var digestOrgs = []string{
+	"direct", "accord", "lru", "ca", "banshee", "gemini", "tdram",
+	"parallel", "serial", "perfect", "idealized", "partialtag", "mru",
+}
 
 // snapshotDigests is the committed record: the schema the digests were
 // taken under and the SHA-256 of each blob, keyed org/hierarchy/kind.

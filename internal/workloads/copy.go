@@ -17,41 +17,18 @@ func errStreamCopy(dst, src Stream) error {
 	return fmt.Errorf("workloads: cannot copy stream %T into %T", src, dst)
 }
 
-// copyState copies the generator's mutable state from s, the fields its
-// snapshot carries: event count, RNG and component positions.
-func (g *generator) copyState(s *generator) {
-	g.count = s.count
-	*g.rng = *s.rng
-	for i := range g.comps {
-		g.comps[i].pos = s.comps[i].pos
-	}
-}
-
-// CopyFrom copies src, a generator of the same spec, into g.
+// CopyFrom copies src, a generator of the same spec, into g: the fields
+// its snapshot carries, event count, RNG and component positions.
 func (g *generator) CopyFrom(src Stream) error {
 	s, ok := src.(*generator)
 	if !ok || len(s.comps) != len(g.comps) {
 		return errStreamCopy(g, src)
 	}
-	g.copyState(s)
-	return nil
-}
-
-// CopyFrom copies src, a windowed generator of the same spec, into w,
-// with its buffer and the pre-buffer state snapshots replay from. Restore
-// drops the buffer and regenerates it instead; both serve the same events
-// and snapshot alike at every position.
-func (w *windowedGenerator) CopyFrom(src Stream) error {
-	s, ok := src.(*windowedGenerator)
-	if !ok || len(s.g.comps) != len(w.g.comps) {
-		return errStreamCopy(w, src)
+	g.count = s.count
+	*g.rng = *s.rng
+	for i := range g.comps {
+		g.comps[i].pos = s.comps[i].pos
 	}
-	w.g.copyState(s.g)
-	w.wpos, w.wlen = s.wpos, s.wlen
-	w.preRng = s.preRng
-	copy(w.preComps, s.preComps)
-	w.preCount = s.preCount
-	w.gaps, w.lines, w.flags = s.gaps, s.lines, s.flags
 	return nil
 }
 

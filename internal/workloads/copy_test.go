@@ -32,8 +32,6 @@ func TestStreamCopyFrom(t *testing.T) {
 	}{
 		{"generator", func() Stream { return NewStream(testSpec(), 1<<16, 4, 3) },
 			func() Stream { return NewStream(testSpec(), 1<<16, 4, 77) }},
-		{"windowed", func() Stream { return NewStream(testSpec(), 1<<16, 1, 3) },
-			func() Stream { return NewStream(testSpec(), 1<<16, 1, 77) }},
 		{"cursor", func() Stream { return tc.Stream(testSpec(), 1<<16, 4, 3) },
 			func() Stream { return tc.Stream(testSpec(), 1<<16, 4, 3) }},
 		{"cursor-other-recording", func() Stream { return tc.Stream(testSpec(), 1<<16, 4, 3) },
@@ -76,13 +74,9 @@ func TestStreamCopyFrom(t *testing.T) {
 func TestStreamCopyFromRejectsMismatch(t *testing.T) {
 	tc := NewTraceCache(0)
 	gen := NewStream(testSpec(), 1<<16, 4, 3)
-	win := NewStream(testSpec(), 1<<16, 1, 3)
 	cur := tc.Stream(testSpec(), 1<<16, 4, 3)
-	if err := gen.(copier).CopyFrom(win); err == nil {
-		t.Error("generator accepted a windowed generator")
-	}
-	if err := win.(copier).CopyFrom(cur); err == nil {
-		t.Error("windowed generator accepted a cursor")
+	if err := gen.(copier).CopyFrom(cur); err == nil {
+		t.Error("generator accepted a cursor")
 	}
 	if err := cur.CopyFrom(tc.Stream(testSpec(), 1<<16, 4, 4)); err == nil {
 		t.Error("cursor accepted a cursor over another seed's stream")

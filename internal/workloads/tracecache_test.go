@@ -393,9 +393,9 @@ func TestSourceMatchesSimSeeds(t *testing.T) {
 }
 
 // TestMeasuredSnapshotLength checks the measuring shortcut: a cursor
-// behind or beyond the recorded frontier, and a windowed generator in the
-// middle of its buffer, encode to exactly the length a measurer counts
-// without replaying, and measuring leaves the recording unextended.
+// behind or beyond the recorded frontier encodes to exactly the length a
+// measurer counts without replaying, and measuring leaves the recording
+// unextended.
 func TestMeasuredSnapshotLength(t *testing.T) {
 	spec := MustGet("mcf", 4).Specs[0]
 	check := func(name string, c Checkpointer) {
@@ -434,8 +434,4 @@ func TestMeasuredSnapshotLength(t *testing.T) {
 	}
 	check("cursor beyond the frontier", beyond)
 
-	w := newWindowedGenerator(newGenerator(spec, 1<<16, 1, 9))
-	gaps, _, _ := w.Window()
-	w.Consume(len(gaps) / 2)
-	check("windowed generator mid-buffer", w)
 }

@@ -132,18 +132,8 @@ func StreamSeed(seed int64, core int) int64 { return seed*1000 + int64(core) }
 // system whose DRAM cache holds cacheLines lines. Component footprints are
 // split evenly across cores (rate mode semantics); seed individualizes the
 // core's reference order.
-// Single-core streams additionally implement the batch window contract
-// (Window/Consume, see windowedGenerator) so detailed and functional batch
-// loops can consume generated events in runs. Multi-core systems advance
-// their cores in near-lockstep — each core drains one event per turn —
-// so buffering ahead would cost the copy without ever serving a run;
-// those streams stay unwrapped.
 func NewStream(spec Spec, cacheLines uint64, cores int, seed int64) Stream {
-	g := newGenerator(spec, cacheLines, cores, seed)
-	if cores == 1 {
-		return newWindowedGenerator(g)
-	}
-	return g
+	return newGenerator(spec, cacheLines, cores, seed)
 }
 
 // newGenerator is NewStream with a concrete return type; the trace cache
