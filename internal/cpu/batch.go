@@ -5,26 +5,28 @@ import (
 	"accord/internal/workloads"
 )
 
-// WindowStream is the optional batch view of a workload stream: it
-// exposes the stream's internal buffer as parallel slices so a consumer
-// can scan a whole run of events without the per-event Next call, then
-// commit how many it actually used. workloads.Cursor (the shared trace
-// cache) implements it; streams that don't simply run per-event.
+// WindowStream is how a core reads its workload stream: the stream's
+// next events as parallel slices, which the core scans without a
+// per-event call, then commits how many it actually used. Every stream
+// package workloads builds serves one: the trace-cache cursor serves the
+// rest of its recorded chunk, the generator and FixedStream one event at
+// a time.
 type WindowStream interface {
-	// Window returns the remaining events of the current buffered chunk
-	// as parallel slices (never empty for an unbounded stream). The
-	// slices alias stream-owned memory and are invalidated by Consume.
+	// Window returns the stream's next events as parallel slices (never
+	// empty for an unbounded stream). The slices alias stream-owned
+	// memory and are invalidated by Consume.
 	Window() (gaps []int32, lines []memtypes.LineAddr, flags []uint8)
-	// Consume advances the cursor past the first n events of the last
+	// Consume advances the stream past the first n events of the last
 	// returned window.
 	Consume(n int)
 }
 
-// BatchFunctionalMemory is the optional batch view of a core's memory
+// BatchFunctionalMemory is the functional view of a core's memory
 // system: one call applies a run of functional accesses, where
 // flags[i]&workloads.FlagWrite selects a functional write (other flag
-// bits are ignored). Implementations dispatch once per batch instead of
-// once per event, which is where the spine-batching speedup lives.
+// bits are ignored). Accesses mutate tags, dirty bits, replacement and
+// steering state exactly as the timed path would, but carry no
+// timestamps. Both of sim's memory adapters implement it.
 type BatchFunctionalMemory interface {
 	BatchFunctional(lines []memtypes.LineAddr, flags []uint8)
 }
@@ -37,39 +39,24 @@ const (
 	_ = 1 / ((workloads.FlagDep >> 1) & 1) // FlagDep must be bit 1
 )
 
-// SupportsBatchFunctional reports whether both the core's stream and
-// memory system expose batch views, i.e. whether StepFunctionalBatch
-// runs chunk-granular rather than falling back to StepFunctional.
-func (c *Core) SupportsBatchFunctional() bool {
-	return c.wstream != nil && c.bmem != nil
-}
-
 // StepFunctionalBatch advances functional execution toward the absolute
-// instruction target, consuming at most one stream window per call (so a
-// multi-core driver can round-robin at window granularity). It is
-// behavior-identical to calling StepFunctional until Instructions() >=
-// target: the same events mutate the same functional state, the
-// issue-width carry is reduced with the same modulus (the quotient of a
-// sum equals the chained per-event quotients only in the dropped clock
-// term; the remainder (a+Σg) mod w is exactly the chained remainder),
-// and the event-mix counters count the same events. What the batch form
-// buys is hoisting the per-event interface dispatches, bounds checks,
-// and target comparisons into one scan over the window plus one
-// BatchFunctional call. Callers must check SupportsFunctional; without
-// batch views it degrades to a single StepFunctional.
+// instruction target. Each call reads one stream window and consumes at
+// least one of its events, stopping at the first whose retirement
+// reaches the target, so a multi-core driver can interleave cores. It is
+// the core's only functional event body: the consumed events mutate only
+// functional state — the stream position, the instruction-carry
+// remainder, the retired instruction count, the event-mix counters, and,
+// through one BatchFunctional call, every cache tag/dirty/replacement/
+// steering table the events would touch in detailed mode. The clock,
+// MSHR occupancy and all latency accounting are skipped. The functional
+// state it leaves behind is byte-identical to what StepRun leaves after
+// the same events: the issue-width carry is reduced with the same
+// modulus (the remainder (a+Σg) mod w is exactly the chained per-event
+// remainder; only the dropped clock term differs), and the event-mix
+// counters count the same events. The memory system must implement
+// BatchFunctionalMemory.
 func (c *Core) StepFunctionalBatch(target int64) {
-	if c.wstream == nil || c.bmem == nil {
-		c.StepFunctional()
-		return
-	}
 	gaps, lines, flags := c.wstream.Window()
-	if len(gaps) == 0 {
-		// Defensive: an exhausted bounded window stream cannot make
-		// progress; fall back so the caller's loop terminates or panics
-		// the same way the per-event path would.
-		c.StepFunctional()
-		return
-	}
 	if cap(c.blines) < len(gaps) {
 		c.blines = make([]memtypes.LineAddr, len(gaps))
 	}
@@ -79,10 +66,9 @@ func (c *Core) StepFunctionalBatch(target int64) {
 	lines = lines[:len(gaps)]
 	flags = flags[:len(gaps)]
 
-	// Pass 1: scan the window, stopping exactly at the first event whose
-	// retirement reaches the target — byte-identical stopping point to
-	// the per-event loop `for instr < target { StepFunctional() }`. The
-	// event-mix counters are computed branch-free (flag bits are random
+	// Scan the window, stopping exactly at the first event whose
+	// retirement reaches the target, as StepRun does. The event-mix
+	// counters are computed branch-free (flag bits are random
 	// enough to mispredict), and the same-page memo check is inlined with
 	// the memo in locals so a memo hit costs no call.
 	instr := c.instr

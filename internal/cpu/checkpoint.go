@@ -10,6 +10,17 @@ import (
 // coreVersion tags the Core encoding; bump on any layout change.
 const coreVersion = 1
 
+// checkpointer returns the core's stream as a workloads.Checkpointer,
+// the lookup all four codec methods share; cores over streams without
+// one cannot be checkpointed.
+func (c *Core) checkpointer() (workloads.Checkpointer, error) {
+	cp, ok := c.stream.(workloads.Checkpointer)
+	if !ok {
+		return nil, fmt.Errorf("cpu: core %d stream %T does not support checkpointing", c.id, c.stream)
+	}
+	return cp, nil
+}
+
 // Snapshot serializes the core's clocks, MSHR completion times,
 // cumulative counters, window marks, and the workload stream's cursor
 // state. The cumulative counters are included because Result.Events and
@@ -18,9 +29,9 @@ const coreVersion = 1
 // returns an error when the stream does not implement
 // workloads.Checkpointer; such cores cannot be checkpointed.
 func (c *Core) Snapshot(e *ckpt.Encoder) error {
-	cp, ok := c.stream.(workloads.Checkpointer)
-	if !ok {
-		return fmt.Errorf("cpu: core %d stream %T does not support checkpointing", c.id, c.stream)
+	cp, err := c.checkpointer()
+	if err != nil {
+		return err
 	}
 	e.U8(coreVersion)
 	e.I64(c.time)
@@ -48,9 +59,9 @@ func (c *Core) Snapshot(e *ckpt.Encoder) error {
 // them by construction — so they are deliberately excluded. Used by the
 // functional-vs-detailed differential tests (sim.FunctionalSnapshot).
 func (c *Core) FunctionalSnapshot(e *ckpt.Encoder) error {
-	cp, ok := c.stream.(workloads.Checkpointer)
-	if !ok {
-		return fmt.Errorf("cpu: core %d stream %T does not support checkpointing", c.id, c.stream)
+	cp, err := c.checkpointer()
+	if err != nil {
+		return err
 	}
 	e.U8(coreVersion)
 	e.I64(c.instr)
@@ -70,9 +81,9 @@ func (c *Core) FunctionalSnapshot(e *ckpt.Encoder) error {
 // gets exactly the state a brand-new core would have after functionally
 // retiring the same events. On error the core must be discarded.
 func (c *Core) RestoreFunctional(d *ckpt.Decoder) error {
-	cp, ok := c.stream.(workloads.Checkpointer)
-	if !ok {
-		return fmt.Errorf("cpu: core %d stream %T does not support checkpointing", c.id, c.stream)
+	cp, err := c.checkpointer()
+	if err != nil {
+		return err
 	}
 	if v := d.U8(); d.Err() == nil && v != coreVersion {
 		d.Failf("cpu: snapshot version %d, want %d", v, coreVersion)
@@ -121,9 +132,9 @@ func (c *Core) CopyFunctionalFrom(src *Core) error {
 // Restore replaces the core's state with a snapshot. On error the core
 // is left in an unspecified state and must be discarded.
 func (c *Core) Restore(d *ckpt.Decoder) error {
-	cp, ok := c.stream.(workloads.Checkpointer)
-	if !ok {
-		return fmt.Errorf("cpu: core %d stream %T does not support checkpointing", c.id, c.stream)
+	cp, err := c.checkpointer()
+	if err != nil {
+		return err
 	}
 	if v := d.U8(); d.Err() == nil && v != coreVersion {
 		d.Failf("cpu: snapshot version %d, want %d", v, coreVersion)

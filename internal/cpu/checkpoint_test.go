@@ -14,10 +14,15 @@ type fixedLatMem struct{ writes int }
 func (m *fixedLatMem) Read(at int64, _ memtypes.LineAddr) int64 { return at + 100 }
 func (m *fixedLatMem) Write(int64, memtypes.LineAddr)           { m.writes++ }
 
-// noCkptStream is a Stream without Snapshot/Restore support.
+// noCkptStream is a Stream that serves a window but has no
+// Snapshot/Restore support.
 type noCkptStream struct{}
 
 func (noCkptStream) Next(ev *workloads.Event) { *ev = workloads.Event{Gap: 1, Line: 1} }
+func (noCkptStream) Window() ([]int32, []memtypes.LineAddr, []uint8) {
+	return []int32{1}, []memtypes.LineAddr{1}, []uint8{0}
+}
+func (noCkptStream) Consume(int) {}
 
 func testStream(seed int64) workloads.Stream {
 	spec := workloads.Spec{

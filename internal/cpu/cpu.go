@@ -9,6 +9,7 @@ package cpu
 
 import (
 	"fmt"
+	"math"
 
 	"accord/internal/memtypes"
 	"accord/internal/workloads"
@@ -20,17 +21,6 @@ import (
 type MemorySystem interface {
 	Read(at int64, line memtypes.LineAddr) (done int64)
 	Write(at int64, line memtypes.LineAddr)
-}
-
-// FunctionalMemory is the state-only view of the memory system used by
-// functional fast-forwarding (StepFunctional): accesses mutate tags,
-// dirty bits, replacement and steering state exactly as the timed path
-// would, but carry no timestamps and return no latency. A MemorySystem
-// that also implements FunctionalMemory opts the core into functional
-// mode.
-type FunctionalMemory interface {
-	ReadFunctional(line memtypes.LineAddr)
-	WriteFunctional(line memtypes.LineAddr)
 }
 
 // Params configures a core.
@@ -68,19 +58,17 @@ type Translate func(memtypes.LineAddr) memtypes.LineAddr
 // Core is one processor core consuming its workload stream. It is not
 // safe for concurrent use.
 type Core struct {
-	// Hot per-Step state leads the struct so the common path touches the
-	// first cache line or two: the clocks, the widened issue parameters
-	// (converted from Params once at construction instead of per event),
-	// and the reused event buffer.
+	// Hot per-event state leads the struct so the common path touches the
+	// first cache line or two: the clocks and the widened issue parameters
+	// (converted from Params once at construction instead of per event).
 	time       int64
 	instr      int64
 	instCarry  int64
-	issueWidth int64           // int64(params.IssueWidth), hoisted off the Step path
-	issueMask  int64           // issueWidth-1 when the width is a power of two, else -1
-	issueShift uint8           // log2(issueWidth) when issueMask >= 0
-	sramLat    int64           // params.SRAMLat
-	ev         workloads.Event // reused across Steps; &ev escapes through the Stream interface, so a local would heap-allocate every event
-	mshr       []int64         // completion cycles of in-flight misses
+	issueWidth int64   // int64(params.IssueWidth), hoisted off the event path
+	issueMask  int64   // issueWidth-1 when the width is a power of two, else -1
+	issueShift uint8   // log2(issueWidth) when issueMask >= 0
+	sramLat    int64   // params.SRAMLat
+	mshr       []int64 // completion cycles of in-flight misses
 
 	// Same-page translation memo. Page mappings are immutable once
 	// allocated (vm never unmaps), so caching the last page's physical
@@ -108,14 +96,12 @@ type Core struct {
 	stream    workloads.Stream
 	translate Translate
 	mem       MemorySystem
-	fmem      FunctionalMemory // mem's functional view; nil when unsupported
 
-	// Batch fast-forward plumbing (see batch.go). wstream/bmem are the
-	// stream's and memory system's optional batch views, cached here at
-	// construction like fmem; blines is the translated-line scratch batch
-	// calls reuse across windows. All nil/empty when either side does not
-	// support batching, in which case StepFunctionalBatch degrades to
-	// per-event StepFunctional.
+	// The event plumbing of the two loops (run.go, batch.go): wstream is
+	// the stream's window, the only way the core takes events; bmem is
+	// the memory system's functional view, nil when it has none (such a
+	// core runs detailed only); blines is the translated-line scratch the
+	// functional loop reuses across windows.
 	wstream WindowStream
 	bmem    BatchFunctionalMemory
 	blines  []memtypes.LineAddr
@@ -129,10 +115,16 @@ type Core struct {
 	markInstr int64
 }
 
-// New builds a core. It panics on invalid parameters.
+// New builds a core. It panics on invalid parameters and on a stream
+// that serves no WindowStream; every stream package workloads builds
+// serves one.
 func New(id int, params Params, stream workloads.Stream, translate Translate, mem MemorySystem) *Core {
 	if err := params.Validate(); err != nil {
 		panic(err)
+	}
+	wstream, ok := stream.(WindowStream)
+	if !ok {
+		panic(fmt.Sprintf("cpu: core %d stream %T serves no window", id, stream))
 	}
 	w := int64(params.IssueWidth)
 	mask, shift := int64(-1), uint8(0)
@@ -142,8 +134,6 @@ func New(id int, params Params, stream workloads.Stream, translate Translate, me
 			shift++
 		}
 	}
-	fmem, _ := mem.(FunctionalMemory)
-	wstream, _ := stream.(WindowStream)
 	bmem, _ := mem.(BatchFunctionalMemory)
 	return &Core{
 		wstream:    wstream,
@@ -158,7 +148,6 @@ func New(id int, params Params, stream workloads.Stream, translate Translate, me
 		stream:     stream,
 		translate:  translate,
 		mem:        mem,
-		fmem:       fmem,
 		mshr:       make([]int64, params.MSHRs),
 	}
 }
@@ -202,82 +191,7 @@ func (c *Core) translateLine(vl memtypes.LineAddr) memtypes.LineAddr {
 }
 
 // Step consumes and executes one workload event.
-func (c *Core) Step() {
-	ev := &c.ev
-	c.stream.Next(ev)
-
-	// Non-memory instructions retire at the issue width; the remainder
-	// carries so long-run throughput is exact. instCarry is never
-	// negative, so for power-of-two widths the division is a shift.
-	c.instCarry += int64(ev.Gap)
-	if c.issueMask >= 0 {
-		c.time += c.instCarry >> c.issueShift
-		c.instCarry &= c.issueMask
-	} else {
-		c.time += c.instCarry / c.issueWidth
-		c.instCarry %= c.issueWidth
-	}
-
-	line := c.translateLine(ev.Line)
-	switch {
-	case ev.Write:
-		// Dirty writeback: drains through the write buffer without
-		// stalling the core.
-		c.writes++
-		c.mem.Write(c.time+c.sramLat, line)
-	default:
-		c.reads++
-		slot := c.admit()
-		done := c.mem.Read(c.time+c.sramLat, line)
-		if ev.Dep {
-			// The core cannot run ahead of a dependent load.
-			c.depStalls++
-			c.time = done
-		}
-		c.mshr[slot] = done
-	}
-	c.instr += int64(ev.Gap) + 1
-}
-
-// SupportsFunctional reports whether the memory system behind this core
-// implements FunctionalMemory, i.e. whether StepFunctional may be used.
-func (c *Core) SupportsFunctional() bool { return c.fmem != nil }
-
-// StepFunctional consumes one workload event mutating only functional
-// state: the stream cursor, the instruction-carry remainder, the retired
-// instruction count, the event-mix counters, and — through the
-// FunctionalMemory — every cache tag/dirty/replacement/steering table the
-// event would touch in detailed mode. The clock, MSHR occupancy, and all
-// latency accounting are skipped, which is what makes it an order of
-// magnitude cheaper per event. The functional state it leaves behind is
-// byte-identical to what the same events produce under Step.
-func (c *Core) StepFunctional() {
-	ev := &c.ev
-	c.stream.Next(ev)
-
-	// Reduce the issue-width carry exactly as Step does, minus the clock
-	// advance: (carry + gap) mod width is unchanged by dropping the
-	// quotient, so instCarry stays byte-identical to detailed mode.
-	c.instCarry += int64(ev.Gap)
-	if c.issueMask >= 0 {
-		c.instCarry &= c.issueMask
-	} else {
-		c.instCarry %= c.issueWidth
-	}
-
-	line := c.translateLine(ev.Line)
-	if ev.Write {
-		c.writes++
-		c.fmem.WriteFunctional(line)
-	} else {
-		c.reads++
-		if ev.Dep {
-			c.depStalls++
-		}
-		c.fmem.ReadFunctional(line)
-	}
-	c.instr += int64(ev.Gap) + 1
-}
+func (c *Core) Step() { c.StepRun(c.instr+1, math.MaxInt64, false) }
 
 // admit finds a free MSHR, stalling the core until the oldest outstanding
 // miss completes when all are busy: first-free linear scan with a fused

@@ -58,6 +58,20 @@ func TestNewPanics(t *testing.T) {
 	New(0, Params{}, events(workloads.Event{}), ident, &fakeMem{})
 }
 
+// nextOnly is a Stream that serves no window.
+type nextOnly struct{}
+
+func (nextOnly) Next(ev *workloads.Event) { *ev = workloads.Event{Gap: 1, Line: 1} }
+
+func TestNewRejectsStreamWithoutWindow(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Error("no panic")
+		}
+	}()
+	New(0, DefaultParams(), nextOnly{}, ident, &fakeMem{})
+}
+
 func TestGapRetiresAtIssueWidth(t *testing.T) {
 	mem := &fakeMem{lat: 0}
 	c := New(0, Params{IssueWidth: 2, MSHRs: 4, SRAMLat: 0},

@@ -8,51 +8,15 @@ import (
 // StepRun advances the core through consecutive detailed events until its
 // retired instruction count reaches target (returns true) or its clock
 // passes the stop condition — time > stopTime, or time == stopTime with
-// stopOnTie set (returns false). It is behavior-identical to the caller
-// loop
-//
-//	for {
-//		c.Step()
-//		if c.Instructions() >= target { return true }
-//		if t := c.Time(); t > stopTime || (t == stopTime && stopOnTie) { return false }
-//	}
-//
-// executing the same events against the same memory system in the same
-// order with the same clocks; only the per-event overhead moves. When the
-// stream exposes a batch window (the shared trace cache), events are
-// decoded straight from the window's parallel slices with the core's hot
-// state in locals, eliminating the per-event Next dispatch, event-buffer
-// writes, and field traffic; otherwise it falls back to per-event Step.
-// The leader loop in sim.advanceUntil calls this on the leading core
-// whenever no epoch-series or finished-core pacing work can interleave
-// (see that loop for why those cases must stay per-event).
+// stopOnTie set (returns false). It always executes at least one event.
+// This window loop is the core's only detailed event body: it decodes
+// events straight from the stream's window with the core's hot state in
+// locals, and Step is the one-event call of it. sim.advanceUntil drives
+// every detailed core through it, the leader and the finished cores'
+// pacing alike.
 func (c *Core) StepRun(target, stopTime int64, stopOnTie bool) bool {
-	if c.wstream == nil {
-		for {
-			c.Step()
-			if c.instr >= target {
-				return true
-			}
-			if c.time > stopTime || (c.time == stopTime && stopOnTie) {
-				return false
-			}
-		}
-	}
 	for {
 		gaps, lines, flags := c.wstream.Window()
-		if len(gaps) == 0 {
-			// Defensive: an exhausted bounded window stream cannot make
-			// progress; fall back so the caller's loop terminates or
-			// panics the same way the per-event path would.
-			c.Step()
-			if c.instr >= target {
-				return true
-			}
-			if c.time > stopTime || (c.time == stopTime && stopOnTie) {
-				return false
-			}
-			continue
-		}
 		// Reslice the parallel windows to the gaps length so the compiler
 		// can prove every per-event index below is in bounds.
 		lines = lines[:len(gaps)]
@@ -67,6 +31,10 @@ func (c *Core) StepRun(target, stopTime int64, stopOnTie bool) bool {
 		used := 0
 		crossed, stopped := false, false
 		for i := range gaps {
+			// Non-memory instructions retire at the issue width; the
+			// remainder carries so long-run throughput is exact. carry is
+			// never negative, so for power-of-two widths the division is
+			// a shift.
 			g := int64(gaps[i])
 			carry += g
 			if c.issueMask >= 0 {
@@ -86,6 +54,8 @@ func (c *Core) StepRun(target, stopTime int64, stopOnTie bool) bool {
 			}
 
 			if f := flags[i]; f&workloads.FlagWrite != 0 {
+				// Dirty writeback: drains through the write buffer
+				// without stalling the core.
 				writes++
 				c.mem.Write(time+sramLat, line)
 			} else {
@@ -95,6 +65,7 @@ func (c *Core) StepRun(target, stopTime int64, stopOnTie bool) bool {
 				time = c.time
 				done := c.mem.Read(time+sramLat, line)
 				if f&workloads.FlagDep != 0 {
+					// The core cannot run ahead of a dependent load.
 					depStalls++
 					time = done
 				}

@@ -9,20 +9,22 @@ import (
 	"accord/internal/memtypes"
 )
 
-// Banshee models the page-granularity DRAM cache of Breslow et al.
-// (Banshee, MICRO 2017; PAPERS.md): the cache is managed in 4 KB pages
-// whose locations are tracked through the page tables and TLBs rather
-// than in-DRAM tags, so a hit needs no tag probe at all — the translation
-// already names the cached frame, and the device streams a plain 64-byte
-// line. Associativity is page-set-associative (bansheePageWays ways per
-// page set), and replacement is frequency-based (FBR): every page set
-// keeps frequency counters for its resident pages and for a small table
-// of candidate (not-yet-cached) pages, and a miss replaces the coldest
-// resident page only when the missing page's counter has climbed past it
-// by a margin — otherwise the miss bypasses the cache entirely and is
-// served from NVM without an install. That selective-install property is
-// Banshee's bandwidth story, and it is the reason the nway-specific
-// accounting identity "installs == misses" does not hold here.
+// Banshee models the page-granularity DRAM cache of Yu, Hughes,
+// Satish, Mutlu and Devadas (Banshee, MICRO 2017; PAPERS.md): the
+// cache is managed in 4 KB pages whose locations are tracked through
+// the page tables and TLBs rather than in-DRAM tags, so a hit needs
+// no tag probe at all — the translation already names the cached
+// frame, and the device streams a plain 64-byte line. Associativity
+// is page-set-associative (bansheePageWays ways per page set), and
+// replacement is frequency-based (FBR): every page set keeps
+// frequency counters for its resident pages and for a small table of
+// candidate (not-yet-cached) pages, and a miss replaces the coldest
+// resident page only when the missing page's counter has climbed past
+// it by a margin — otherwise the miss bypasses the cache entirely and
+// is served from NVM without an install. That selective-install
+// property is Banshee's bandwidth story, and it is the reason the
+// nway-specific accounting identity "installs == misses" does not
+// hold here.
 //
 // Resident pages fill lazily, line by line: mapping a page claims a frame
 // but moves no data; each first touch of a line fills just that line.

@@ -64,8 +64,10 @@ type Params struct {
 	// workload replays the recording instead of re-generating it. One
 	// cache serves the whole session, shared across the Parallelism
 	// worker pool. Replayed events are byte-identical to generated ones,
-	// so tables are unaffected at either setting; only wall-clock time
-	// changes.
+	// and cores read both through the same event loops (sampled runs'
+	// functional spine interleaves cores by a fixed instruction quantum
+	// for every stream kind), so tables, sampled ones included, are
+	// unaffected at either setting; only wall-clock time changes.
 	TraceCache bool
 
 	// TraceCacheBytes caps the trace cache's recorded bytes; past it,

@@ -9,13 +9,13 @@ import (
 
 // BenchmarkFunctionalStep measures the per-instruction cost of the
 // functional fast-forward path in the configuration sampling runs it:
-// consuming trace-cache events with StepFunctional, against the detailed
-// path generating its own stream over the same instruction budget. Each
-// iteration warms a fresh system off the clock and times one 2M-instr
-// advance, so ns/op ÷ 2e6 is ns/instruction; allocs/op on the functional
-// variant is the zero-alloc contract (also enforced per event by
-// TestFunctionalStepZeroAlloc). The functional/detailed ratio is the
-// sampling speedup DESIGN.md §9.5 discusses.
+// consuming trace-cache windows with StepFunctionalBatch, against the
+// detailed path generating its own stream over the same instruction
+// budget. Each iteration warms a fresh system off the clock and times
+// one 2M-instr advance, so ns/op ÷ 2e6 is ns/instruction; allocs/op on
+// the functional variant is the zero-alloc contract (also enforced per
+// event by TestFunctionalStepZeroAlloc). The functional/detailed ratio
+// is the sampling speedup DESIGN.md §9.5 discusses.
 func BenchmarkFunctionalStep(b *testing.B) {
 	cfg := ACCORD(2)
 	cfg.Scale = 8192

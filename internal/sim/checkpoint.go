@@ -164,6 +164,29 @@ func (s *System) writeState(e *ckpt.Encoder, fp string, functional bool) error {
 // cold run. Adversarial input cannot panic: every length is bounded and
 // every section validates its shape against the constructed system.
 func (s *System) Restore(blob []byte, wlName string) error {
+	return s.readState(blob, wlName, false)
+}
+
+// RestoreFunctional loads a FunctionalSnapshot blob into a system of the
+// same Config and workload, then resets the interval-start timing state
+// — the snapshot deliberately omits timing, and every consumer (interval
+// forks, the spine's lattice catch-up, final-state canonicalization)
+// wants the canonical fresh-timing condition, so the reset is part of
+// the restore contract. On error the system state is unspecified and
+// must be discarded.
+func (s *System) RestoreFunctional(blob []byte, wlName string) error {
+	if err := s.readState(blob, wlName, true); err != nil {
+		return err
+	}
+	s.resetIntervalState()
+	return nil
+}
+
+// readState mirrors writeState: it checks the CRC frame and the header
+// against this system's fingerprint, then restores the components. The
+// functional form has no DRAM devices and reads each core's functional
+// subset.
+func (s *System) readState(blob []byte, wlName string, functional bool) error {
 	d, err := ckpt.NewDecoderChecked(blob)
 	if err != nil {
 		return err
@@ -186,11 +209,13 @@ func (s *System) Restore(blob []byte, wlName string) error {
 	if err := s.l4.Restore(d); err != nil {
 		return err
 	}
-	if err := s.hbm.Restore(d); err != nil {
-		return err
-	}
-	if err := s.pcm.Restore(d); err != nil {
-		return err
+	if !functional {
+		if err := s.hbm.Restore(d); err != nil {
+			return err
+		}
+		if err := s.pcm.Restore(d); err != nil {
+			return err
+		}
 	}
 	if n := d.U32(); d.Err() == nil && int(n) != len(s.cores) {
 		d.Failf("sim: snapshot has %d cores, system has %d", n, len(s.cores))
@@ -199,7 +224,13 @@ func (s *System) Restore(blob []byte, wlName string) error {
 		return err
 	}
 	for _, c := range s.cores {
-		if err := c.Restore(d); err != nil {
+		var err error
+		if functional {
+			err = c.RestoreFunctional(d)
+		} else {
+			err = c.Restore(d)
+		}
+		if err != nil {
 			return err
 		}
 	}
@@ -222,70 +253,6 @@ func (s *System) Restore(blob []byte, wlName string) error {
 	if d.Remaining() != 0 {
 		return fmt.Errorf("sim: %d trailing bytes after snapshot", d.Remaining())
 	}
-	return nil
-}
-
-// RestoreFunctional loads a FunctionalSnapshot blob into a system of the
-// same Config and workload, then resets the interval-start timing state
-// — the snapshot deliberately omits timing, and every consumer (interval
-// forks, the spine's lattice catch-up, final-state canonicalization)
-// wants the canonical fresh-timing condition, so the reset is part of
-// the restore contract. On error the system state is unspecified and
-// must be discarded.
-func (s *System) RestoreFunctional(blob []byte, wlName string) error {
-	d, err := ckpt.NewDecoderChecked(blob)
-	if err != nil {
-		return err
-	}
-	if magic := d.Raw(len(snapshotMagic)); d.Err() == nil && string(magic) != snapshotMagic {
-		d.Failf("sim: bad snapshot magic %q", magic)
-	}
-	if schema := d.U32(); d.Err() == nil && schema != SnapshotSchema {
-		d.Failf("sim: snapshot schema %d, want %d", schema, SnapshotSchema)
-	}
-	if fp := d.String(); d.Err() == nil && fp != s.WarmFingerprint(wlName) {
-		d.Failf("sim: snapshot fingerprint mismatch:\n  have %s\n  want %s", fp, s.WarmFingerprint(wlName))
-	}
-	if err := d.Err(); err != nil {
-		return err
-	}
-	if err := s.vmsys.Restore(d); err != nil {
-		return err
-	}
-	if err := s.l4.Restore(d); err != nil {
-		return err
-	}
-	if n := d.U32(); d.Err() == nil && int(n) != len(s.cores) {
-		d.Failf("sim: snapshot has %d cores, system has %d", n, len(s.cores))
-	}
-	if err := d.Err(); err != nil {
-		return err
-	}
-	for _, c := range s.cores {
-		if err := c.RestoreFunctional(d); err != nil {
-			return err
-		}
-	}
-	if hier := d.Bool(); d.Err() == nil && hier != s.cfg.FullHierarchy {
-		d.Failf("sim: snapshot hierarchy=%t, config hierarchy=%t", hier, s.cfg.FullHierarchy)
-	}
-	if err := d.Err(); err != nil {
-		return err
-	}
-	if s.cfg.FullHierarchy {
-		if err := s.l3.Restore(d); err != nil {
-			return err
-		}
-		for _, h := range s.hiers {
-			if err := h.Restore(d); err != nil {
-				return err
-			}
-		}
-	}
-	if d.Remaining() != 0 {
-		return fmt.Errorf("sim: %d trailing bytes after functional snapshot", d.Remaining())
-	}
-	s.resetIntervalState()
 	return nil
 }
 

@@ -13,6 +13,7 @@ import (
 	"accord/internal/memtypes"
 	"accord/internal/metrics"
 	"accord/internal/stats"
+	"accord/internal/workloads"
 )
 
 // SMARTS-style interval sampling (see DESIGN.md §9). A sampled run splits
@@ -223,22 +224,8 @@ func sampledSeriesData(series []IntervalObs) *metrics.SeriesData {
 	return &metrics.SeriesData{EveryInstr: 1, Phase: "interval", Samples: samples}
 }
 
-// functional views of the two memory adapters: identical state
-// transitions, no timestamps. These make every core's MemorySystem also
-// a cpu.FunctionalMemory, opting the whole system into StepFunctional.
-
-// ReadFunctional implements cpu.FunctionalMemory.
-func (m memAdapter) ReadFunctional(line memtypes.LineAddr) {
-	m.l4.AccessReadFunctional(line)
-}
-
-// WriteFunctional implements cpu.FunctionalMemory.
-func (m memAdapter) WriteFunctional(line memtypes.LineAddr) {
-	m.l4.WritebackFunctional(line)
-}
-
 // BatchFunctional implements cpu.BatchFunctionalMemory: one interface
-// call hands a whole trace-cache window to the backend, whose batch loop
+// call hands a whole stream window to the backend, whose batch loop
 // applies the same per-event transitions, touching each group's tag sets
 // first (dramcache/batch.go). The flag convention matches by construction:
 // dramcache.FunctionalWrite == workloads.FlagWrite, and backends ignore
@@ -247,29 +234,23 @@ func (m memAdapter) BatchFunctional(lines []memtypes.LineAddr, flags []uint8) {
 	m.l4.FunctionalBatch(lines, flags)
 }
 
-// ReadFunctional implements cpu.FunctionalMemory: the SRAM hierarchy's
-// state transitions are already timing-free (Access/FillFromBelow mutate
-// identically whatever the clock says), so the functional path reuses
-// them and only swaps the L4 calls for their functional counterparts.
-func (m hierAdapter) ReadFunctional(line memtypes.LineAddr) {
-	out := m.h.Access(line, false)
-	m.sinkFunctional(out.Writebacks)
-	if out.Level < 4 {
-		return
+// BatchFunctional implements cpu.BatchFunctionalMemory: the SRAM
+// hierarchy's state transitions are already timing-free (Access and
+// FillFromBelow mutate identically whatever the clock says), so each
+// event runs the timed path's hierarchy calls with the L4 calls swapped
+// for their functional counterparts.
+func (m hierAdapter) BatchFunctional(lines []memtypes.LineAddr, flags []uint8) {
+	flags = flags[:len(lines)]
+	for i, line := range lines {
+		write := flags[i]&workloads.FlagWrite != 0
+		out := m.h.Access(line, write)
+		m.sinkFunctional(out.Writebacks)
+		if out.Level < 4 {
+			continue
+		}
+		way, _ := m.l4.AccessReadFunctional(line)
+		m.sinkFunctional(m.h.FillFromBelow(line, write, cache.DCP{Present: true, Way: way}))
 	}
-	way, _ := m.l4.AccessReadFunctional(line)
-	m.sinkFunctional(m.h.FillFromBelow(line, false, cache.DCP{Present: true, Way: way}))
-}
-
-// WriteFunctional implements cpu.FunctionalMemory.
-func (m hierAdapter) WriteFunctional(line memtypes.LineAddr) {
-	out := m.h.Access(line, true)
-	m.sinkFunctional(out.Writebacks)
-	if out.Level < 4 {
-		return
-	}
-	way, _ := m.l4.AccessReadFunctional(line)
-	m.sinkFunctional(m.h.FillFromBelow(line, true, cache.DCP{Present: true, Way: way}))
 }
 
 func (m hierAdapter) sinkFunctional(wbs []cache.Writeback) {
@@ -278,60 +259,24 @@ func (m hierAdapter) sinkFunctional(wbs []cache.Writeback) {
 	}
 }
 
-// SupportsFunctional reports whether every core can fast-forward
-// functionally (true for both adapter kinds; false only for externally
-// injected memory systems).
-func (s *System) SupportsFunctional() bool {
-	for _, c := range s.cores {
-		if !c.SupportsFunctional() {
-			return false
-		}
-	}
-	return len(s.cores) > 0
-}
-
-// funcRoundQuantum is the per-core instruction granule of the batched
-// multi-core functional round-robin. It must be a fixed constant: the
-// trace cache serves smaller windows while a stream is first being
-// recorded than on replay, so interleaving by window length would make
-// the same run's state trajectory depend on what happens to be cached.
-// Interleaving by a fixed instruction quantum is independent of window
-// geometry, so recording and replaying runs stay byte-identical.
+// funcRoundQuantum is the per-core instruction granule of the
+// multi-core functional round-robin. It must be a fixed constant: window
+// sizes depend on the stream kind (the generator and FixedStream serve
+// one event, a trace-cache cursor the rest of its chunk) and, for a
+// cursor, on how much of the stream is already recorded, so interleaving
+// by window would make the same run's state trajectory depend on what
+// feeds it. Interleaving by a fixed instruction quantum is independent
+// of window geometry, so every stream kind, recording or replaying,
+// yields the same trajectory.
 const funcRoundQuantum = 1 << 13
 
 // advanceFunctional fast-forwards every core i to targets[i] total
-// retired instructions. When every core supports the batch path
-// (trace-cache-backed stream + batch-capable memory adapter), whole
-// windows are consumed per call via StepFunctionalBatch; otherwise the
-// legacy per-event StepFunctional loop runs. Multi-core systems
-// interleave cores round-robin — funcRoundQuantum instructions per turn
-// when batched, one event per turn otherwise (functional mode has no
-// clock to order by, so any fixed deterministic interleaving is valid;
-// each mode is internally deterministic). No overshoot pacing: without
-// timing there is no shared-resource contention for finished cores to
-// sustain.
+// retired instructions, round-robin in turns of funcRoundQuantum
+// instructions per core (functional mode has no clock to order by, so
+// any fixed deterministic interleaving is valid). No overshoot pacing:
+// without timing there is no shared-resource contention for finished
+// cores to sustain.
 func (s *System) advanceFunctional(targets []int64) {
-	if len(s.cores) == 1 {
-		c := s.cores[0]
-		t := targets[0]
-		if c.SupportsBatchFunctional() {
-			for c.Instructions() < t {
-				c.StepFunctionalBatch(t)
-			}
-			return
-		}
-		for c.Instructions() < t {
-			c.StepFunctional()
-		}
-		return
-	}
-	batched := true
-	for _, c := range s.cores {
-		if !c.SupportsBatchFunctional() {
-			batched = false
-			break
-		}
-	}
 	s.ensureRunBuffers()
 	done := s.done
 	remaining := 0
@@ -341,33 +286,15 @@ func (s *System) advanceFunctional(targets []int64) {
 			remaining++
 		}
 	}
-	if batched {
-		for remaining > 0 {
-			for i, c := range s.cores {
-				if done[i] {
-					continue
-				}
-				stepT := c.Instructions() + funcRoundQuantum
-				if stepT > targets[i] {
-					stepT = targets[i]
-				}
-				for c.Instructions() < stepT {
-					c.StepFunctionalBatch(stepT)
-				}
-				if c.Instructions() >= targets[i] {
-					done[i] = true
-					remaining--
-				}
-			}
-		}
-		return
-	}
 	for remaining > 0 {
 		for i, c := range s.cores {
 			if done[i] {
 				continue
 			}
-			c.StepFunctional()
+			turn := min(c.Instructions()+funcRoundQuantum, targets[i])
+			for c.Instructions() < turn {
+				c.StepFunctionalBatch(turn)
+			}
 			if c.Instructions() >= targets[i] {
 				done[i] = true
 				remaining--
@@ -380,12 +307,8 @@ func (s *System) advanceFunctional(targets []int64) {
 // functional mode: the cache/policy/VM state at return is byte-identical
 // to a detailed warmup of the same events (single-core; multi-core runs
 // differ only in cross-core interleaving — see DESIGN.md §9), at a small
-// fraction of the cost. It panics when a core's memory system lacks a
-// functional view (a programming error: both built-in adapters have one).
+// fraction of the cost.
 func (s *System) RunWarmupFunctional() {
-	if !s.SupportsFunctional() {
-		panic("sim: functional warmup on a system without FunctionalMemory support")
-	}
 	warm := s.adaptiveBudget(warmFactor, s.cfg.WarmupInstr)
 	targets := make([]int64, len(s.cores))
 	for i := range targets {

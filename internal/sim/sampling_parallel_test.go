@@ -148,6 +148,61 @@ func TestSampledParallelGeneratorWorkload(t *testing.T) {
 	}
 }
 
+// TestSampledStreamKindInvariant pins that what feeds the cores cannot
+// change a sampled run. A trace-cache cursor serves the rest of a
+// recorded chunk per window and the generator one event, but both feed
+// the same two event loops, and the spine interleaves cores by a fixed
+// instruction quantum. So a multi-core run must give the same Result,
+// exported metrics JSON and final functional state either way, on the
+// flat hierarchy and behind the full SRAM hierarchy. On the flat
+// hierarchy, a lattice a generator-fed run populates must also resume a
+// trace-cache-fed run to that same result.
+func TestSampledStreamKindInvariant(t *testing.T) {
+	const wlName = "libquantum"
+	for _, base := range parallelCases(2, false) {
+		if base.Name != ACCORD(2).Name && base.BackendName() != "tdram" {
+			continue
+		}
+		if backendFilterSkip(t, base.BackendName()) {
+			continue
+		}
+		for _, hier := range []bool{false, true} {
+			cfg := base
+			cfg.FullHierarchy = hier
+			t.Run(fmt.Sprintf("%s-hier=%t", cfg.Name, hier), func(t *testing.T) {
+				t.Parallel()
+				gen := workloads.MustGet(wlName, cfg.Cores)
+				wantRes, wantJS, wantState, _ := runSampledWorkers(t, cfg, traceWorkload(wlName, cfg), wlName, 2)
+				same := func(what string, res Result, js, state []byte) {
+					t.Helper()
+					if !reflect.DeepEqual(wantRes, res) {
+						t.Errorf("%s: Result diverged from the trace-cache-fed run\ntrace sampled: %+v\n%s sampled: %+v",
+							what, wantRes.Sampled, what, res.Sampled)
+					}
+					if !bytes.Equal(wantJS, js) {
+						t.Errorf("%s: exported metrics JSON diverged from the trace-cache-fed run", what)
+					}
+					if !bytes.Equal(wantState, state) {
+						t.Errorf("%s: final functional state diverged from the trace-cache-fed run", what)
+					}
+				}
+				res, js, state, _ := runSampledWorkers(t, cfg, gen, wlName, 2)
+				same("generator-fed", res, js, state)
+				if hier {
+					return
+				}
+				dir := t.TempDir()
+				runSampledWorkers(t, latticeCfg(cfg, dir), gen, wlName, 2)
+				res, js, state, work := runSampledWorkers(t, latticeCfg(cfg, dir), traceWorkload(wlName, cfg), wlName, 2)
+				same("resumed from a generator-fed lattice", res, js, state)
+				if work.LatticeHits == 0 || work.LatticeMisses != 0 {
+					t.Errorf("resumed run should hit every boundary: %d hits, %d misses", work.LatticeHits, work.LatticeMisses)
+				}
+			})
+		}
+	}
+}
+
 // TestSampledPooledForkReset proves pooled fork and holder Systems are
 // fully reset between intervals: a run whose workers rebuild a fresh
 // fork for every job, and whose spine a fresh holder for every boundary,

@@ -323,6 +323,8 @@ func TestSamplingValidation(t *testing.T) {
 // warmed system: steady-state functional stepping must never touch the
 // heap (the VM may still allocate page-table leaves on a genuinely new
 // page, so the system is warmed until its footprint is fully mapped).
+// Each run advances the functional loop by one instruction, which the
+// generator's one-event window makes exactly one event.
 func TestFunctionalStepZeroAlloc(t *testing.T) {
 	for _, cfg := range functionalCases(1, 2_000_000) {
 		cfg := cfg
@@ -332,8 +334,13 @@ func TestFunctionalStepZeroAlloc(t *testing.T) {
 			s := New(cfg, wl)
 			s.RunWarmupFunctional()
 			c := s.Cores()[0]
-			if avg := testing.AllocsPerRun(50_000, c.StepFunctional); avg != 0 {
-				t.Errorf("StepFunctional allocates %.4f per event, want 0", avg)
+			targets := []int64{0}
+			step := func() {
+				targets[0] = c.Instructions() + 1
+				s.advanceFunctional(targets)
+			}
+			if avg := testing.AllocsPerRun(50_000, step); avg != 0 {
+				t.Errorf("advanceFunctional allocates %.4f per event, want 0", avg)
 			}
 		})
 	}

@@ -642,88 +642,70 @@ func (s *System) advanceUntil(targets []int64) []finishPoint {
 			remaining++
 		}
 	}
+	// min is the leader, the unfinished core with the smallest local
+	// time, and sec the runner-up; -1 asks for a rescan.
+	min, sec := -1, -1
+	var minTime, secTime int64
 	for remaining > 0 {
 		// Advance the core with the smallest local time; with 16 cores a
 		// linear scan beats a heap. Track the runner-up too: stepping the
-		// leader leaves every other clock unchanged, so the leader stays
-		// the unique minimum — and keeps stepping without a rescan — until
-		// its clock reaches the runner-up's (ties resolve to the lower
-		// index, exactly as the scan would).
-		min, sec := -1, -1
-		var minTime, secTime int64 = math.MaxInt64, math.MaxInt64
-		for i, c := range s.cores {
-			if done[i] {
-				continue
-			}
-			if t := c.Time(); t < minTime {
-				sec, secTime = min, minTime
-				min, minTime = i, t
-			} else if t < secTime {
-				sec, secTime = i, t
+		// leader leaves every other unfinished clock unchanged, so the
+		// leader stays the minimum — and keeps stepping without a rescan —
+		// until it finishes or its clock passes the runner-up's (ties
+		// resolve to the lower index, exactly as the scan would).
+		if min < 0 {
+			minTime, secTime = math.MaxInt64, math.MaxInt64
+			for i, c := range s.cores {
+				if done[i] {
+					continue
+				}
+				if t := c.Time(); t < minTime {
+					sec, secTime = min, minTime
+					min, minTime = i, t
+				} else if t < secTime {
+					sec, secTime = i, t
+				}
 			}
 		}
 		// Let already-finished cores keep pace so they keep generating
-		// memory pressure while slower cores are measured. Until the first
-		// core finishes — the bulk of every run — this scan is a no-op, so
-		// skip it entirely.
+		// memory pressure while slower cores are measured: each runs
+		// until its clock reaches the leader's or it hits its cap.
 		if doneCount > 0 {
 			for i, c := range s.cores {
-				if done[i] {
-					stepped := false
-					for c.Time() < minTime && c.Instructions() < caps[i] {
-						c.Step()
-						stepped = true
-					}
-					if stepped && s.series != nil {
+				if done[i] && c.Time() < minTime && c.Instructions() < caps[i] {
+					c.StepRun(caps[i], minTime, true)
+					if s.series != nil {
 						s.noteCore(i)
 					}
 				}
 			}
 		}
+		// The leader runs until it crosses its target or its clock passes
+		// the runner-up's (ties yield to the lower index, hence stopOnTie
+		// when the leader's index is higher). Once a core has finished,
+		// the pacing above must interleave with every leader event, and
+		// while an epoch series is live every event is offered to it, so
+		// the leader then takes one event per call.
 		c := s.cores[min]
-		if s.series == nil && doneCount == 0 {
-			// Fast path: no epoch series to tick and no finished-core
-			// pacing to interleave, so the inner loop below degenerates
-			// to "step the leader until it crosses its target or its
-			// clock passes the runner-up's". StepRun executes exactly
-			// that — same events, same clocks, same stop condition
-			// (ties yield to the lower index, hence stopOnTie when the
-			// leader's index is higher) — but consumes whole stream
-			// windows per call instead of singleton events.
-			if c.StepRun(targets[min], secTime, min > sec) {
-				done[min] = true
-				doneCount++
-				finish[min] = finishPoint{cycles: c.WindowCycles(), instr: c.WindowInstructions()}
-				remaining--
-			}
-			continue
+		target := targets[min]
+		if s.series != nil || doneCount > 0 {
+			target = c.Instructions() + 1
 		}
-		for {
-			c.Step()
-			if s.series != nil {
-				s.noteCore(min)
-			}
-			if c.Instructions() >= targets[min] {
-				done[min] = true
-				doneCount++
-				finish[min] = finishPoint{cycles: c.WindowCycles(), instr: c.WindowInstructions()}
-				remaining--
-				break
-			}
-			if s.series != nil {
-				s.sampleTick()
-			}
-			// Batching is only safe while the finished-core pacing loop
-			// above is a guaranteed no-op.
-			if doneCount > 0 {
-				break
-			}
-			if t := c.Time(); t > secTime || (t == secTime && min > sec) {
-				break
-			}
-		}
-		if s.series != nil && done[min] {
+		c.StepRun(target, secTime, min > sec)
+		if s.series != nil {
+			s.noteCore(min)
 			s.sampleTick()
+		}
+		if c.Instructions() >= targets[min] {
+			done[min] = true
+			doneCount++
+			finish[min] = finishPoint{cycles: c.WindowCycles(), instr: c.WindowInstructions()}
+			remaining--
+			min, sec = -1, -1
+		} else if t := c.Time(); t > secTime || (t == secTime && min > sec) {
+			min, sec = -1, -1
+		} else {
+			minTime = t
 		}
 	}
 	return finish
@@ -746,8 +728,8 @@ func (s *System) initWindowTrack() {
 }
 
 // noteCore folds core i's stepped window counters into the incremental
-// sums. Called after every Step site while a series is live, so
-// sampleTick sees exactly what a full rescan would.
+// sums. Called after every StepRun while a series is live, so sampleTick
+// sees exactly what a full rescan would.
 func (s *System) noteCore(i int) {
 	c := s.cores[i]
 	wi := c.WindowInstructions()

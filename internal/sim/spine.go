@@ -28,7 +28,13 @@ import (
 // the fingerprint covers, how offsets are computed). Bump it alongside
 // incompatible driver changes; SnapshotSchema already covers payload
 // encoding changes through WarmFingerprint.
-const spineLatticeVersion = 1
+//
+// Version 2: multi-core spines interleave cores by funcRoundQuantum for
+// every stream kind and hierarchy mode. Version 1 stepped one event per
+// core per turn unless every stream was a trace-cache cursor on the flat
+// hierarchy, so its lattices hold boundaries the spine no longer
+// computes.
+const spineLatticeVersion = 2
 
 // spineSaveGranule is the disk granule automatic stride sizing targets:
 // with SpineStride 0, the stride is chosen so roughly one granule of

@@ -56,7 +56,7 @@ const (
 type traceChunk struct {
 	gaps  []int32
 	lines []memtypes.LineAddr
-	flags []uint8 // bit 0 = Write, bit 1 = Dep
+	flags []uint8 // FlagWrite, FlagDep
 	// state is the generator's snapshot taken exactly at this chunk's
 	// first event, before any of its events were generated. Cursor
 	// snapshots at arbitrary positions restore this state into a scratch
@@ -103,7 +103,6 @@ func newTrace(spec Spec, cacheLines uint64, cores int, seed int64) *trace {
 // extendLocked records events until total > pos, in batches. Must be
 // called with t.mu held.
 func (t *trace) extendLocked(pos int64) {
-	var ev Event
 	for t.total <= pos {
 		k := int(t.total / chunkEvents)
 		if k == len(t.chunks) {
@@ -123,18 +122,8 @@ func (t *trace) extendLocked(pos int64) {
 		c := t.chunks[k]
 		off := int(t.total - int64(k)*chunkEvents)
 		n := min(chunkEvents-off, extendBatch)
-		for i := 0; i < n; i++ {
-			t.gen.Next(&ev)
-			c.gaps[off+i] = ev.Gap
-			c.lines[off+i] = ev.Line
-			var f uint8
-			if ev.Write {
-				f |= 1
-			}
-			if ev.Dep {
-				f |= 2
-			}
-			c.flags[off+i] = f
+		for i := off; i < off+n; i++ {
+			c.gaps[i], c.lines[i], c.flags[i] = t.gen.draw()
 		}
 		t.total += int64(n)
 	}
@@ -168,9 +157,8 @@ func (t *trace) snapshotAt(e *ckpt.Encoder, pos int64) {
 		// generator; failing to decode one is a programming error.
 		panic(fmt.Sprintf("workloads: corrupt chunk-boundary state: %v", err))
 	}
-	var ev Event
 	for i := int64(k) * chunkEvents; i < pos; i++ {
-		tmp.Next(&ev)
+		tmp.draw()
 	}
 	tmp.Snapshot(e)
 }
@@ -232,13 +220,6 @@ func (c *Cursor) refill() {
 
 // Pos returns the number of events the cursor has replayed.
 func (c *Cursor) Pos() int64 { return c.pos }
-
-// Flag bits of the struct-of-arrays event encoding, exposed for batch
-// consumers of Window (the per-event Next unpacks them into Event bools).
-const (
-	FlagWrite uint8 = 1 << 0
-	FlagDep   uint8 = 1 << 1
-)
 
 // Window exposes the cursor's cached replay window without consuming it,
 // refilling (and extending the shared recording) when the window is

@@ -39,6 +39,26 @@ type Stream interface {
 	Next(ev *Event)
 }
 
+// Flag bits of the struct-of-arrays event encoding that stream windows
+// and trace-cache chunks carry (Next unpacks them into Event bools).
+const (
+	FlagWrite uint8 = 1 << 0
+	FlagDep   uint8 = 1 << 1
+)
+
+// oneWindow is the one-event window the generator and FixedStream serve
+// (cpu.WindowStream): one event in the struct-of-arrays encoding, held
+// in the stream so the returned slices alias it without allocating.
+type oneWindow struct {
+	gap  [1]int32
+	line [1]memtypes.LineAddr
+	flag [1]uint8
+}
+
+func (w *oneWindow) slices() ([]int32, []memtypes.LineAddr, []uint8) {
+	return w.gap[:], w.line[:], w.flag[:]
+}
+
 // Component is one constituent access pattern of a workload.
 type Component struct {
 	// Weight is the fraction of accesses this component receives.
@@ -113,6 +133,10 @@ type generator struct {
 	// mutable state is its position — snapshots byte-identically to the
 	// generator it replays (see tracecache.go).
 	count int64
+	// win is the window Window serves; held marks its event drawn but
+	// not yet consumed.
+	win  oneWindow
+	held bool
 }
 
 // gcd returns the greatest common divisor of a and b.
@@ -182,15 +206,14 @@ func newGenerator(spec Spec, cacheLines uint64, cores int, seed int64) *generato
 	return g
 }
 
-// Next implements Stream.
-func (g *generator) Next(ev *Event) {
+// draw generates the next event in the struct-of-arrays encoding.
+func (g *generator) draw() (gap int32, line memtypes.LineAddr, flags uint8) {
 	// Exponential instruction gaps reproduce the bursty arrival process of
 	// real miss streams while matching the configured MPKI in expectation.
-	gap := g.rng.ExpFloat64() * g.meanGap
-	if gap > 1e6 {
-		gap = 1e6
+	gf := g.rng.ExpFloat64() * g.meanGap
+	if gf > 1e6 {
+		gf = 1e6
 	}
-	ev.Gap = int32(gap)
 
 	// Pick a component by weight.
 	x := g.rng.Float64() * g.cumTotal
@@ -214,17 +237,49 @@ func (g *generator) Next(ev *Event) {
 		c.pos = p
 		off = p
 	}
-	ev.Line = c.base + memtypes.LineAddr(off)
-	ev.Write = g.rng.Float64() < g.spec.WriteFrac
-	ev.Dep = !ev.Write && g.rng.Float64() < g.spec.DepFrac
+	// Writes never serialize the core, so only reads draw a dependence.
+	if g.rng.Float64() < g.spec.WriteFrac {
+		flags = FlagWrite
+	} else if g.rng.Float64() < g.spec.DepFrac {
+		flags = FlagDep
+	}
 	g.count++
+	return int32(gf), c.base + memtypes.LineAddr(off), flags
 }
 
-// FixedStream replays a fixed slice of events cyclically; used by tests
-// and by the cyclic-reference kernel experiments.
+// Window implements cpu.WindowStream with a one-event window: the next
+// event, drawn straight into the window's slices, served again until
+// Consume retires it. The draw has already advanced the generator, so
+// the window must be consumed before the stream is snapshot or copied;
+// the cores consume at least one event of every window they read.
+func (g *generator) Window() ([]int32, []memtypes.LineAddr, []uint8) {
+	if !g.held {
+		g.win.gap[0], g.win.line[0], g.win.flag[0] = g.draw()
+		g.held = true
+	}
+	return g.win.slices()
+}
+
+// Consume implements cpu.WindowStream: n of 1 retires the window's event.
+func (g *generator) Consume(n int) {
+	if n > 0 {
+		g.held = false
+	}
+}
+
+// Next implements Stream.
+func (g *generator) Next(ev *Event) {
+	gaps, lines, flags := g.Window()
+	*ev = Event{Gap: gaps[0], Line: lines[0], Write: flags[0]&FlagWrite != 0, Dep: flags[0]&FlagDep != 0}
+	g.Consume(1)
+}
+
+// FixedStream replays a fixed slice of events cyclically; used by tests,
+// trace replay and the cyclic-reference kernel experiments.
 type FixedStream struct {
 	Events []Event
 	pos    int
+	win    oneWindow
 }
 
 // Next implements Stream.
@@ -232,3 +287,21 @@ func (f *FixedStream) Next(ev *Event) {
 	*ev = f.Events[f.pos%len(f.Events)]
 	f.pos++
 }
+
+// Window implements cpu.WindowStream with a one-event window over the
+// next event.
+func (f *FixedStream) Window() ([]int32, []memtypes.LineAddr, []uint8) {
+	ev := &f.Events[f.pos%len(f.Events)]
+	var flags uint8
+	if ev.Write {
+		flags |= FlagWrite
+	}
+	if ev.Dep {
+		flags |= FlagDep
+	}
+	f.win.gap[0], f.win.line[0], f.win.flag[0] = ev.Gap, ev.Line, flags
+	return f.win.slices()
+}
+
+// Consume implements cpu.WindowStream: it advances past n events.
+func (f *FixedStream) Consume(n int) { f.pos += n }
