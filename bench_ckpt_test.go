@@ -3,7 +3,6 @@ package accord
 import (
 	"testing"
 
-	"accord/internal/ckpt"
 	"accord/internal/sim"
 	"accord/internal/workloads"
 )
@@ -70,8 +69,8 @@ func BenchmarkCkptRestore(b *testing.B) {
 
 // BenchmarkCkptColdRun and BenchmarkCkptWarmRun are the end-to-end pair
 // behind the headline claim: the warm run restores the warmup/measure
-// boundary from a populated store instead of simulating 4x its measured
-// instructions again.
+// boundary from a populated checkpoint directory instead of simulating
+// 4x its measured instructions again.
 func BenchmarkCkptColdRun(b *testing.B) {
 	cfg := ckptBenchConfig()
 	b.ReportAllocs()
@@ -83,19 +82,17 @@ func BenchmarkCkptColdRun(b *testing.B) {
 
 func BenchmarkCkptWarmRun(b *testing.B) {
 	cfg := ckptBenchConfig()
-	store, err := ckpt.Open(b.TempDir())
-	if err != nil {
-		b.Fatal(err)
-	}
-	// Populate the store once; every timed iteration must then restore.
-	if _, restored := sim.RunWithStore(cfg, workloads.MustGet(ckptBenchWorkload, cfg.Cores), store, ckptBenchWorkload); restored {
+	cfg.SpineCheckpointDir = b.TempDir()
+	// Populate the directory once; every timed iteration must then restore.
+	s := sim.New(cfg, workloads.MustGet(ckptBenchWorkload, cfg.Cores))
+	if s.Run(ckptBenchWorkload); s.SampleWork().LatticeHits != 0 {
 		b.Fatal("first run unexpectedly found a checkpoint")
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		wl := workloads.MustGet(ckptBenchWorkload, cfg.Cores)
-		if _, restored := sim.RunWithStore(cfg, wl, store, ckptBenchWorkload); !restored {
+		s := sim.New(cfg, workloads.MustGet(ckptBenchWorkload, cfg.Cores))
+		if s.Run(ckptBenchWorkload); s.SampleWork().LatticeHits != 1 {
 			b.Fatal("warm run fell back to a cold simulation")
 		}
 	}

@@ -41,7 +41,7 @@ func manifestConfig(p exp.Params, experiment string) map[string]interface{} {
 		"sample_period":  p.Sampling.Period,
 		"sample_ci":      p.Sampling.TargetCI,
 		"sample_workers": p.SampleWorkers,
-		"spine_ckpt_dir": p.SpineCheckpointDir,
+		"checkpoint_dir": p.CheckpointDir,
 		"spine_stride":   p.SpineStride,
 	}
 }
@@ -61,9 +61,8 @@ func main() {
 		sample     = flag.Int64("sample", 0, "interval-sampling period in instructions per core (0 = exact detailed runs); sampled tables are estimates whose CIs go to -metrics-out")
 		ci         = flag.Float64("ci", 0.05, "with -sample: stop each run early once its IPC estimate's relative CI half-width reaches this (0 = run every planned interval)")
 		sampleWkrs = flag.Int("sample-workers", 0, "with -sample: worker goroutines per simulation running detailed windows off the functional spine (0 = GOMAXPROCS; 1 runs the same pipeline with one worker; results are identical at any setting)")
-		spineDir   = flag.String("spine-ckpt-dir", "", "with -sample: spine checkpoint lattice directory shared by every design point — boundary snapshots are saved on cold runs and restored instead of re-simulated on repeat runs (results are byte-identical either way)")
-		spineStr   = flag.Int("spine-stride", 0, "with -spine-ckpt-dir: save every Nth interval boundary (0 = automatic from snapshot size)")
-		ckptDir    = flag.String("checkpoint-dir", "", "warm-state checkpoint store: skip warmup for design points with a stored checkpoint, populate it for the rest")
+		spineStr   = flag.Int("spine-stride", 0, "with -sample and -checkpoint-dir: save every Nth interval boundary (0 = automatic from snapshot size)")
+		ckptDir    = flag.String("checkpoint-dir", "", "checkpoint directory shared by every design point: exact points restore their warm state from it and sampled points their interval boundaries, when stored, and populate it otherwise (results are byte-identical either way)")
 		traceCache = flag.Bool("trace-cache", true, "share one recording of each workload stream across every design point instead of re-generating it per run")
 		traceMB    = flag.Int64("trace-cache-mb", 0, "trace cache byte budget in MiB (0 = default)")
 		list       = flag.Bool("list", false, "list experiments and exit")
@@ -132,7 +131,6 @@ func main() {
 		}
 		p.Sampling = sc
 		p.SampleWorkers = *sampleWkrs
-		p.SpineCheckpointDir = *spineDir
 		p.SpineStride = *spineStr
 	}
 
@@ -190,9 +188,9 @@ func main() {
 		w := session.SampleWorkTotals()
 		fmt.Fprintf(os.Stderr, "accordbench: sampled work — workers=%d dispatched=%d committed=%d discarded=%d spine=%s detail=%s\n",
 			w.Workers, w.Dispatched, w.Committed, w.Discarded, w.SpineTime.Round(time.Millisecond), w.DetailTime.Round(time.Millisecond))
-		if *spineDir != "" {
+		if *ckptDir != "" {
 			fmt.Fprintf(os.Stderr, "accordbench: spine lattice %s — hits=%d misses=%d save=%s\n",
-				*spineDir, w.LatticeHits, w.LatticeMisses, w.SpineSaveTime.Round(time.Millisecond))
+				*ckptDir, w.LatticeHits, w.LatticeMisses, w.SpineSaveTime.Round(time.Millisecond))
 		}
 		if man != nil {
 			man.SampleWork = w.ManifestEntry()

@@ -10,6 +10,8 @@
 package main
 
 import (
+	"bytes"
+	"crypto/sha256"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -17,7 +19,6 @@ import (
 	"strings"
 	"time"
 
-	"accord/internal/ckpt"
 	"accord/internal/energy"
 	"accord/internal/metrics"
 	"accord/internal/sim"
@@ -44,9 +45,8 @@ func main() {
 		sample     = flag.Int64("sample", 0, "interval-sampling period in instructions per core (0 = exact detailed run); each period is mostly functional fast-forward with a short detailed measured window, and results carry Student-t confidence intervals")
 		ci         = flag.Float64("ci", 0.05, "with -sample: stop early once the IPC estimate's relative CI half-width reaches this (0 = run every planned interval)")
 		sampleWkrs = flag.Int("sample-workers", 0, "with -sample: worker goroutines running detailed windows off the functional spine (0 = GOMAXPROCS; 1 runs the same pipeline with one worker; results are identical at any setting)")
-		spineDir   = flag.String("spine-ckpt-dir", "", "with -sample: spine checkpoint lattice directory — boundary snapshots are saved there on cold runs and restored instead of re-simulated on later runs with the same configuration and interval geometry (results are byte-identical either way; ignored with -trace)")
-		spineStr   = flag.Int("spine-stride", 0, "with -spine-ckpt-dir: save every Nth interval boundary (0 = automatic from snapshot size, targeting ~128 KiB per period)")
-		ckptDir    = flag.String("checkpoint-dir", "", "warm-state checkpoint store: restore the warmup/measure boundary when a matching checkpoint exists, populate it otherwise (ignored with -trace)")
+		spineStr   = flag.Int("spine-stride", 0, "with -sample and -checkpoint-dir: save every Nth interval boundary (0 = automatic from snapshot size, targeting ~128 KiB per period)")
+		ckptDir    = flag.String("checkpoint-dir", "", "checkpoint directory: an exact run restores its warmup/measure boundary from it, a sampled run its interval boundaries, when a matching checkpoint exists, and populates it otherwise (results are byte-identical either way)")
 		traceCache = flag.Bool("trace-cache", true, "record each workload stream once and replay it, sharing the recording with the -baseline run (ignored with -trace)")
 		ckptSchema = flag.Bool("ckpt-schema", false, "print the checkpoint schema ID (for cache keys) and exit")
 		list       = flag.Bool("list", false, "list workloads and exit")
@@ -79,6 +79,7 @@ func main() {
 	cfg.WarmupInstr = *warmup
 	cfg.MeasureInstr = *measure
 	cfg.Seed = *seed
+	cfg.SpineCheckpointDir = *ckptDir
 	if *sample > 0 {
 		// Interval sampling owns the measured-phase layout and records a
 		// per-interval metric series, so adaptive budgets and epoch
@@ -87,7 +88,6 @@ func main() {
 		sc.TargetCI = *ci
 		cfg.Sampling = sc
 		cfg.SampleWorkers = *sampleWkrs
-		cfg.SpineCheckpointDir = *spineDir
 		cfg.SpineStride = *spineStr
 		cfg.DisableAdaptiveBudgets = true
 	} else {
@@ -110,15 +110,6 @@ func main() {
 		os.Exit(2)
 	}
 
-	// A trace workload is named by its file path, and the warm and spine
-	// fingerprints hold that name, not the trace's contents: a trace
-	// rewritten at the same path would restore the old trace's state. So
-	// both memo layers are gated off under -trace.
-	store := openStore(*ckptDir, *trace != "")
-	if *trace != "" {
-		cfg.SpineCheckpointDir = ""
-	}
-
 	// The trace cache records the workload stream on first use and
 	// replays it for the -baseline run (same workload, same anchor, same
 	// seeds — replay is byte-identical to regeneration).
@@ -129,16 +120,17 @@ func main() {
 	}
 
 	man := metrics.NewManifest("accordsim", flagConfig(), cfg.Seed)
-	res, info := sim.RunWithStoreInfo(cfg, wl, store, wl.Name)
-	if info.Restored {
+	sys := sim.New(cfg, wl)
+	res := sys.Run(wl.Name)
+	w := sys.SampleWork()
+	if res.Sampled == nil && w.LatticeHits > 0 {
 		fmt.Fprintf(os.Stderr, "accordsim: restored warm state from %s\n", *ckptDir)
 	}
 	if res.Sampled != nil {
-		w := info.Work
 		man.SampleWork = w.ManifestEntry()
 		fmt.Fprintf(os.Stderr, "accordsim: sampled workers=%d dispatched=%d committed=%d discarded=%d spine=%s detail=%s\n",
 			w.Workers, w.Dispatched, w.Committed, w.Discarded, w.SpineTime.Round(time.Millisecond), w.DetailTime.Round(time.Millisecond))
-		if cfg.SpineCheckpointDir != "" {
+		if *ckptDir != "" {
 			fmt.Fprintf(os.Stderr, "accordsim: spine lattice %s: hits=%d misses=%d save=%s\n",
 				cfg.SpineCheckpointDir, w.LatticeHits, w.LatticeMisses, w.SpineSaveTime.Round(time.Millisecond))
 		}
@@ -186,25 +178,10 @@ func main() {
 		// trace replays from event zero, and the trace cache's cursors
 		// replay the recordings the main run just produced (the baseline
 		// shares scale, seed, and anchor).
-		bres, _ := sim.RunWithStore(base, wl, store, wl.Name)
+		bres := sim.New(base, wl).Run(wl.Name)
 		fmt.Printf("\nbaseline (direct-mapped) mean IPC: %.4f\n", bres.MeanIPC())
 		fmt.Printf("weighted speedup:                  %.4f\n", sim.WeightedSpeedup(res, bres))
 	}
-}
-
-// openStore opens the checkpoint store, or returns nil when disabled.
-// Store problems are warnings, never failures: checkpointing only
-// accelerates runs, it cannot be a correctness dependency.
-func openStore(dir string, traceMode bool) *ckpt.Store {
-	if dir == "" || traceMode {
-		return nil
-	}
-	store, err := ckpt.Open(dir)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "accordsim: checkpoint store disabled: %v\n", err)
-		return nil
-	}
-	return store
 }
 
 // epochInstr resolves the -epoch flag: an explicit non-negative value
@@ -234,17 +211,21 @@ func flagConfig() map[string]string {
 }
 
 // loadTrace reads a tracegen-format file and replays it on every core.
+// The workload is named PATH@DIGEST, DIGEST being the first 16 hex digits
+// of a SHA-256 over the file: checkpoints are keyed by workload name, so
+// a trace rewritten at the same path with other events can never restore
+// the old trace's state.
 func loadTrace(path string, cores int) (workloads.Workload, error) {
-	f, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return workloads.Workload{}, err
 	}
-	defer f.Close()
-	st, err := workloads.ReadTrace(f)
+	st, err := workloads.ReadTrace(bytes.NewReader(data))
 	if err != nil {
 		return workloads.Workload{}, err
 	}
-	return workloads.TraceWorkload(path, st.Events, cores)
+	sum := sha256.Sum256(data)
+	return workloads.TraceWorkload(fmt.Sprintf("%s@%x", path, sum[:8]), st.Events, cores)
 }
 
 // printResult renders the run summary from the metrics registry snapshot

@@ -10,7 +10,8 @@ import (
 
 // Spine checkpoint lattice: a family of content-addressed entries in a
 // Store, one per interval boundary of a sampled run, plus a small index
-// blob chaining them together. The lattice is keyed by a caller-supplied
+// blob chaining them together. An exact run's warm state is a one-entry
+// lattice, boundary 0 saved with SaveEntry and never indexed. The lattice is keyed by a caller-supplied
 // fingerprint covering everything that determines boundary state
 // (configuration, workload, interval geometry); each entry additionally
 // keys on its interval number and absolute instruction offset, so a
@@ -97,7 +98,8 @@ func (l *Lattice) Save(interval int, offset int64, payload []byte) error {
 // call FlushIndex once after the batch to persist the digest chain. A
 // crash before the flush loses only the chain, never the entries.
 func (l *Lattice) SaveEntry(interval int, offset int64, payload []byte) error {
-	e := NewEncoder(len(payload) + 128)
+	// The header is the fingerprint plus 36 bytes of fixed fields and CRC.
+	e := NewEncoder(len(payload) + len(l.fp) + 64)
 	e.Raw([]byte(latticeEntryMagic))
 	e.U32(LatticeSchema)
 	e.String(l.fp)

@@ -82,7 +82,7 @@ func init() {
 				wsS := sim.WeightedSpeedup(s.Run(accS, wl), s.Run(dmS, wl))
 				wsF := sim.WeightedSpeedup(s.Run(accF, wl), s.Run(dmF, wl))
 				t.AddRow(wl, spd(wsS), spd(wsF),
-					pct(s.Run(accS, wl).Accuracy()), pct(s.Run(accF, wl).Accuracy()))
+					pct(accuracy(s.Run(accS, wl))), pct(accuracy(s.Run(accF, wl))))
 			}
 			return []*stats.Table{t}
 		},

@@ -2,12 +2,14 @@ package exp
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"accord/internal/sim"
+	"accord/internal/stats"
 )
 
 // ckptSession builds a session over the golden parameters with the given
@@ -153,21 +155,78 @@ func TestSessionCorruptStoreFallsBack(t *testing.T) {
 }
 
 // TestSessionBadCheckpointDir points the store at an unusable path; the
-// session must warn and run cold rather than fail.
+// session must run cold, with the no-store result, rather than fail.
 func TestSessionBadCheckpointDir(t *testing.T) {
 	file := filepath.Join(t.TempDir(), "occupied")
 	if err := os.WriteFile(file, []byte("x"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	p := goldenParams()
-	p.CheckpointDir = filepath.Join(file, "nested") // mkdir under a file fails
-	s := NewSession(p)
-	if s.store != nil {
-		t.Fatal("store opened under a file path")
+	cold := goldenExport(t, goldenCases()[0], false)
+	var log bytes.Buffer
+	s := ckptSession(filepath.Join(file, "nested"), &log) // mkdir under a file fails
+	s.Run(goldenCases()[0], goldenWorkload)
+	var buf bytes.Buffer
+	if err := s.ExportMetrics(nil).WriteJSON(&buf); err != nil {
+		t.Fatal(err)
 	}
-	res := s.Run(goldenCases()[0], goldenWorkload)
-	if res.Instructions == 0 {
-		t.Error("cold run without a store produced no result")
+	if !bytes.Equal(cold, buf.Bytes()) {
+		t.Error("run over an unusable checkpoint directory diverged from the no-store export")
+	}
+	if !strings.Contains(log.String(), " ran ") {
+		t.Errorf("unusable checkpoint directory should force a cold run, got %q", log.String())
+	}
+}
+
+// TestWarmSweepRestoresEveryPoint runs a small sweep three times, exact
+// and sampled: without a checkpoint directory, populating one, and over
+// it. The warm sweep must render the cold sweep's tables and report
+// every design point warm, since one directory now holds the exact
+// points' warm states and the sampled points' spine boundaries alike.
+func TestWarmSweepRestoresEveryPoint(t *testing.T) {
+	cfgs := goldenCases()[:3]
+	sweep := Experiment{ID: "warm-sweep", Run: func(s *Session) []*stats.Table {
+		tb := stats.NewTable("warm sweep", "config", "workload", "ipc", "hit")
+		for _, cfg := range cfgs {
+			for _, wl := range []string{"libquantum", "milc"} {
+				r := s.Run(cfg, wl)
+				tb.AddRow(cfg.Name, wl, fmt.Sprintf("%.6f", r.MeanIPC()), pct(r.HitRate()))
+			}
+		}
+		return []*stats.Table{tb}
+	}}
+	for _, sampled := range []bool{false, true} {
+		t.Run(fmt.Sprintf("sampled=%t", sampled), func(t *testing.T) {
+			dir := t.TempDir()
+			render := func(dir string) (string, string) {
+				var log bytes.Buffer
+				p := goldenParams()
+				p.CheckpointDir = dir
+				p.Parallelism = 2
+				p.Progress = &log
+				if sampled {
+					p.Sampling = sim.SamplingConfig{Period: 10_000, DetailLen: 2_000, WarmLen: 1_000, MinIntervals: 2}
+					p.SpineStride = 1
+				}
+				var out strings.Builder
+				for _, tb := range NewSession(p).RunExperiment(sweep) {
+					out.WriteString(tb.Render())
+				}
+				return out.String(), log.String()
+			}
+			cold, _ := render("")
+			populated, popLog := render(dir)
+			warm, warmLog := render(dir)
+			if populated != cold || warm != cold {
+				t.Errorf("tables differ across checkpoint states:\ncold:\n%s\npopulating:\n%s\nwarm:\n%s", cold, populated, warm)
+			}
+			points := len(cfgs) * 2
+			if n := strings.Count(popLog, " ran "); n != points {
+				t.Errorf("populating sweep ran %d of %d points cold:\n%s", n, points, popLog)
+			}
+			if n := strings.Count(warmLog, " warm "); n != points {
+				t.Errorf("warm sweep restored %d of %d points:\n%s", n, points, warmLog)
+			}
+		})
 	}
 }
 

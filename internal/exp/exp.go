@@ -9,16 +9,12 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"os"
 	"runtime"
 	"runtime/pprof"
 	"sort"
 	"sync"
 	"time"
 
-	"accord/internal/ckpt"
-	"accord/internal/dram"
-	"accord/internal/dramcache"
 	"accord/internal/sim"
 	"accord/internal/stats"
 	"accord/internal/workloads"
@@ -50,12 +46,16 @@ type Params struct {
 	// passive, so tables are unaffected at any setting.
 	EpochInstr int64
 
-	// CheckpointDir, when non-empty, points at a warm-state checkpoint
-	// store (see internal/ckpt): before warming up a design point the
-	// session looks for a checkpoint of its warmup/measure boundary and
-	// restores it instead of re-simulating warmup; misses warm up cold
-	// and populate the store. Restored runs are byte-identical to cold
-	// runs, so tables are unaffected; only wall-clock time changes.
+	// CheckpointDir, when non-empty, is the checkpoint directory every
+	// simulation in the session shares (sim.Config.SpineCheckpointDir):
+	// an exact design point restores its warmup/measure boundary from it
+	// instead of re-simulating warmup, and a sampled one its spine's
+	// interval boundaries instead of fast-forwarding; misses run cold and
+	// populate it. Entries are content-addressed by fingerprint, so repeat
+	// points — across sessions, or sweeps varying only measurement knobs —
+	// reuse each other's work. Restored runs are byte-identical to cold
+	// runs, so tables are unaffected and the memo key excludes it; only
+	// wall-clock time changes.
 	CheckpointDir string
 
 	// TraceCache enables the shared memoizing workload trace cache (see
@@ -96,19 +96,9 @@ type Params struct {
 	// recomputation.
 	SampleWorkers int
 
-	// SpineCheckpointDir, when non-empty, memoizes every sampled run's
-	// functional spine through the on-disk checkpoint lattice (see
-	// sim.Config.SpineCheckpointDir): one lattice directory is shared by
-	// every design point in the sweep (entries are content-addressed by
-	// fingerprint), so repeat points — across sessions, or sweeps varying
-	// only measurement knobs — skip the fast-forward entirely. Like
-	// SampleWorkers it cannot affect results and is excluded from the
-	// memo key. Ignored when Sampling is disabled.
-	SpineCheckpointDir string
-
 	// SpineStride sets sim.Config.SpineStride for sampled runs: how many
-	// interval boundaries apart lattice saves land (0 = automatic from
-	// snapshot size).
+	// interval boundaries apart lattice saves land in CheckpointDir
+	// (0 = automatic from snapshot size).
 	SpineStride int
 }
 
@@ -132,71 +122,17 @@ func QuickParams() Params {
 	return Params{Scale: 1024, Cores: 8, WarmupInstr: 400_000, MeasureInstr: 400_000, Seed: 1, TraceCache: true}
 }
 
-// key identifies one design point: the workload plus every
-// result-affecting field of the applied sim.Config. sim.Config.Policy is
-// a function and cannot be compared; the configuration catalog keys
-// policy identity through Name, which is part of the key.
-type key struct {
-	Config   string
-	Workload string
-
-	Cores      int
-	IssueWidth int
-	MSHRs      int
-	CPUGHz     float64
-	SRAMLat    int64
-
-	Scale          int64
-	L4CapacityFull int64
-	Ways           int
-	Lookup         dramcache.Lookup
-	LRUReplacement bool
-	Backend        string
-	FullHierarchy  bool
-
-	NVMCapacityFull     int64
-	WorkloadAnchorLines uint64
-
-	HBM dram.Config
-	PCM dram.Config
-
-	WarmupInstr            int64
-	MeasureInstr           int64
-	DisableAdaptiveBudgets bool
-	EpochInstr             int64
-	Sampling               sim.SamplingConfig
-
-	Seed int64
-}
-
-// makeKey builds the memo key for an already-applied configuration.
-func makeKey(cfg sim.Config, workload string) key {
-	return key{
-		Config:                 cfg.Name,
-		Workload:               workload,
-		Cores:                  cfg.Cores,
-		IssueWidth:             cfg.IssueWidth,
-		MSHRs:                  cfg.MSHRs,
-		CPUGHz:                 cfg.CPUGHz,
-		SRAMLat:                cfg.SRAMLat,
-		Scale:                  cfg.Scale,
-		L4CapacityFull:         cfg.L4CapacityFull,
-		Ways:                   cfg.Ways,
-		Lookup:                 cfg.Lookup,
-		LRUReplacement:         cfg.LRUReplacement,
-		Backend:                cfg.BackendName(),
-		FullHierarchy:          cfg.FullHierarchy,
-		NVMCapacityFull:        cfg.NVMCapacityFull,
-		WorkloadAnchorLines:    cfg.WorkloadAnchorLines,
-		HBM:                    cfg.HBM,
-		PCM:                    cfg.PCM,
-		WarmupInstr:            cfg.WarmupInstr,
-		MeasureInstr:           cfg.MeasureInstr,
-		DisableAdaptiveBudgets: cfg.DisableAdaptiveBudgets,
-		EpochInstr:             cfg.EpochInstr,
-		Sampling:               cfg.Sampling,
-		Seed:                   cfg.Seed,
-	}
+// appendKey appends the memo key of an applied configuration on a
+// workload to b: the name, the workload, and every other result-affecting
+// field — the warm-state fields sim.Config.AppendStateFields lists plus
+// the measured-phase ones. NUL bytes separate the name and workload, so
+// keys sort by (name, workload, the rest). sim.Config.Policy is a
+// function and cannot be compared; the configuration catalog keys policy
+// identity through Name.
+func appendKey(b []byte, cfg sim.Config, workload string) []byte {
+	b = append(append(append(append(b, cfg.Name...), 0), workload...), 0)
+	b = cfg.AppendStateFields(b)
+	return fmt.Appendf(b, "|measure=%d|epoch=%d|sampling=%+v", cfg.MeasureInstr, cfg.EpochInstr, cfg.Sampling)
 }
 
 // entry is one memoized (or in-flight) simulation. The goroutine that
@@ -216,14 +152,9 @@ type Session struct {
 	p Params
 
 	mu   sync.Mutex
-	memo map[key]*entry
+	memo map[string]*entry // by appendKey
 
 	progressMu sync.Mutex
-
-	// store is the warm-state checkpoint store, nil when disabled.
-	// Concurrent workers may hit it freely: loads are read-only and
-	// saves are atomic last-writer-wins of identical content.
-	store *ckpt.Store
 
 	// traces is the shared workload trace cache, nil when disabled. It is
 	// safe for concurrent use; every worker records into and replays from
@@ -248,17 +179,7 @@ func NewSession(p Params) *Session {
 	if p.Scale <= 0 {
 		p.Scale = 256
 	}
-	s := &Session{p: p, memo: make(map[key]*entry)}
-	if p.CheckpointDir != "" {
-		store, err := ckpt.Open(p.CheckpointDir)
-		if err != nil {
-			// Checkpointing is an accelerator, never a correctness
-			// dependency: warn and run cold.
-			fmt.Fprintf(os.Stderr, "exp: checkpoint store disabled: %v\n", err)
-		} else {
-			s.store = store
-		}
-	}
+	s := &Session{p: p, memo: make(map[string]*entry)}
 	if p.TraceCache {
 		s.traces = workloads.NewTraceCache(p.TraceCacheBytes)
 	}
@@ -285,13 +206,13 @@ func (s *Session) apply(cfg sim.Config) sim.Config {
 	cfg.MeasureInstr = s.p.MeasureInstr
 	cfg.Seed = s.p.Seed
 	cfg.EpochInstr = s.p.EpochInstr
+	cfg.SpineCheckpointDir = s.p.CheckpointDir
 	if s.p.Sampling.Enabled() {
 		// Interval sampling owns the measured-phase layout and the metric
 		// series; adaptive budgets and epoch sampling would fight it (see
 		// SamplingConfig.validate for why these are rejected).
 		cfg.Sampling = s.p.Sampling
 		cfg.SampleWorkers = s.p.SampleWorkers
-		cfg.SpineCheckpointDir = s.p.SpineCheckpointDir
 		cfg.SpineStride = s.p.SpineStride
 		cfg.DisableAdaptiveBudgets = true
 		cfg.EpochInstr = 0
@@ -309,19 +230,22 @@ func (s *Session) Run(cfg sim.Config, workload string) sim.Result {
 // own goroutine, 1..N = pool workers).
 func (s *Session) run(worker int, cfg sim.Config, workload string) sim.Result {
 	cfg = s.apply(cfg)
-	k := makeKey(cfg, workload)
+	// Indexing a map with string(k) does not copy k, so a memo hit
+	// allocates only what AppendStateFields boxes.
+	var buf [1024]byte
+	k := appendKey(buf[:0], cfg, workload)
 	if s.planning != nil {
 		s.planning.record(k, cfg, workload)
 		return sim.Result{Config: cfg.Name, Workload: workload}
 	}
 	s.mu.Lock()
-	if e, ok := s.memo[k]; ok {
+	if e, ok := s.memo[string(k)]; ok {
 		s.mu.Unlock()
 		<-e.done
 		return e.res
 	}
 	e := &entry{done: make(chan struct{})}
-	s.memo[k] = e
+	s.memo[string(k)] = e
 	s.mu.Unlock()
 	defer close(e.done)
 	start := time.Now()
@@ -329,15 +253,18 @@ func (s *Session) run(worker int, cfg sim.Config, workload string) sim.Result {
 	if s.traces != nil {
 		wl.Source = s.traces.Source(wl.Specs, cfg.AnchorLines(), cfg.Seed)
 	}
-	var info sim.RunInfo
+	var work sim.SampleWork
 	// The pprof labels make -cpuprofile output attributable per design
 	// point: `go tool pprof -tags` breaks time down by config and
 	// workload, and label filters (-tagfocus) isolate one of either.
 	pprof.Do(context.Background(), pprof.Labels("config", cfg.Name, "workload", workload), func(context.Context) {
-		e.res, info = sim.RunWithStoreInfo(cfg, wl, s.store, workload)
+		sys := sim.New(cfg, wl)
+		e.res = sys.Run(workload)
+		work = sys.SampleWork()
 	})
-	s.addWork(info.Work)
-	s.progress(worker, cfg.Name, workload, e.res, info.Restored, time.Since(start))
+	s.addWork(work)
+	restored := work.LatticeHits > 0 && work.LatticeMisses == 0
+	s.progress(worker, cfg.Name, workload, e.res, restored, time.Since(start))
 	return e.res
 }
 
@@ -372,9 +299,9 @@ func (s *Session) SampleWorkTotals() sim.SampleWork {
 }
 
 // progress emits one serialized line per completed simulation. The verb
-// slot distinguishes cold runs ("ran ") from checkpoint-restored ones
-// ("warm"); without a store the output is byte-identical to older
-// sessions.
+// slot distinguishes runs that simulated anything ("ran ") from ones that
+// restored every checkpoint they probed ("warm"): an exact point's warm
+// state, or each interval boundary of a sampled point's spine.
 func (s *Session) progress(worker int, cfg, workload string, r sim.Result, restored bool, took time.Duration) {
 	if s.p.Progress == nil {
 		return
@@ -501,8 +428,14 @@ func IDs() []string {
 func ln(x float64) float64   { return math.Log(x) }
 func exp1(x float64) float64 { return math.Exp(x) }
 
-// pct formats a fraction as a percentage.
-func pct(x float64) string { return fmt.Sprintf("%.1f%%", 100*x) }
+// pct formats a fraction as a percentage, and an undefined (NaN) one as
+// n/a.
+func pct(x float64) string {
+	if math.IsNaN(x) {
+		return "n/a"
+	}
+	return fmt.Sprintf("%.1f%%", 100*x)
+}
 
 // spd formats a speedup.
 func spd(x float64) string { return fmt.Sprintf("%.3f", x) }

@@ -211,3 +211,53 @@ func TestSuiteSpeedupsGeomean(t *testing.T) {
 		t.Errorf("geomean = %v, want 1", g)
 	}
 }
+
+// TestUndefinedAccuracyIsNA pins the undefined-not-zero convention for
+// way-prediction accuracy. At this scale ACCORD's full-hierarchy runs of
+// nekbone and sphinx3 make no prediction, so ablhier must print n/a in
+// their cells, not 0.0%, and an average over the suite must skip them.
+func TestUndefinedAccuracyIsNA(t *testing.T) {
+	s := NewSession(tinyParams())
+	full := sim.ACCORD(2)
+	full.FullHierarchy = true
+	full.Name = "accord-2way+hier"
+
+	var sum float64
+	var defined, undefined int
+	for _, wl := range ablationSample {
+		if r := s.Run(full, wl); r.L4.Predictions > 0 {
+			sum += float64(r.L4.Correct) / float64(r.L4.Predictions)
+			defined++
+		} else {
+			undefined++
+		}
+	}
+	if defined == 0 || undefined == 0 {
+		t.Fatalf("%d defined and %d undefined accuracies; the test needs both", defined, undefined)
+	}
+	if got, want := s.ameanAccuracy(full, ablationSample), sum/float64(defined); got != want {
+		t.Errorf("amean accuracy = %v, want %v, the mean of the %d defined values", got, want, defined)
+	}
+
+	e, _ := Find("ablhier")
+	var rows []string
+	for _, tb := range s.RunExperiment(e) {
+		rows = append(rows, strings.Split(tb.Render(), "\n")...)
+	}
+	for _, wl := range ablationSample {
+		r := s.Run(full, wl)
+		for _, row := range rows {
+			f := strings.Fields(row)
+			if len(f) == 0 || f[0] != wl {
+				continue
+			}
+			last := f[len(f)-1]
+			if r.L4.Predictions == 0 && last != "n/a" {
+				t.Errorf("%s: undefined full-hierarchy accuracy rendered %q, want n/a", wl, last)
+			}
+			if r.L4.Predictions > 0 && !strings.HasSuffix(last, "%") {
+				t.Errorf("%s: defined full-hierarchy accuracy rendered %q", wl, last)
+			}
+		}
+	}
+}

@@ -2,6 +2,7 @@ package exp
 
 import (
 	"fmt"
+	"math"
 
 	"accord/internal/core"
 	"accord/internal/dramcache"
@@ -63,13 +64,32 @@ func (s *Session) ameanHitRate(cfg sim.Config, names []string) float64 {
 	return stats.Amean(vals)
 }
 
-// ameanAccuracy averages way-prediction accuracy across a suite.
+// accuracy is r's way-prediction accuracy, NaN (rendered n/a by pct)
+// when r made no prediction: an undefined ratio, not 0%.
+func accuracy(r sim.Result) float64 {
+	return stats.NaNIfUndefined(stats.RatioOK(float64(r.L4.Correct), float64(r.L4.Predictions)))
+}
+
+// definedAmean averages the defined (non-NaN) values of xs, NaN when
+// there are none.
+func definedAmean(xs []float64) float64 {
+	var defined []float64
+	for _, x := range xs {
+		if !math.IsNaN(x) {
+			defined = append(defined, x)
+		}
+	}
+	return stats.NaNIfUndefined(stats.Amean(defined), len(defined) > 0)
+}
+
+// ameanAccuracy averages way-prediction accuracy across a suite, over
+// the runs whose accuracy is defined.
 func (s *Session) ameanAccuracy(cfg sim.Config, names []string) float64 {
 	vals := make([]float64, 0, len(names))
 	for _, wl := range names {
-		vals = append(vals, s.Run(cfg, wl).Accuracy())
+		vals = append(vals, accuracy(s.Run(cfg, wl)))
 	}
-	return stats.Amean(vals)
+	return definedAmean(vals)
 }
 
 func init() {
@@ -152,19 +172,19 @@ func init() {
 			labels := []string{"rand", "pws", "gws", "pws+gws"}
 			t := stats.NewTable("Figure 7: 2-way way-prediction accuracy",
 				append([]string{"workload"}, labels...)...)
-			sums := make([]float64, len(cfgs))
+			cols := make([][]float64, len(cfgs))
 			for _, wl := range suite() {
 				row := []string{wl}
 				for ci, cfg := range cfgs {
-					a := s.Run(cfg, wl).Accuracy()
-					sums[ci] += a
+					a := accuracy(s.Run(cfg, wl))
+					cols[ci] = append(cols[ci], a)
 					row = append(row, pct(a))
 				}
 				t.AddRow(row...)
 			}
 			arow := []string{"AMEAN"}
-			for _, x := range sums {
-				arow = append(arow, pct(x/float64(len(suite()))))
+			for _, col := range cols {
+				arow = append(arow, pct(definedAmean(col)))
 			}
 			t.AddRow(arow...)
 			return []*stats.Table{t}

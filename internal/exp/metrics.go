@@ -14,8 +14,8 @@ import (
 // non-nil, is embedded so a single file identifies the code, config, and
 // seed that produced the numbers.
 //
-// Runs are ordered deterministically — by config name, then workload,
-// then the remaining key fields — regardless of the parallelism or
+// Runs are ordered deterministically — by memo key: config name, then
+// workload, then the rest of the key — regardless of the parallelism or
 // experiment order that produced them, so exports diff cleanly across
 // invocations. In-flight simulations are waited for; planning sessions
 // export nothing.
@@ -26,7 +26,7 @@ func (s *Session) ExportMetrics(man *metrics.Manifest) *metrics.Export {
 	}
 
 	type pending struct {
-		k key
+		k string
 		e *entry
 	}
 	s.mu.Lock()
@@ -35,43 +35,13 @@ func (s *Session) ExportMetrics(man *metrics.Manifest) *metrics.Export {
 		runs = append(runs, pending{k, e})
 	}
 	s.mu.Unlock()
-
-	sort.Slice(runs, func(i, j int) bool {
-		a, b := runs[i].k, runs[j].k
-		if a.Config != b.Config {
-			return a.Config < b.Config
-		}
-		if a.Workload != b.Workload {
-			return a.Workload < b.Workload
-		}
-		return lessKeyTail(a, b)
-	})
+	sort.Slice(runs, func(i, j int) bool { return runs[i].k < runs[j].k })
 
 	for _, p := range runs {
 		<-p.e.done
 		out.Runs = append(out.Runs, toRun(p.e.res))
 	}
 	return out
-}
-
-// lessKeyTail orders design points that share a (config, workload) pair —
-// only possible when a sweep varies scale, budgets, or seed under one
-// catalog name.
-func lessKeyTail(a, b key) bool {
-	switch {
-	case a.Scale != b.Scale:
-		return a.Scale < b.Scale
-	case a.Cores != b.Cores:
-		return a.Cores < b.Cores
-	case a.WarmupInstr != b.WarmupInstr:
-		return a.WarmupInstr < b.WarmupInstr
-	case a.MeasureInstr != b.MeasureInstr:
-		return a.MeasureInstr < b.MeasureInstr
-	case a.EpochInstr != b.EpochInstr:
-		return a.EpochInstr < b.EpochInstr
-	default:
-		return a.Seed < b.Seed
-	}
 }
 
 // toRun flattens a simulation result into the export record.

@@ -26,17 +26,17 @@ type Point struct {
 // requests, in first-use order.
 type planRecorder struct {
 	mu    sync.Mutex
-	seen  map[key]struct{}
+	seen  map[string]struct{} // by appendKey
 	order []Point
 }
 
-func (p *planRecorder) record(k key, cfg sim.Config, workload string) {
+func (p *planRecorder) record(k []byte, cfg sim.Config, workload string) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if _, ok := p.seen[k]; ok {
+	if _, ok := p.seen[string(k)]; ok {
 		return
 	}
-	p.seen[k] = struct{}{}
+	p.seen[string(k)] = struct{}{}
 	p.order = append(p.order, Point{Config: cfg, Workload: workload})
 }
 
@@ -49,7 +49,7 @@ func (p *planRecorder) record(k key, cfg sim.Config, workload string) {
 // are returned — the remainder simply runs lazily (and still memoized)
 // during the real pass.
 func (s *Session) Plan(e Experiment) []Point {
-	rec := &planRecorder{seen: make(map[key]struct{})}
+	rec := &planRecorder{seen: make(map[string]struct{})}
 	ps := &Session{p: s.p, planning: rec}
 	ps.p.Progress = nil
 	func() {

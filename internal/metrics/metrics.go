@@ -4,15 +4,10 @@
 // policies) registers into, plus per-epoch time-series sampling driven by
 // the simulator clock and machine-readable JSON/CSV export.
 //
-// Two metric families coexist:
-//
-//   - Owned metrics (NewCounter, NewGauge, NewHistogram) carry their own
-//     atomic state and are safe for concurrent use — the experiment
-//     scheduler snapshots sessions while workers update them.
-//   - View metrics (CounterFunc, GaugeFunc, HistogramFunc) read an
-//     existing component's statistics through a closure, so a component
-//     keeps its cheap plain-struct counters on the simulation hot path
-//     and the registry becomes the single export surface over them.
+// Every metric is a view (CounterFunc, GaugeFunc, HistogramFunc): it reads
+// an existing component's statistics through a closure, so a component
+// keeps its cheap plain-struct counters on the simulation hot path and
+// the registry becomes the single export surface over them.
 //
 // Undefined values are first-class: a gauge whose closure returns NaN (a
 // ratio with a zero denominator, say) exports as an *absent* value in
@@ -23,9 +18,7 @@ package metrics
 import (
 	"fmt"
 	"math"
-	"sort"
 	"sync"
-	"sync/atomic"
 )
 
 // Kind classifies a metric.
@@ -94,8 +87,7 @@ type metric interface {
 
 // Registry is an ordered, named set of metrics. Registration order is the
 // export order, so snapshots are deterministic. Registration and Snapshot
-// are safe for concurrent use; owned metrics are additionally safe to
-// update concurrently with Snapshot.
+// are safe for concurrent use.
 type Registry struct {
 	mu     sync.Mutex
 	byName map[string]struct{}
@@ -120,40 +112,6 @@ func (r *Registry) register(name string, m metric) {
 	}
 	r.byName[name] = struct{}{}
 	r.order = append(r.order, m)
-}
-
-// NewCounter registers and returns an owned monotonic counter.
-func (r *Registry) NewCounter(name, help string) *Counter {
-	c := &Counter{name: name, help: help}
-	r.register(name, c)
-	return c
-}
-
-// NewGauge registers and returns an owned gauge (initially 0).
-func (r *Registry) NewGauge(name, help string) *Gauge {
-	g := &Gauge{name: name, help: help}
-	r.register(name, g)
-	return g
-}
-
-// NewHistogram registers and returns an owned fixed-bucket histogram.
-// bounds are the inclusive upper bounds of the buckets, ascending; one
-// extra overflow bucket is added past the last bound.
-func (r *Registry) NewHistogram(name, help string, bounds []float64) *Histogram {
-	if len(bounds) == 0 {
-		panic(fmt.Sprintf("metrics: histogram %q needs at least one bound", name))
-	}
-	if !sort.Float64sAreSorted(bounds) {
-		panic(fmt.Sprintf("metrics: histogram %q bounds not ascending", name))
-	}
-	h := &Histogram{
-		name:    name,
-		help:    help,
-		bounds:  append([]float64(nil), bounds...),
-		buckets: make([]atomic.Uint64, len(bounds)+1),
-	}
-	r.register(name, h)
-	return h
 }
 
 // CounterFunc registers a counter view over fn. The closure is invoked
@@ -234,106 +192,6 @@ func (s Snapshot) Gauge(name string) (float64, bool) {
 	return *v.Value, true
 }
 
-// ---- owned metrics ----
-
-// Counter is a monotonically increasing owned counter.
-type Counter struct {
-	name, help string
-	v          atomic.Uint64
-}
-
-// Add increments the counter by delta.
-func (c *Counter) Add(delta uint64) { c.v.Add(delta) }
-
-// Inc increments the counter by one.
-func (c *Counter) Inc() { c.v.Add(1) }
-
-// Value returns the current count.
-func (c *Counter) Value() uint64 { return c.v.Load() }
-
-func (c *Counter) info() Info { return Info{Name: c.name, Kind: KindCounter.String(), Help: c.help} }
-func (c *Counter) read() Value {
-	return Value{Name: c.name, Kind: KindCounter.String(), Count: c.v.Load()}
-}
-
-// Gauge is an owned instantaneous value. Setting NaN (or ±Inf) marks the
-// gauge undefined; it then exports as an absent value.
-type Gauge struct {
-	name, help string
-	bits       atomic.Uint64
-}
-
-// Set stores v.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
-// Value returns the stored value.
-func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
-
-func (g *Gauge) info() Info { return Info{Name: g.name, Kind: KindGauge.String(), Help: g.help} }
-func (g *Gauge) read() Value {
-	return gaugeValue(g.name, g.Value())
-}
-
-// gaugeValue builds a gauge Value, mapping NaN/Inf to "undefined".
-func gaugeValue(name string, v float64) Value {
-	out := Value{Name: name, Kind: KindGauge.String()}
-	if !math.IsNaN(v) && !math.IsInf(v, 0) {
-		out.Value = &v
-	}
-	return out
-}
-
-// Histogram is an owned fixed-bucket histogram. Its exported Count is
-// always the sum of its bucket counts (the registry's structural
-// invariant), so concurrent snapshots are internally consistent.
-type Histogram struct {
-	name, help string
-	bounds     []float64
-	buckets    []atomic.Uint64
-	sumBits    atomic.Uint64
-}
-
-// Observe records one sample.
-func (h *Histogram) Observe(v float64) {
-	i := sort.SearchFloat64s(h.bounds, v) // first bound >= v
-	h.buckets[i].Add(1)
-	for {
-		old := h.sumBits.Load()
-		nw := math.Float64bits(math.Float64frombits(old) + v)
-		if h.sumBits.CompareAndSwap(old, nw) {
-			return
-		}
-	}
-}
-
-// Count returns the number of samples (sum of bucket counts).
-func (h *Histogram) Count() uint64 {
-	var n uint64
-	for i := range h.buckets {
-		n += h.buckets[i].Load()
-	}
-	return n
-}
-
-// Sum returns the sum of all observed values.
-func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()) }
-
-func (h *Histogram) info() Info {
-	return Info{Name: h.name, Kind: KindHistogram.String(), Help: h.help, Bounds: append([]float64(nil), h.bounds...)}
-}
-
-func (h *Histogram) read() Value {
-	buckets := make([]uint64, len(h.buckets))
-	var n uint64
-	for i := range h.buckets {
-		buckets[i] = h.buckets[i].Load()
-		n += buckets[i]
-	}
-	return Value{Name: h.name, Kind: KindHistogram.String(), Count: n, Sum: h.Sum(), Buckets: buckets}
-}
-
-// ---- view metrics ----
-
 type counterFunc struct {
 	name, help string
 	fn         func() uint64
@@ -365,4 +223,13 @@ func (h histogramFunc) info() Info {
 func (h histogramFunc) read() Value {
 	hv := h.fn()
 	return Value{Name: h.name, Kind: KindHistogram.String(), Count: hv.Count, Sum: hv.Sum, Buckets: hv.Buckets}
+}
+
+// gaugeValue builds a gauge Value, mapping NaN/Inf to "undefined".
+func gaugeValue(name string, v float64) Value {
+	out := Value{Name: name, Kind: KindGauge.String()}
+	if !math.IsNaN(v) && !math.IsInf(v, 0) {
+		out.Value = &v
+	}
+	return out
 }

@@ -8,58 +8,29 @@ import (
 	"testing"
 )
 
-func TestCounterGaugeHistogramSnapshot(t *testing.T) {
-	r := NewRegistry()
-	c := r.NewCounter("ops", "operations")
-	g := r.NewGauge("depth", "queue depth")
-	h := r.NewHistogram("lat", "latency", []float64{1, 2, 4})
-
-	c.Add(3)
-	c.Inc()
-	g.Set(2.5)
-	for _, v := range []float64{0.5, 1, 1.5, 4, 100} {
-		h.Observe(v)
-	}
-
-	s := r.Snapshot()
-	if got := s.Counter("ops"); got != 4 {
-		t.Errorf("counter = %d, want 4", got)
-	}
-	if v, ok := s.Gauge("depth"); !ok || v != 2.5 {
-		t.Errorf("gauge = %v,%v, want 2.5,true", v, ok)
-	}
-	hv, ok := s.Get("lat")
-	if !ok || hv.Count != 5 {
-		t.Fatalf("histogram count = %d, want 5", hv.Count)
-	}
-	if hv.Sum != 107 {
-		t.Errorf("histogram sum = %g, want 107", hv.Sum)
-	}
-	// Bucket semantics: first bound >= v. 0.5,1 -> le=1; 1.5 -> le=2;
-	// 4 -> le=4; 100 -> overflow.
-	want := []uint64{2, 1, 1, 1}
-	for i, b := range hv.Buckets {
-		if b != want[i] {
-			t.Errorf("bucket[%d] = %d, want %d", i, b, want[i])
-		}
-	}
-}
-
 func TestSnapshotIsACopy(t *testing.T) {
 	r := NewRegistry()
-	c := r.NewCounter("c", "")
-	c.Inc()
+	var c uint64 = 1
+	buckets := []uint64{1, 0}
+	r.CounterFunc("c", "", func() uint64 { return c })
+	r.HistogramFunc("h", "", []float64{1}, func() HistogramValue {
+		return HistogramValue{Count: buckets[0] + buckets[1], Buckets: append([]uint64(nil), buckets...)}
+	})
 	s := r.Snapshot()
-	c.Add(100)
+	c += 100
+	buckets[1]++
 	if s.Counter("c") != 1 {
 		t.Error("snapshot mutated by later counter updates")
+	}
+	if h, _ := s.Get("h"); h.Count != 1 || h.Buckets[1] != 0 {
+		t.Errorf("snapshot mutated by later histogram updates: %+v", h)
 	}
 }
 
 func TestRegistryOrderAndSchema(t *testing.T) {
 	r := NewRegistry()
-	r.NewCounter("b", "second")
-	r.NewGauge("a", "first")
+	r.CounterFunc("b", "second", func() uint64 { return 0 })
+	r.GaugeFunc("a", "first", func() float64 { return 0 })
 	r.HistogramFunc("c", "third", []float64{1}, func() HistogramValue {
 		return HistogramValue{Buckets: []uint64{0, 0}}
 	})
@@ -78,13 +49,13 @@ func TestRegistryOrderAndSchema(t *testing.T) {
 
 func TestDuplicateNamePanics(t *testing.T) {
 	r := NewRegistry()
-	r.NewCounter("x", "")
+	r.CounterFunc("x", "", func() uint64 { return 0 })
 	defer func() {
 		if recover() == nil {
 			t.Error("duplicate registration did not panic")
 		}
 	}()
-	r.NewGauge("x", "")
+	r.GaugeFunc("x", "", func() float64 { return 0 })
 }
 
 func TestFuncViews(t *testing.T) {
@@ -144,18 +115,19 @@ func TestUndefinedGaugeJSON(t *testing.T) {
 
 func TestSeriesTick(t *testing.T) {
 	r := NewRegistry()
-	c := r.NewCounter("n", "")
+	var n uint64
+	r.CounterFunc("n", "", func() uint64 { return n })
 	s := NewSeries(r, 100)
 
 	if s.Tick(50, 10) {
 		t.Error("sampled before the first epoch boundary")
 	}
-	c.Inc()
+	n++
 	if !s.Tick(100, 20) {
 		t.Error("did not sample at the epoch boundary")
 	}
 	// A jump across several epochs records one sample and advances past.
-	c.Inc()
+	n++
 	if !s.Tick(350, 70) {
 		t.Error("did not sample after a multi-epoch jump")
 	}
@@ -186,11 +158,11 @@ func TestSeriesTick(t *testing.T) {
 
 func TestExportCSV(t *testing.T) {
 	r := NewRegistry()
-	r.NewCounter("c", "").Add(5)
+	r.CounterFunc("c", "", func() uint64 { return 5 })
 	r.GaugeFunc("undef", "", func() float64 { return math.NaN() })
-	h := r.NewHistogram("h", "", []float64{2, 4})
-	h.Observe(1)
-	h.Observe(3)
+	r.HistogramFunc("h", "", []float64{2, 4}, func() HistogramValue {
+		return HistogramValue{Count: 2, Sum: 4, Buckets: []uint64{1, 1, 0}}
+	})
 
 	ex := &Export{Runs: []Run{{
 		Config: "cfg", Workload: "wl", Instructions: 10, Cycles: 20,
@@ -221,7 +193,7 @@ func TestExportCSV(t *testing.T) {
 
 func TestExportJSONRoundTrip(t *testing.T) {
 	r := NewRegistry()
-	r.NewCounter("c", "").Add(1)
+	r.CounterFunc("c", "", func() uint64 { return 1 })
 	man := NewManifest("test", map[string]int{"scale": 256}, 7)
 	man.Finish()
 	ex := &Export{Manifest: man, Runs: []Run{{Config: "a", Workload: "b",

@@ -1,13 +1,10 @@
 package sim
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 
 	"accord/internal/ckpt"
 	"accord/internal/cpu"
-	"accord/internal/workloads"
 )
 
 // snapshotMagic opens every warm-state snapshot blob.
@@ -15,9 +12,9 @@ const snapshotMagic = "ACRDSNAP"
 
 // SnapshotSchema is the warm-state snapshot format version. Bump it
 // whenever ANY component encoding changes — it participates in both the
-// store key and the blob header, so stale checkpoints are invalidated
-// twice over (the key no longer matches, and a blob reached through a
-// collision is rejected on decode).
+// checkpoint key (through WarmFingerprint) and the blob header, so stale
+// checkpoints are invalidated twice over (the key no longer matches, and
+// a blob reached through a collision is rejected on decode).
 //
 // Schema 2: workload generator snapshots gained the event count
 // (generatorVersion 2), making them interchangeable with trace-cache
@@ -34,34 +31,46 @@ func SnapshotSchemaID() string {
 	return fmt.Sprintf("accord-ckpt-v%d", SnapshotSchema)
 }
 
-// WarmFingerprint describes everything that determines the system state
-// at the warmup/measure boundary: the schema, the workload, the
-// L4 organization (Name plus StorageBytes, which captures table-size
-// sweeps that share a name), and every warmup-affecting Config field.
-//
-// Deliberately excluded:
+// AppendStateFields appends to b, as |-separated label=value pairs in a
+// fixed order, every Config field that shapes the simulated state up to
+// the warmup/measure boundary. It is the one list every key is built
+// from: WarmFingerprint (and SpineFingerprint through it) on its own,
+// exp's memo key with the measured-phase fields added. It appends
+// instead of returning a string because the memo key is built on every
+// lookup, and appending to a caller's stack buffer spares each lookup
+// the key's own allocation.
+// The fields it leaves out cannot change the warm state:
 //   - Name: a label; two configs that differ only in Name warm
 //     identically and share a checkpoint.
 //   - MeasureInstr: consumed strictly after the boundary.
-//   - EpochInstr: sampling is passive and starts at the boundary.
-//   - Sampling: interval sampling only changes how the measured phase is
-//     executed; the warm state it needs is the same one.
-func (s *System) WarmFingerprint(wlName string) string {
-	c := s.cfg
-	return fmt.Sprintf("%s|wl=%s|l4=%s/%d|backend=%s|cores=%d|iw=%d|mshrs=%d|ghz=%g|sram=%d|"+
+//   - EpochInstr: epoch sampling is passive and starts at the boundary.
+//   - Sampling: changes only how the measured phase runs, so a sampled
+//     and an exact run share the warm state (SpineFingerprint adds the
+//     interval geometry).
+//   - SampleWorkers, SpineCheckpointDir, SpineStride: execution strategy.
+//   - Policy: a function; its identity enters WarmFingerprint through the
+//     L4's Name and StorageBytes.
+//
+// The test over Config's fields fails for a new field that is neither
+// listed here nor excluded with its reason.
+func (c Config) AppendStateFields(b []byte) []byte {
+	return fmt.Appendf(b, "backend=%s|cores=%d|iw=%d|mshrs=%d|ghz=%g|sram=%d|"+
 		"scale=%d|l4cap=%d|ways=%d|lookup=%d|lru=%t|ca=%t|hier=%t|"+
 		"nvmcap=%d|anchor=%d|hbm=%+v|pcm=%+v|warm=%d|noadapt=%t|seed=%d",
-		SnapshotSchemaID(), wlName, s.l4.Name(), s.l4.StorageBytes(), c.BackendName(),
-		c.Cores, c.IssueWidth, c.MSHRs, c.CPUGHz, c.SRAMLat,
+		c.BackendName(), c.Cores, c.IssueWidth, c.MSHRs, c.CPUGHz, c.SRAMLat,
 		c.Scale, c.L4CapacityFull, c.Ways, c.Lookup, c.LRUReplacement, c.BackendName() == "ca",
 		c.FullHierarchy, c.NVMCapacityFull, c.WorkloadAnchorLines,
 		c.HBM, c.PCM, c.WarmupInstr, c.DisableAdaptiveBudgets, c.Seed)
 }
 
-// WarmKey digests the fingerprint into the content-addressed store key.
-func (s *System) WarmKey(wlName string) string {
-	sum := sha256.Sum256([]byte(s.WarmFingerprint(wlName)))
-	return hex.EncodeToString(sum[:])
+// WarmFingerprint describes everything that determines the system state
+// at the warmup/measure boundary: the schema, the workload, the L4
+// organization (Name plus StorageBytes, which captures table-size
+// sweeps that share a name), and Config.AppendStateFields.
+func (s *System) WarmFingerprint(wlName string) string {
+	var buf [1024]byte
+	b := fmt.Appendf(buf[:0], "%s|wl=%s|l4=%s/%d|", SnapshotSchemaID(), wlName, s.l4.Name(), s.l4.StorageBytes())
+	return string(s.cfg.AppendStateFields(b))
 }
 
 // Snapshot serializes the complete warm state of the system: every
@@ -256,63 +265,38 @@ func (s *System) readState(blob []byte, wlName string, functional bool) error {
 	return nil
 }
 
-// RunInfo reports how RunWithStoreInfo executed a run: whether a
-// warm-state checkpoint skipped warmup, and — for sampled runs — the
-// execution split including spine-lattice hit/miss accounting.
-type RunInfo struct {
-	// Restored is true when a warm-state checkpoint was restored and
-	// warmup skipped (exact runs only; sampled runs memoize through the
-	// spine lattice instead, reported in Work).
-	Restored bool
-	// Work is the sampled-run execution split (zero value for exact runs).
-	Work SampleWork
-}
-
-// RunWithStore runs cfg on wl, consulting store (which may be nil) for a
-// warm-state checkpoint: a hit restores the boundary state and skips
-// warmup entirely; a miss warms up cold and saves the state for the next
-// run. Any checkpoint problem — corrupt blob, stale schema, policy
-// without snapshot support — silently degrades to a cold run on a fresh
-// system. The restored flag reports whether warmup was skipped.
-func RunWithStore(cfg Config, wl workloads.Workload, store *ckpt.Store, wlName string) (res Result, restored bool) {
-	res, info := RunWithStoreInfo(cfg, wl, store, wlName)
-	return res, info.Restored
-}
-
-// RunWithStoreInfo is RunWithStore with execution diagnostics.
-func RunWithStoreInfo(cfg Config, wl workloads.Workload, store *ckpt.Store, wlName string) (res Result, info RunInfo) {
-	s := New(cfg, wl)
-	if cfg.Sampling.Enabled() {
-		// Sampled runs warm functionally and never sit at the single
-		// detailed warmup/measure boundary a checkpoint captures, so they
-		// neither consume nor populate the warm-state store — their
-		// memoization path is the spine checkpoint lattice
-		// (Config.SpineCheckpointDir), which subsumes warmup skipping.
-		// WarmFingerprint deliberately excludes Sampling, so a detailed
-		// run of the same config still shares its warm-state key.
-		res = s.Run(wlName)
-		info.Work = s.SampleWork()
-		return res, info
+// runExact is Run's exact path. With Config.SpineCheckpointDir set, the
+// warm state is boundary 0 of a one-entry ckpt.Lattice keyed by
+// WarmFingerprint, its offset the warmup budget: the same framing and
+// echo checks as a sampled run's spine entries, without an index. A hit
+// restores it and skips warmup; a miss warms up cold and saves it. Any
+// checkpoint problem (a damaged entry, a foreign or stale one, a policy
+// that cannot snapshot, an unusable directory) degrades to a cold run,
+// which re-saves; a restore that fails midway rebuilds the system first.
+// SampleWork reports the probe as one lattice hit or one miss.
+func (s *System) runExact(wlName string) Result {
+	// Open rejects an empty directory, so a run without one starts here.
+	store, err := ckpt.Open(s.cfg.SpineCheckpointDir)
+	if err != nil {
+		s.RunWarmup()
+		return s.RunMeasure(wlName)
 	}
-	if store == nil {
-		return s.Run(wlName), info
-	}
-	key := s.WarmKey(wlName)
-	if blob, ok, err := store.Load(key); err == nil && ok {
-		if err := s.Restore(blob, wlName); err == nil {
-			info.Restored = true
-			return s.RunMeasure(wlName), info
+	lat := ckpt.NewLattice(store, s.WarmFingerprint(wlName))
+	warm := s.adaptiveBudget(warmFactor, s.cfg.WarmupInstr)
+	if blob, ok, err := lat.Load(0, warm); err == nil && ok {
+		if s.Restore(blob, wlName) == nil {
+			s.work.LatticeHits = 1
+			return s.RunMeasure(wlName)
 		}
-		// A failed restore leaves component state unspecified; rebuild
-		// and fall through to the cold path.
-		s = New(cfg, wl)
+		s.assemble(s.cfg, s.wl)
 	}
+	s.work.LatticeMisses = 1
 	s.RunWarmup()
 	if blob, err := s.Snapshot(wlName); err == nil {
 		// Best-effort: a full disk or read-only store must not fail the run.
-		_ = store.Save(key, blob)
+		_ = lat.SaveEntry(0, warm, blob)
 	}
-	return s.RunMeasure(wlName), info
+	return s.RunMeasure(wlName)
 }
 
 // Cores exposes the assembled cores for tests.

@@ -3,6 +3,8 @@ package sim
 import (
 	"encoding/json"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -91,9 +93,26 @@ func TestSnapshotResumeBitIdentical(t *testing.T) {
 	}
 }
 
+// storeRun runs cfg on wl through Run with dir as the checkpoint
+// directory, returning the result and the run's checkpoint probe.
+func storeRun(cfg Config, wl workloads.Workload, dir, wlName string) (Result, SampleWork) {
+	cfg.SpineCheckpointDir = dir
+	s := New(cfg, wl)
+	res := s.Run(wlName)
+	return res, s.SampleWork()
+}
+
+// warmEntryKey is the store key of cfg's exact warm-state entry: boundary
+// 0 of the one-entry lattice keyed by WarmFingerprint, at the warmup
+// budget's offset.
+func warmEntryKey(cfg Config, wl workloads.Workload, wlName string) string {
+	s := New(cfg, wl)
+	return ckpt.LatticeEntryKey(s.WarmFingerprint(wlName), 0, s.adaptiveBudget(warmFactor, cfg.WarmupInstr))
+}
+
 // TestRunWithStoreBitIdentical exercises the full store path: the first
-// run populates the store cold, the second restores, and both results —
-// and a no-store baseline — are byte-identical.
+// run populates the checkpoint directory cold, the second restores, and
+// both results — and a no-store baseline — are byte-identical.
 func TestRunWithStoreBitIdentical(t *testing.T) {
 	const wlName = "milc"
 	for _, cfg := range ckptCases() {
@@ -101,18 +120,15 @@ func TestRunWithStoreBitIdentical(t *testing.T) {
 		t.Run(cfg.Name, func(t *testing.T) {
 			t.Parallel()
 			wl := workloads.MustGet(wlName, cfg.Cores)
-			store, err := ckpt.Open(t.TempDir())
-			if err != nil {
-				t.Fatal(err)
-			}
+			dir := t.TempDir()
 			base := New(cfg, wl).Run(wlName)
-			first, restored := RunWithStore(cfg, wl, store, wlName)
-			if restored {
-				t.Fatal("first run claims to have restored from an empty store")
+			first, work := storeRun(cfg, wl, dir, wlName)
+			if work.LatticeHits != 0 || work.LatticeMisses != 1 {
+				t.Fatalf("first run probed %+v, want one miss in an empty directory", work)
 			}
-			second, restored := RunWithStore(cfg, wl, store, wlName)
-			if !restored {
-				t.Fatal("second run did not restore from the populated store")
+			second, work := storeRun(cfg, wl, dir, wlName)
+			if work.LatticeHits != 1 || work.LatticeMisses != 0 {
+				t.Fatalf("second run probed %+v, want one hit in the populated directory", work)
 			}
 			baseFP := resultFingerprint(t, base)
 			if got := resultFingerprint(t, first); got != baseFP {
@@ -125,14 +141,79 @@ func TestRunWithStoreBitIdentical(t *testing.T) {
 	}
 }
 
-// TestWarmKeyExclusions verifies the digest ignores exactly the fields
-// that cannot affect warm state, and changes with ones that can.
+// TestStateFieldsCoverConfig holds every Config field to one of two
+// places: AppendStateFields, or the exclusion list below with its
+// reason. A field is in the list when changing it changes the list; a
+// new field that changes results but is in neither place fails here
+// instead of sharing a checkpoint or a memo entry by accident.
+func TestStateFieldsCoverConfig(t *testing.T) {
+	excluded := map[string]string{
+		"Name":               "a label: configs differing only in Name warm identically (exp's memo key adds it)",
+		"MeasureInstr":       "consumed after the warmup/measure boundary (exp's memo key adds it)",
+		"EpochInstr":         "passive sampling from the boundary on (exp's memo key adds it)",
+		"Sampling":           "shapes the measured phase only (SpineFingerprint adds the geometry, exp's memo key all of it)",
+		"SampleWorkers":      "execution strategy: results are identical at any worker count",
+		"SpineCheckpointDir": "execution strategy: where state persists, not what it is",
+		"SpineStride":        "execution strategy: which boundaries persist, not what they hold",
+		"Policy":             "a function: its identity enters WarmFingerprint through the L4's Name and StorageBytes",
+	}
+	base := ckptCases()[1] // ACCORD 2-way
+	ref := string(base.AppendStateFields(nil))
+	typ := reflect.TypeOf(base)
+	for i := 0; i < typ.NumField(); i++ {
+		f := typ.Field(i)
+		cfg := base
+		if !perturb(reflect.ValueOf(&cfg).Elem().Field(i)) {
+			t.Errorf("Config.%s: no perturbation for kind %s; extend perturb", f.Name, f.Type.Kind())
+			continue
+		}
+		listed := string(cfg.AppendStateFields(nil)) != ref
+		reason, isExcluded := excluded[f.Name]
+		switch {
+		case listed && isExcluded:
+			t.Errorf("Config.%s changes AppendStateFields but is excluded (%s)", f.Name, reason)
+		case !listed && !isExcluded:
+			t.Errorf("Config.%s is neither in AppendStateFields nor excluded with a reason", f.Name)
+		}
+		delete(excluded, f.Name)
+	}
+	for name := range excluded {
+		t.Errorf("exclusion %q names no Config field", name)
+	}
+}
+
+// perturb changes v to a different value of its type, reporting false
+// for a kind it does not handle. A struct changes in its first field.
+func perturb(v reflect.Value) bool {
+	switch v.Kind() {
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		v.SetInt(v.Int() + 1)
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		v.SetUint(v.Uint() + 1)
+	case reflect.Float32, reflect.Float64:
+		v.SetFloat(v.Float() + 1)
+	case reflect.Bool:
+		v.SetBool(!v.Bool())
+	case reflect.String:
+		v.SetString(v.String() + "x")
+	case reflect.Func:
+		v.Set(reflect.MakeFunc(v.Type(), func([]reflect.Value) []reflect.Value {
+			panic("perturbed function called")
+		}))
+	case reflect.Struct:
+		return v.NumField() > 0 && perturb(v.Field(0))
+	default:
+		return false
+	}
+	return true
+}
+
+// TestWarmKeyExclusions verifies the warm entry's key ignores exactly the
+// fields that cannot affect warm state, and changes with ones that can.
 func TestWarmKeyExclusions(t *testing.T) {
 	base := ckptCases()[1] // ACCORD 2-way
 	wl := workloads.MustGet("libquantum", base.Cores)
-	key := func(cfg Config) string {
-		return New(cfg, wl).WarmKey("libquantum")
-	}
+	key := func(cfg Config) string { return warmEntryKey(cfg, wl, "libquantum") }
 	k0 := key(base)
 
 	renamed := base
@@ -181,7 +262,7 @@ func TestWarmKeyDistinguishesTableSizes(t *testing.T) {
 	b := shrink(ACCORDWithTables(64))
 	a.Name, b.Name = "same", "same"
 	wl := workloads.MustGet("libquantum", a.Cores)
-	if New(a, wl).WarmKey("libquantum") == New(b, wl).WarmKey("libquantum") {
+	if warmEntryKey(a, wl, "libquantum") == warmEntryKey(b, wl, "libquantum") {
 		t.Error("different GWS table sizes share a warm key")
 	}
 }
@@ -256,43 +337,117 @@ func TestRestoreRejectsTrailingBytes(t *testing.T) {
 	}
 }
 
-// TestRunWithStoreCorruptFallsBackCold corrupts the stored blob between
-// runs; the second run must detect it, fall back cold, and still produce
-// the identical result.
+// TestRunWithStoreCorruptFallsBackCold damages the stored warm entry
+// every way the checkpoint layer must survive. Each time the next run
+// must reject the entry, fall back to a cold run with the identical
+// result, and re-save a good entry that the run after it restores.
 func TestRunWithStoreCorruptFallsBackCold(t *testing.T) {
+	const wlName = "libquantum"
 	cfg := ckptCases()[1]
-	wl := workloads.MustGet("libquantum", cfg.Cores)
-	dir := t.TempDir()
-	store, err := ckpt.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	base, _ := RunWithStore(cfg, wl, store, "libquantum")
+	wl := workloads.MustGet(wlName, cfg.Cores)
+	base := New(cfg, wl).Run(wlName)
+	key := warmEntryKey(cfg, wl, wlName)
+	fp := New(cfg, wl).WarmFingerprint(wlName)
+	warm := New(cfg, wl).adaptiveBudget(warmFactor, cfg.WarmupInstr)
 
-	key := New(cfg, wl).WarmKey("libquantum")
-	blob, ok, err := store.Load(key)
-	if err != nil || !ok {
-		t.Fatalf("stored blob missing: ok=%v err=%v", ok, err)
+	// relabel saves payload as an entry echoing (fp, interval, offset)
+	// and moves it under this config's warm key.
+	relabel := func(t *testing.T, dir, fp string, interval int, offset int64, payload []byte) {
+		store, err := ckpt.Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ckpt.NewLattice(store, fp).SaveEntry(interval, offset, payload); err != nil {
+			t.Fatal(err)
+		}
+		from := filepath.Join(dir, ckpt.LatticeEntryKey(fp, interval, offset)+".ckpt")
+		if err := os.Rename(from, filepath.Join(dir, key+".ckpt")); err != nil {
+			t.Fatal(err)
+		}
 	}
-	blob[len(blob)/2] ^= 0xFF
-	if err := store.Save(key, blob); err != nil {
-		t.Fatal(err)
+	// snapshot is this config's warm-state blob.
+	snapshot := func(t *testing.T) []byte {
+		s := New(cfg, wl)
+		s.RunWarmup()
+		blob, err := s.Snapshot(wlName)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return blob
+	}
+	other := func(t *testing.T) (string, []byte) {
+		wlOther := workloads.MustGet("milc", cfg.Cores)
+		s := New(cfg, wlOther)
+		s.RunWarmup()
+		blob, err := s.Snapshot("milc")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s.WarmFingerprint("milc"), blob
 	}
 
-	got, restored := RunWithStore(cfg, wl, store, "libquantum")
-	if restored {
-		t.Error("corrupt checkpoint was reported as restored")
-	}
-	if !reflect.DeepEqual(base, got) {
-		t.Error("cold fallback after corruption diverged from the original run")
-	}
+	for _, tc := range []struct {
+		name   string
+		damage func(t *testing.T, dir string, entry []byte) []byte // nil result: leave the file
+	}{
+		{"truncated", func(t *testing.T, _ string, b []byte) []byte { return b[:len(b)/2] }},
+		{"bitflip", func(t *testing.T, _ string, b []byte) []byte {
+			b[len(b)/2] ^= 0x10
+			return b
+		}},
+		{"foreign-fingerprint", func(t *testing.T, dir string, _ []byte) []byte {
+			ofp, oblob := other(t)
+			relabel(t, dir, ofp, 0, warm, oblob)
+			return nil
+		}},
+		{"interval-echo", func(t *testing.T, dir string, _ []byte) []byte {
+			relabel(t, dir, fp, 1, warm, snapshot(t))
+			return nil
+		}},
+		{"offset-echo", func(t *testing.T, dir string, _ []byte) []byte {
+			relabel(t, dir, fp, 0, warm+1, snapshot(t))
+			return nil
+		}},
+		{"restore-fails", func(t *testing.T, dir string, _ []byte) []byte {
+			// Drop the snapshot's tail and re-frame it: the CRC and the
+			// header pass, and the last component's Restore runs short.
+			blob := snapshot(t)
+			e := ckpt.NewEncoder(len(blob))
+			e.Raw(blob[:len(blob)-4-16])
+			relabel(t, dir, fp, 0, warm, e.Finish())
+			return nil
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			if _, work := storeRun(cfg, wl, dir, wlName); work.LatticeMisses != 1 {
+				t.Fatalf("populating run probed %+v, want one miss", work)
+			}
+			path := filepath.Join(dir, key+".ckpt")
+			entry, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatalf("warm entry missing: %v", err)
+			}
+			if damaged := tc.damage(t, dir, entry); damaged != nil {
+				if err := os.WriteFile(path, damaged, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
 
-	// The fallback re-saved a good checkpoint; the next run restores.
-	again, restored := RunWithStore(cfg, wl, store, "libquantum")
-	if !restored {
-		t.Error("store was not repopulated after the corrupt fallback")
-	}
-	if !reflect.DeepEqual(base, again) {
-		t.Error("restored run after repopulation diverged")
+			got, work := storeRun(cfg, wl, dir, wlName)
+			if work.LatticeHits != 0 || work.LatticeMisses != 1 {
+				t.Errorf("damaged entry probed %+v, want one miss", work)
+			}
+			if !reflect.DeepEqual(base, got) {
+				t.Error("cold fallback after damage diverged from the no-store run")
+			}
+			again, work := storeRun(cfg, wl, dir, wlName)
+			if work.LatticeHits != 1 {
+				t.Errorf("entry was not re-saved after the fallback: probe %+v", work)
+			}
+			if !reflect.DeepEqual(base, again) {
+				t.Error("restored run after the re-save diverged")
+			}
+		})
 	}
 }

@@ -31,7 +31,7 @@ type SamplingConfig struct {
 	// Period is the per-core instruction length of one sampling interval.
 	// Each period is laid out as [functional fast-forward | WarmLen
 	// detailed unmeasured | DetailLen detailed measured]. The number of
-	// intervals is MeasureInstr / Period (capped by MaxIntervals).
+	// intervals is MeasureInstr / Period.
 	Period int64
 	// DetailLen is the measured detailed window per period (must be
 	// positive; DetailLen + WarmLen must not exceed Period).
@@ -44,27 +44,17 @@ type SamplingConfig struct {
 	// early stopping may trigger (≥ 2 when TargetCI is set; the t
 	// interval needs a variance estimate).
 	MinIntervals int
-	// MaxIntervals, when positive, caps the interval count below what
-	// MeasureInstr / Period allows.
-	MaxIntervals int
 	// TargetCI is the relative confidence-interval half-width (half/mean)
 	// at which the run stops early, e.g. 0.05 for ±5%. Zero disables
 	// early stopping: every planned interval runs.
 	TargetCI float64
-	// Confidence is the CI confidence level; zero means 0.95.
-	Confidence float64
 }
+
+// sampleConfidence is the level every sampled CI is quoted at.
+const sampleConfidence = 0.95
 
 // Enabled reports whether interval sampling is configured.
 func (sc SamplingConfig) Enabled() bool { return sc.Period > 0 }
-
-// ConfidenceLevel returns the effective confidence level (default 0.95).
-func (sc SamplingConfig) ConfidenceLevel() float64 {
-	if sc.Confidence == 0 {
-		return 0.95
-	}
-	return sc.Confidence
-}
 
 // DefaultSampling returns a reasonable layout for a given period: 5% of
 // each period measured in detail, half that re-warming timing state, and
@@ -87,8 +77,7 @@ func DefaultSampling(period int64) SamplingConfig {
 // Config.Validate calls it.
 func (sc SamplingConfig) validate(c Config) error {
 	if !sc.Enabled() {
-		if sc.DetailLen != 0 || sc.WarmLen != 0 || sc.MinIntervals != 0 ||
-			sc.MaxIntervals != 0 || sc.TargetCI != 0 || sc.Confidence != 0 {
+		if sc.DetailLen != 0 || sc.WarmLen != 0 || sc.MinIntervals != 0 || sc.TargetCI != 0 {
 			return errors.New("sim: sampling fields set but Sampling.Period is zero; set Period to enable interval sampling")
 		}
 		return nil
@@ -101,17 +90,12 @@ func (sc SamplingConfig) validate(c Config) error {
 	case sc.DetailLen+sc.WarmLen > sc.Period:
 		return fmt.Errorf("sim: sampling DetailLen %d + WarmLen %d exceed Period %d",
 			sc.DetailLen, sc.WarmLen, sc.Period)
-	case sc.MinIntervals < 0 || sc.MaxIntervals < 0:
-		return errors.New("sim: sampling interval counts must be >= 0")
-	case sc.MaxIntervals > 0 && sc.MinIntervals > sc.MaxIntervals:
-		return fmt.Errorf("sim: sampling MinIntervals %d exceeds MaxIntervals %d",
-			sc.MinIntervals, sc.MaxIntervals)
+	case sc.MinIntervals < 0:
+		return errors.New("sim: sampling MinIntervals must be >= 0")
 	case sc.TargetCI < 0 || sc.TargetCI >= 1 || math.IsNaN(sc.TargetCI):
 		return fmt.Errorf("sim: sampling TargetCI %v must be in [0, 1)", sc.TargetCI)
 	case sc.TargetCI > 0 && sc.MinIntervals < 2:
 		return fmt.Errorf("sim: sampling TargetCI %v needs MinIntervals >= 2 (a confidence interval needs a variance estimate)", sc.TargetCI)
-	case sc.Confidence != 0 && (sc.Confidence <= 0 || sc.Confidence >= 1 || math.IsNaN(sc.Confidence)):
-		return fmt.Errorf("sim: sampling Confidence %v must be in (0, 1)", sc.Confidence)
 	}
 	if !c.DisableAdaptiveBudgets {
 		return errors.New("sim: sampling requires DisableAdaptiveBudgets: adaptive windows would silently override the Period-by-intervals layout derived from MeasureInstr")
@@ -449,7 +433,6 @@ func (s *System) measureInterval(sc SamplingConfig) *intervalResult {
 // any worker count.
 type sampleState struct {
 	sc      SamplingConfig
-	conf    float64
 	planned int
 	wlName  string
 
@@ -484,7 +467,6 @@ type sampleState struct {
 func newSampleState(sc SamplingConfig, planned, nCores int, wlName string) *sampleState {
 	return &sampleState{
 		sc:          sc,
-		conf:        sc.ConfidenceLevel(),
 		planned:     planned,
 		wlName:      wlName,
 		ipcObs:      make([]float64, 0, planned),
@@ -560,7 +542,7 @@ func (st *sampleState) commit(r *intervalResult) (stop bool) {
 	st.last = r
 
 	if st.sc.TargetCI > 0 && st.intervals >= st.sc.MinIntervals {
-		if mean, half, ok := stats.MeanCI(st.ipcObs, st.conf); ok && mean > 0 && half/mean <= st.sc.TargetCI {
+		if mean, half, ok := stats.MeanCI(st.ipcObs, sampleConfidence); ok && mean > 0 && half/mean <= st.sc.TargetCI {
 			st.converged = true
 			return true
 		}
@@ -595,14 +577,7 @@ func (s *System) RunSampled(wlName string) Result {
 	}
 	start := time.Now()
 
-	planned64 := s.cfg.MeasureInstr / sc.Period
-	if planned64 < 1 {
-		planned64 = 1
-	}
-	if sc.MaxIntervals > 0 && planned64 > int64(sc.MaxIntervals) {
-		planned64 = int64(sc.MaxIntervals)
-	}
-	planned := int(planned64)
+	planned := int(max(s.cfg.MeasureInstr/sc.Period, 1))
 
 	st := newSampleState(sc, planned, len(s.cores), wlName)
 
@@ -679,10 +654,10 @@ func (s *System) finishSampled(st *sampleState, wlName string) Result {
 		Intervals:  st.intervals,
 		Planned:    st.planned,
 		Converged:  st.converged,
-		Confidence: st.conf,
-		IPC:        metricCI(st.ipcObs, st.conf),
-		HitRate:    metricCI(st.hitObs, st.conf),
-		MPKI:       metricCI(st.mpkiObs, st.conf),
+		Confidence: sampleConfidence,
+		IPC:        metricCI(st.ipcObs),
+		HitRate:    metricCI(st.hitObs),
+		MPKI:       metricCI(st.mpkiObs),
 		Series:     st.series,
 	}
 	s.sample = sum
@@ -720,8 +695,8 @@ func (s *System) finishSampled(st *sampleState, wlName string) Result {
 }
 
 // metricCI folds per-interval observations into a MetricCI.
-func metricCI(obs []float64, confidence float64) MetricCI {
-	mean, half, ok := stats.MeanCI(obs, confidence)
+func metricCI(obs []float64) MetricCI {
+	mean, half, ok := stats.MeanCI(obs, sampleConfidence)
 	return MetricCI{Mean: mean, Half: half, N: len(obs), OK: ok}
 }
 

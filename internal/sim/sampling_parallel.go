@@ -67,8 +67,9 @@ type SampleWork struct {
 	// boundary snapshots into the spine checkpoint lattice; it overlaps
 	// worker execution, so it is cost only when the disk is the
 	// bottleneck. LatticeHits and LatticeMisses count boundary probes
-	// (zero when no lattice is configured): a fully warm run reports
-	// Hits == Dispatched, a cold run Misses == Dispatched.
+	// (zero when no checkpoint directory is configured): a fully warm run
+	// reports Hits == Dispatched, a cold run Misses == Dispatched. An
+	// exact run probes its one warm-state entry: one hit or one miss.
 	SpineSaveTime time.Duration
 	LatticeHits   int
 	LatticeMisses int

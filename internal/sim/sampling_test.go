@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
-	"accord/internal/ckpt"
 	"accord/internal/workloads"
 )
 
@@ -217,35 +219,40 @@ func TestSampledEarlyStop(t *testing.T) {
 func TestWarmKeyIgnoresSampling(t *testing.T) {
 	exactCfg, sampledCfg := sampledBase(ACCORD(2))
 	wl := workloads.MustGet("libquantum", exactCfg.Cores)
-	k0 := New(exactCfg, wl).WarmKey("libquantum")
-	k1 := New(sampledCfg, wl).WarmKey("libquantum")
-	if k0 != k1 {
+	if warmEntryKey(exactCfg, wl, "libquantum") != warmEntryKey(sampledCfg, wl, "libquantum") {
 		t.Error("Sampling changed the warm key; it must be excluded like MeasureInstr")
 	}
 }
 
-// TestRunWithStoreBypassesSampling: sampled runs neither read nor write
-// the checkpoint store, and still match a plain Run.
+// TestRunWithStoreBypassesSampling: a sampled and an exact run sharing
+// one checkpoint directory keep apart. The sampled run neither reads nor
+// writes the exact run's warm entry (its boundaries live under the spine
+// fingerprint), and the exact run after it still misses once, then
+// restores; every result matches a plain Run.
 func TestRunWithStoreBypassesSampling(t *testing.T) {
-	_, cfg := sampledBase(DirectMapped())
+	exactCfg, cfg := sampledBase(DirectMapped())
 	wl := workloads.MustGet("libquantum", cfg.Cores)
-	store, err := ckpt.Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
+	dir := t.TempDir()
+	res, work := storeRun(cfg, wl, dir, "libquantum")
+	if work.LatticeHits != 0 || work.LatticeMisses == 0 {
+		t.Errorf("cold sampled run probed %+v, want only misses", work)
 	}
-	res, restored := RunWithStore(cfg, wl, store, "libquantum")
-	if restored {
-		t.Error("sampled run claims to have restored a checkpoint")
+	if _, err := os.Stat(filepath.Join(dir, warmEntryKey(cfg, wl, "libquantum")+".ckpt")); err == nil {
+		t.Error("sampled run wrote the exact run's warm entry")
 	}
-	if key := New(cfg, wl).WarmKey("libquantum"); func() bool {
-		_, ok, _ := store.Load(key)
-		return ok
-	}() {
-		t.Error("sampled run populated the checkpoint store")
+	if base := New(cfg, wl).Run("libquantum"); !reflect.DeepEqual(res, base) {
+		t.Error("sampled run with a checkpoint directory diverged from plain Run")
 	}
-	base := New(cfg, wl).Run("libquantum")
-	if res.MeanIPC() != base.MeanIPC() || res.HitRate() != base.HitRate() {
-		t.Error("RunWithStore sampled result diverged from plain Run")
+
+	want := New(exactCfg, wl).Run("libquantum")
+	for i, probe := range []SampleWork{{LatticeMisses: 1}, {LatticeHits: 1}} {
+		got, work := storeRun(exactCfg, wl, dir, "libquantum")
+		if work.LatticeHits != probe.LatticeHits || work.LatticeMisses != probe.LatticeMisses {
+			t.Errorf("exact run %d probed %+v, want %+v", i, work, probe)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("exact run %d beside a sampled lattice diverged from plain Run", i)
+		}
 	}
 }
 
@@ -275,16 +282,11 @@ func TestSamplingValidation(t *testing.T) {
 			c.Sampling.DetailLen = 60_000
 			c.Sampling.WarmLen = 50_000
 		}, "exceed Period"},
-		{"min-over-max", func(c *Config) {
-			c.Sampling.MinIntervals = 5
-			c.Sampling.MaxIntervals = 3
-		}, "MaxIntervals"},
 		{"target-ci-range", func(c *Config) { c.Sampling.TargetCI = 1.5 }, "TargetCI"},
 		{"target-ci-needs-min", func(c *Config) {
 			c.Sampling.TargetCI = 0.05
 			c.Sampling.MinIntervals = 1
 		}, "MinIntervals >= 2"},
-		{"confidence-range", func(c *Config) { c.Sampling.Confidence = 1.0 }, "Confidence"},
 		{"adaptive-budgets", func(c *Config) {
 			c.DisableAdaptiveBudgets = false
 		}, "DisableAdaptiveBudgets"},

@@ -111,19 +111,22 @@ type Config struct {
 	// keys and warm fingerprints. Ignored for exact (non-sampled) runs.
 	SampleWorkers int
 
-	// SpineCheckpointDir, when non-empty, memoizes the sampled run's
-	// functional spine through an on-disk checkpoint lattice (DESIGN.md
-	// §14): boundary snapshots are persisted in the background on a cold
-	// run and restored instead of re-simulated on later runs with the
-	// same warm fingerprint and interval geometry. Like SampleWorkers it
-	// is pure execution strategy — results are byte-identical with the
-	// lattice on, off, cold, or warm — so it is excluded from memo keys
-	// and warm fingerprints. Ignored for exact (non-sampled) runs.
+	// SpineCheckpointDir, when non-empty, is the checkpoint directory
+	// (DESIGN.md §7, §14) that memoizes both kinds of run as ckpt.Lattice
+	// entries. An exact run's warm state is boundary 0 of a one-entry
+	// lattice keyed by WarmFingerprint: a hit restores it and skips
+	// warmup, a miss warms up cold and saves it. A sampled run persists
+	// its functional spine's boundary snapshots in the background and
+	// restores them instead of re-simulating on later runs with the same
+	// spine fingerprint. Like SampleWorkers it is pure execution strategy
+	// — results are byte-identical with the directory unset, empty or
+	// populated — so it is excluded from memo keys and fingerprints.
 	SpineCheckpointDir string
-	// SpineStride saves every SpineStride-th interval boundary into the
-	// lattice. Zero (the default) sizes the stride automatically from the
-	// first snapshot's size so roughly one ~128 KiB granule is written
-	// per period whatever the blob size; 1 saves every boundary.
+	// SpineStride saves every SpineStride-th interval boundary of a
+	// sampled run into the lattice. Zero (the default) sizes the stride
+	// automatically from the first snapshot's size so roughly one
+	// ~128 KiB granule is written per period whatever the blob size; 1
+	// saves every boundary. Exact runs ignore it.
 	SpineStride int
 
 	Seed int64
@@ -324,9 +327,10 @@ type System struct {
 	// completes; the sampling.* gauges read it (NaN/absent before).
 	sample *SampleSummary
 	// work records the sampled run's speculative-work and wall-clock
-	// accounting. It is deliberately kept out of Result and the exported
-	// metrics: dispatch/discard counts and timings depend on scheduling,
-	// and sampled outputs must stay byte-identical at every worker count.
+	// accounting, and an exact run's checkpoint probe. It is deliberately
+	// kept out of Result and the exported metrics: dispatch/discard counts
+	// and timings depend on scheduling, and outputs must stay
+	// byte-identical at every worker count and checkpoint state.
 	work SampleWork
 
 	// snapLen and funcSnapLen are the lengths of the last Snapshot and
@@ -406,6 +410,16 @@ func (m hierAdapter) sink(at int64, wbs []cache.Writeback) {
 // configurations (programming errors); unknown workloads surface earlier
 // from the workloads package.
 func New(cfg Config, wl workloads.Workload) *System {
+	s := new(System)
+	s.assemble(cfg, wl)
+	return s
+}
+
+// assemble builds every component of a fresh system for cfg and wl into
+// s, discarding whatever s held: an exact run whose checkpoint restore
+// failed midway starts over on the same System this way, and the metric
+// views it registers read s itself.
+func (s *System) assemble(cfg Config, wl workloads.Workload) {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
@@ -445,7 +459,7 @@ func New(cfg Config, wl workloads.Workload) *System {
 
 	vmsys := vm.NewSystem(frames, vm.AllocRandom, cfg.Seed)
 
-	s := &System{cfg: cfg, specs: wl.Specs, wl: wl, l4: l4, hbm: hbm, pcm: pcm, vmsys: vmsys}
+	*s = System{cfg: cfg, specs: wl.Specs, wl: wl, l4: l4, hbm: hbm, pcm: pcm, vmsys: vmsys}
 	params := cpu.Params{IssueWidth: cfg.IssueWidth, MSHRs: cfg.MSHRs, SRAMLat: cfg.SRAMLat}
 	var hiers []*cache.Hierarchy
 	if cfg.FullHierarchy {
@@ -472,7 +486,6 @@ func New(cfg Config, wl workloads.Workload) *System {
 	}
 	s.reg = metrics.NewRegistry()
 	s.registerMetrics()
-	return s
 }
 
 // L4 exposes the cache for inspection.
@@ -507,13 +520,14 @@ func (s *System) adaptiveBudget(factor float64, configured int64) int64 {
 
 // Run executes warmup then the measurement window and returns the
 // result. With Config.Sampling enabled it dispatches to the
-// interval-sampling driver instead.
+// interval-sampling driver instead. With Config.SpineCheckpointDir set,
+// an exact run restores its warm state from the checkpoint directory
+// instead of warming up, or saves it there for the next run (runExact).
 func (s *System) Run(wlName string) Result {
 	if s.cfg.Sampling.Enabled() {
 		return s.RunSampled(wlName)
 	}
-	s.RunWarmup()
-	return s.RunMeasure(wlName)
+	return s.runExact(wlName)
 }
 
 // RunWarmup advances every core through the warmup phase and marks the
