@@ -14,7 +14,7 @@ STATICCHECK_VERSION ?= 2025.1.1
 # runs with ACCORD_CHECKPOINT_DIR pointing there skip their warmup.
 CKPT_DIR ?= .ckpt
 
-.PHONY: all build test race vet fmt-check lint bench-smoke checkpoints profile verify
+.PHONY: all build test race vet fmt-check lint bench-smoke fuzz-smoke checkpoints profile verify
 
 all: verify
 
@@ -54,6 +54,14 @@ bench-smoke:
 	$(GO) test -run xxx -bench 'BenchmarkSimulatorThroughput|BenchmarkSessionParallel|BenchmarkDRAMCacheRead' -benchtime 2x .
 	$(GO) test -run xxx -bench BenchmarkFunctionalBatch -benchtime 1x ./internal/dramcache
 	$(GO) test -run xxx -bench BenchmarkSpineFork -benchtime 1x ./internal/sim
+
+# A short native-fuzzing pass over the snapshot decoders: FuzzSystemRestore
+# mutates the live snapshots of four tiny systems, re-framed with a valid
+# checksum, and Restore must return an error or succeed, never panic. `go
+# test ./...` runs only its seeds. The minimizer is capped because a
+# snapshot-sized input can hold it for most of a short run.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzSystemRestore$$' -fuzztime 30s -fuzzminimizetime 5s ./internal/sim
 
 # Populate CKPT_DIR with warm-state checkpoints for the golden-suite
 # configurations (the three architectures at the pinned golden scale).

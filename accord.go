@@ -27,6 +27,7 @@ package accord
 
 import (
 	"accord/internal/core"
+	"accord/internal/cpu"
 	"accord/internal/dram"
 	"accord/internal/dramcache"
 	"accord/internal/energy"
@@ -92,6 +93,14 @@ type (
 	ExperimentParams = exp.Params
 	// Table is rendered experiment output.
 	Table = stats.Table
+)
+
+// The fixed Table III machine every Config runs on, beside the HBM and
+// PCMConfig devices: the core clock, and the main-memory capacity before
+// Config.Scale divides it.
+const (
+	CPUClockGHz     = cpu.ClockGHz
+	NVMCapacityFull = sim.NVMCapacityFull
 )
 
 // Lookup strategies (Section II-C).

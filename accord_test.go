@@ -100,7 +100,7 @@ func TestFacadePolicyConstruction(t *testing.T) {
 func TestFacadeEnergy(t *testing.T) {
 	cfg := quick(DirectMapped())
 	res := Run(cfg, "milc")
-	b := ComputeEnergy(cfg.HBM, res.HBM, cfg.PCM, res.PCM, res.Cycles, cfg.CPUGHz)
+	b := ComputeEnergy(HBM(), res.HBM, PCMConfig(), res.PCM, res.Cycles, CPUClockGHz)
 	if b.Total() <= 0 || b.Power() <= 0 {
 		t.Errorf("energy breakdown degenerate: %+v", b)
 	}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"accord/internal/core"
+	"accord/internal/cpu"
 	"accord/internal/dram"
 	"accord/internal/dramcache"
 	"accord/internal/exp"
@@ -70,7 +71,7 @@ func BenchmarkAblHierarchy(b *testing.B) { benchExperiment(b, "ablhier") }
 // Substrate microbenchmarks.
 
 func BenchmarkDRAMAccess(b *testing.B) {
-	d := dram.New(dram.HBM(), 3.0)
+	d := dram.New(dram.HBM(), cpu.ClockGHz)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		loc := dram.Loc{Channel: i & 7, Bank: (i >> 3) & 15, Row: uint64(i >> 7)}
@@ -100,8 +101,8 @@ func BenchmarkACCORDInstall(b *testing.B) {
 }
 
 func BenchmarkDRAMCacheRead(b *testing.B) {
-	hbm := dram.New(dram.HBM(), 3.0)
-	pcm := dram.New(dram.PCM(), 3.0)
+	hbm := dram.New(dram.HBM(), cpu.ClockGHz)
+	pcm := dram.New(dram.PCM(), cpu.ClockGHz)
 	pol := core.NewACCORD(core.DefaultACCORD(core.Geometry{Sets: 1 << 14, Ways: 2}, 1))
 	c := dramcache.New(dramcache.Config{
 		CapacityBytes: (1 << 14) * 2 * memtypes.LineSize,

@@ -19,6 +19,8 @@ import (
 	"strings"
 	"time"
 
+	"accord/internal/cpu"
+	"accord/internal/dram"
 	"accord/internal/energy"
 	"accord/internal/metrics"
 	"accord/internal/sim"
@@ -138,16 +140,7 @@ func main() {
 	if *metricsOut != "" {
 		ex := &metrics.Export{
 			Manifest: man.Finish(),
-			Runs: []metrics.Run{{
-				Config:       res.Config,
-				Workload:     res.Workload,
-				Instructions: res.Instructions,
-				Cycles:       res.Cycles,
-				MeanIPC:      res.MeanIPC(),
-				HitRate:      res.HitRate(),
-				Sampled:      exportSampled(res.Sampled),
-				Metrics:      res.Metrics,
-			}},
+			Runs:     []metrics.Run{res.ExportRun()},
 		}
 		if err := ex.WriteFile(*metricsOut); err != nil {
 			fmt.Fprintln(os.Stderr, err)
@@ -264,7 +257,7 @@ func printResult(cfg sim.Config, res sim.Result) {
 		printCI("  MPKI", ss.MPKI)
 	}
 
-	b := energy.Compute(cfg.HBM, res.HBM, cfg.PCM, res.PCM, res.Cycles, cfg.CPUGHz)
+	b := energy.Compute(dram.HBM(), res.HBM, dram.PCM(), res.PCM, res.Cycles, cpu.ClockGHz)
 	fmt.Printf("\nenergy: %.4f J total (%.2f W avg, EDP %.5f J·s)\n", b.Total(), b.Power(), b.EDP())
 }
 
@@ -279,34 +272,6 @@ func printCI(label string, m sim.MetricCI) {
 		fmt.Printf("%-10s %.4f (single interval, no CI)\n", label, m.Mean)
 	default:
 		fmt.Printf("%-10s %.4f ± %.4f\n", label, m.Mean, m.Half)
-	}
-}
-
-// exportSampled converts the sampling summary to its export form; nil for
-// exact runs.
-func exportSampled(ss *sim.SampleSummary) *metrics.Sampled {
-	if ss == nil {
-		return nil
-	}
-	conv := func(m sim.MetricCI) *metrics.SampledCI {
-		if !m.Valid() {
-			return nil
-		}
-		out := &metrics.SampledCI{Mean: m.Mean, Intervals: m.N}
-		if m.OK {
-			half := m.Half
-			out.Half = &half
-		}
-		return out
-	}
-	return &metrics.Sampled{
-		Intervals:  ss.Intervals,
-		Planned:    ss.Planned,
-		Converged:  ss.Converged,
-		Confidence: ss.Confidence,
-		IPC:        conv(ss.IPC),
-		HitRate:    conv(ss.HitRate),
-		MPKI:       conv(ss.MPKI),
 	}
 }
 

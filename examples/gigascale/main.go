@@ -92,7 +92,7 @@ func main() {
 	fmt.Printf("configuration: %s\n", cfg.Name)
 	fmt.Printf("  DRAM cache: %d GB (%d million lines), %d-way\n",
 		cfg.L4Capacity()>>30, cfg.L4Lines()>>20, cfg.Ways)
-	fmt.Printf("  main memory: %d GB PCM\n", cfg.NVMCapacityFull>>30)
+	fmt.Printf("  main memory: %d GB PCM\n", accord.NVMCapacityFull>>30)
 	fmt.Printf("  cores: %d, %d total instructions (%.1fM warmup + %.1fM measured per core)\n",
 		cfg.Cores, totalInstr, float64(cfg.WarmupInstr)/1e6, float64(cfg.MeasureInstr)/1e6)
 	fmt.Printf("  sampling: %.1fM period, %.2fM detailed + %.2fM re-warm per interval\n\n",

@@ -30,7 +30,13 @@ type Params struct {
 	SRAMLat    int64 // L1+L2+L3 lookup cycles on the miss path
 }
 
-// DefaultParams returns the Table III core: 2-wide with 8 MSHRs.
+// ClockGHz is the Table III core clock. Every core runs at it, and the
+// DRAM devices convert their nanosecond timings to CPU cycles with it.
+const ClockGHz = 3.0
+
+// DefaultParams returns the Table III core: 2-wide, 12 MSHRs, and a
+// 51-cycle L1+L2+L3 lookup on the miss path. It is the only core the
+// simulator builds.
 func DefaultParams() Params {
 	return Params{IssueWidth: 2, MSHRs: 12, SRAMLat: 51}
 }

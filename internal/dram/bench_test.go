@@ -3,6 +3,7 @@ package dram
 import (
 	"testing"
 
+	"accord/internal/cpu"
 	"accord/internal/memtypes"
 )
 
@@ -50,7 +51,7 @@ func BenchmarkReserveBackfill(b *testing.B) {
 }
 
 func BenchmarkDRAMAccess(b *testing.B) {
-	d := New(HBM(), 3.0)
+	d := New(HBM(), cpu.ClockGHz)
 	m := d.Config().NewMapper(28) // 2 KB row / 72 B tag+data units
 	units := make([]uint64, 1024)
 	for i := range units {

@@ -4,10 +4,11 @@ import (
 	"testing"
 	"testing/quick"
 
+	"accord/internal/cpu"
 	"accord/internal/memtypes"
 )
 
-const cyclesPerNS = 3.0 // 3 GHz CPU, as in Table III
+const cyclesPerNS = cpu.ClockGHz // cycles per nanosecond at the Table III clock
 
 func TestConfigValidate(t *testing.T) {
 	good := HBM()

@@ -28,6 +28,7 @@ import (
 
 	"accord/internal/ckpt"
 	"accord/internal/core"
+	"accord/internal/cpu"
 	"accord/internal/dram"
 	"accord/internal/dramcache"
 	"accord/internal/memtypes"
@@ -75,8 +76,8 @@ func build(name string, capacity int64, seed int64) dramcache.Interface {
 	if spec.UsesPolicy {
 		cfg.Policy = core.NewACCORD(core.DefaultACCORD(cfg.Geometry(), seed))
 	}
-	dev := dram.New(dram.HBM(), 3.0)
-	nvm := dram.New(dram.PCM(), 3.0)
+	dev := dram.New(dram.HBM(), cpu.ClockGHz)
+	nvm := dram.New(dram.PCM(), cpu.ClockGHz)
 	c, err := spec.New(cfg, dramcache.Deps{Dev: dev, NVM: nvm, Frames: 1 << 16})
 	if err != nil {
 		panic(fmt.Sprintf("dctest: building backend %q: %v", name, err))

@@ -5,11 +5,12 @@ import (
 	"testing"
 
 	"accord/internal/core"
+	"accord/internal/cpu"
 	"accord/internal/dram"
 	"accord/internal/memtypes"
 )
 
-const clk = 3.0
+const clk = cpu.ClockGHz
 
 func devices() (*dram.Device, *dram.Device) {
 	return dram.New(dram.HBM(), clk), dram.New(dram.PCM(), clk)

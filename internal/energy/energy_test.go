@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"accord/internal/cpu"
 	"accord/internal/dram"
 )
 
@@ -14,8 +15,8 @@ func TestComputeBasics(t *testing.T) {
 	pcm := dram.PCM()
 	hstats := dram.Stats{Activates: 1000, Reads: 5000, Writes: 2000}
 	pstats := dram.Stats{Activates: 100, Reads: 500, Writes: 200}
-	cycles := int64(3e9) // 1 second at 3 GHz
-	b := Compute(hbm, hstats, pcm, pstats, cycles, 3.0)
+	cycles := int64(cpu.ClockGHz * 1e9) // 1 second
+	b := Compute(hbm, hstats, pcm, pstats, cycles, cpu.ClockGHz)
 
 	if !approx(b.Seconds, 1.0) {
 		t.Errorf("seconds = %v, want 1", b.Seconds)

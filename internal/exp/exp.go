@@ -275,18 +275,7 @@ func (s *Session) addWork(w sim.SampleWork) {
 	}
 	s.workMu.Lock()
 	defer s.workMu.Unlock()
-	if w.Workers > s.work.Workers {
-		s.work.Workers = w.Workers
-	}
-	s.work.Dispatched += w.Dispatched
-	s.work.Committed += w.Committed
-	s.work.Discarded += w.Discarded
-	s.work.SpineTime += w.SpineTime
-	s.work.DetailTime += w.DetailTime
-	s.work.WallTime += w.WallTime
-	s.work.SpineSaveTime += w.SpineSaveTime
-	s.work.LatticeHits += w.LatticeHits
-	s.work.LatticeMisses += w.LatticeMisses
+	s.work.Add(w)
 }
 
 // SampleWorkTotals reports the sampled-run execution split summed over
@@ -355,18 +344,10 @@ func (s *Session) Speedup(cfg sim.Config, workload string) float64 {
 // speedups plus the geometric mean (the paper's summary statistic).
 func (s *Session) SuiteSpeedups(cfg sim.Config, suite []string) (per []float64, geomean float64) {
 	per = make([]float64, len(suite))
-	logsum := 0.0
-	n := 0
 	for i, wl := range suite {
 		per[i] = s.Speedup(cfg, wl)
-		if per[i] > 0 {
-			logsum += math.Log(per[i])
-			n++
-		}
 	}
-	if n > 0 {
-		geomean = math.Exp(logsum / float64(n))
-	}
+	geomean, _ = stats.Geomean(per)
 	return per, geomean
 }
 
@@ -423,10 +404,6 @@ func IDs() []string {
 	}
 	return out
 }
-
-// ln and exp1 are short aliases used by the experiment definitions.
-func ln(x float64) float64   { return math.Log(x) }
-func exp1(x float64) float64 { return math.Exp(x) }
 
 // pct formats a fraction as a percentage, and an undefined (NaN) one as
 // n/a.

@@ -5,6 +5,8 @@ import (
 	"math"
 
 	"accord/internal/core"
+	"accord/internal/cpu"
+	"accord/internal/dram"
 	"accord/internal/dramcache"
 	"accord/internal/energy"
 	"accord/internal/sim"
@@ -298,15 +300,11 @@ func init() {
 				base.L4CapacityFull = gb << 30
 				base.WorkloadAnchorLines = anchor
 				base.Name = fmt.Sprintf("%s@%dGB", base.Name, gb)
-				logsum, n := 0.0, 0
+				var ws []float64
 				for _, wl := range suite() {
-					ws := sim.WeightedSpeedup(s.Run(target, wl), s.Run(base, wl))
-					if ws > 0 {
-						logsum += ln(ws)
-						n++
-					}
+					ws = append(ws, sim.WeightedSpeedup(s.Run(target, wl), s.Run(base, wl)))
 				}
-				t.AddRow(fmt.Sprintf("%d GB", gb), spd(exp1(logsum/float64(n))))
+				t.AddRow(fmt.Sprintf("%d GB", gb), spd(gmean(ws)))
 			}
 			return []*stats.Table{t}
 		},
@@ -373,27 +371,23 @@ func init() {
 			t := stats.NewTable("Figure 15: memory-system energy normalized to direct-mapped (Gmean)",
 				"design", "speedup", "power", "energy", "EDP")
 			for _, cfg := range []sim.Config{sim.ACCORD(2), sim.ACCORD(8)} {
-				var lsS, lsP, lsE, lsD float64
-				n := 0
+				var sp, pw, en, edp []float64
 				for _, wl := range suite() {
 					base := s.Baseline(wl)
 					tgt := s.Run(cfg, wl)
-					scfg := s.apply(cfg)
-					be := energy.Compute(scfg.HBM, base.HBM, scfg.PCM, base.PCM, base.Cycles, scfg.CPUGHz)
-					te := energy.Compute(scfg.HBM, tgt.HBM, scfg.PCM, tgt.PCM, tgt.Cycles, scfg.CPUGHz)
+					be := energy.Compute(dram.HBM(), base.HBM, dram.PCM(), base.PCM, base.Cycles, cpu.ClockGHz)
+					te := energy.Compute(dram.HBM(), tgt.HBM, dram.PCM(), tgt.PCM, tgt.Cycles, cpu.ClockGHz)
 					rel := energy.Compare(te, be)
 					ws := sim.WeightedSpeedup(tgt, base)
 					if rel.Power <= 0 || rel.Energy <= 0 || rel.EDP <= 0 || ws <= 0 {
 						continue
 					}
-					lsS += ln(ws)
-					lsP += ln(rel.Power)
-					lsE += ln(rel.Energy)
-					lsD += ln(rel.EDP)
-					n++
+					sp = append(sp, ws)
+					pw = append(pw, rel.Power)
+					en = append(en, rel.Energy)
+					edp = append(edp, rel.EDP)
 				}
-				f := float64(n)
-				t.AddRow(cfg.Name, spd(exp1(lsS/f)), spd(exp1(lsP/f)), spd(exp1(lsE/f)), spd(exp1(lsD/f)))
+				t.AddRow(cfg.Name, spd(gmean(sp)), spd(gmean(pw)), spd(gmean(en)), spd(gmean(edp)))
 			}
 			return []*stats.Table{t}
 		},
@@ -413,6 +407,10 @@ func init() {
 		},
 	})
 }
+
+// gmean is the geometric mean of the positive entries of xs, NaN (which
+// spd renders as NaN) when there are none.
+func gmean(xs []float64) float64 { return stats.NaNIfUndefined(stats.Geomean(xs)) }
 
 // fmtBytes renders a byte count with a human unit.
 func fmtBytes(b int64) string {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"accord/internal/core"
+	"accord/internal/cpu"
 	"accord/internal/dram"
 	"accord/internal/dramcache"
 	"accord/internal/memtypes"
@@ -16,8 +17,8 @@ import (
 // registry: the kernel is a microbenchmark of PWS way-steering mechanics,
 // not an organization comparison, so it is pinned to the paper's cache.
 func kernelCache(sets uint64, pip float64, seed int64) *dramcache.Cache {
-	hbm := dram.New(dram.HBM(), 3.0)
-	pcm := dram.New(dram.PCM(), 3.0)
+	hbm := dram.New(dram.HBM(), cpu.ClockGHz)
+	pcm := dram.New(dram.PCM(), cpu.ClockGHz)
 	pol := core.NewACCORD(core.ACCORDConfig{
 		Geom:   core.Geometry{Sets: sets, Ways: 2},
 		UsePWS: true, PIP: pip, Seed: seed,
@@ -90,8 +91,8 @@ func init() {
 			const ways = 4
 			const sets = 64
 			build := func(lookup dramcache.Lookup) *dramcache.Cache {
-				hbm := dram.New(dram.HBM(), 3.0)
-				pcm := dram.New(dram.PCM(), 3.0)
+				hbm := dram.New(dram.HBM(), cpu.ClockGHz)
+				pcm := dram.New(dram.PCM(), cpu.ClockGHz)
 				// PIP=1.0 steers every install to its preferred way, so
 				// line placement is known exactly.
 				pol := core.NewACCORD(core.ACCORDConfig{
@@ -134,8 +135,8 @@ func init() {
 			}
 			// Direct-mapped reference first.
 			{
-				hbm := dram.New(dram.HBM(), 3.0)
-				pcm := dram.New(dram.PCM(), 3.0)
+				hbm := dram.New(dram.HBM(), cpu.ClockGHz)
+				pcm := dram.New(dram.PCM(), cpu.ClockGHz)
 				dm := dramcache.New(dramcache.Config{
 					CapacityBytes: sets * memtypes.LineSize, Ways: 1,
 					Lookup: dramcache.LookupPredicted,

@@ -4,7 +4,6 @@ import (
 	"sort"
 
 	"accord/internal/metrics"
-	"accord/internal/sim"
 )
 
 // ExportMetrics packages every simulation the session has completed into
@@ -39,53 +38,7 @@ func (s *Session) ExportMetrics(man *metrics.Manifest) *metrics.Export {
 
 	for _, p := range runs {
 		<-p.e.done
-		out.Runs = append(out.Runs, toRun(p.e.res))
-	}
-	return out
-}
-
-// toRun flattens a simulation result into the export record.
-func toRun(res sim.Result) metrics.Run {
-	return metrics.Run{
-		Config:       res.Config,
-		Workload:     res.Workload,
-		Instructions: res.Instructions,
-		Cycles:       res.Cycles,
-		MeanIPC:      res.MeanIPC(),
-		HitRate:      res.HitRate(),
-		Sampled:      toSampled(res.Sampled),
-		Metrics:      res.Metrics,
-	}
-}
-
-// toSampled converts a sampling summary to its export form; nil in, nil
-// out (exact runs carry no sampled block).
-func toSampled(ss *sim.SampleSummary) *metrics.Sampled {
-	if ss == nil {
-		return nil
-	}
-	return &metrics.Sampled{
-		Intervals:  ss.Intervals,
-		Planned:    ss.Planned,
-		Converged:  ss.Converged,
-		Confidence: ss.Confidence,
-		IPC:        toSampledCI(ss.IPC),
-		HitRate:    toSampledCI(ss.HitRate),
-		MPKI:       toSampledCI(ss.MPKI),
-	}
-}
-
-// toSampledCI converts one estimate, preserving the undefined-not-zero
-// convention: no observations → absent block; one observation → mean
-// without a half-width.
-func toSampledCI(m sim.MetricCI) *metrics.SampledCI {
-	if !m.Valid() {
-		return nil
-	}
-	out := &metrics.SampledCI{Mean: m.Mean, Intervals: m.N}
-	if m.OK {
-		half := m.Half
-		out.Half = &half
+		out.Runs = append(out.Runs, p.e.res.ExportRun())
 	}
 	return out
 }

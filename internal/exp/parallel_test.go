@@ -152,6 +152,24 @@ func TestSampleWorkersPureStrategy(t *testing.T) {
 	}
 }
 
+// TestSampleWorkTotalsCountMemoryForks checks that the session totals
+// fold every SampleWork field: without a checkpoint directory each
+// sampled point forks every dispatched boundary in memory, so the totals
+// over two points must report as many memory forks as dispatches.
+func TestSampleWorkTotalsCountMemoryForks(t *testing.T) {
+	p := tinyParams()
+	p.TraceCache = true
+	p.Sampling = sim.SamplingConfig{Period: 20_000, DetailLen: 4_000, WarmLen: 2_000, MinIntervals: 2}
+	p.SampleWorkers = 2
+	s := NewSession(p)
+	s.Run(sim.Unbiased(2, dramcache.LookupPredicted), "nekbone")
+	s.Run(sim.ACCORD(2), "nekbone")
+	w := s.SampleWorkTotals()
+	if w.Dispatched == 0 || w.MemoryForks != w.Dispatched {
+		t.Errorf("session totals: memory_forks %d, dispatched %d; want equal and nonzero", w.MemoryForks, w.Dispatched)
+	}
+}
+
 // TestPlanEnumeratesPoints checks the planning pre-pass against two known
 // experiments: tab6 simulates 5 configurations across the 21-workload
 // suite, and tab9 (a pure storage table) simulates nothing.

@@ -12,7 +12,7 @@
 // Undefined values are first-class: a gauge whose closure returns NaN (a
 // ratio with a zero denominator, say) exports as an *absent* value in
 // JSON and an empty cell in CSV, distinguishable from a real 0 — see
-// stats.PctOK and friends for the producing side.
+// stats.RatioOK and stats.NaNIfUndefined for the producing side.
 package metrics
 
 import (
@@ -59,10 +59,6 @@ type Value struct {
 	Sum     float64  `json:"sum,omitempty"`
 	Buckets []uint64 `json:"buckets,omitempty"`
 }
-
-// Defined reports whether a gauge value is present (counters and
-// histograms are always defined).
-func (v Value) Defined() bool { return v.Kind != KindGauge.String() || v.Value != nil }
 
 // HistogramValue is the state a HistogramFunc view must produce.
 type HistogramValue struct {

@@ -5,6 +5,7 @@ import (
 
 	"accord/internal/ckpt"
 	"accord/internal/cpu"
+	"accord/internal/dram"
 )
 
 // snapshotMagic opens every warm-state snapshot blob.
@@ -53,15 +54,31 @@ func SnapshotSchemaID() string {
 //
 // The test over Config's fields fails for a new field that is neither
 // listed here nor excluded with its reason.
+//
+// The list also names the fixed machine every Config runs on: the core
+// parameters and clock, the NVM capacity and the two devices. They were
+// Config fields once; their text stays so that fingerprints, and the
+// checkpoints keyed by them, keep their bytes.
 func (c Config) AppendStateFields(b []byte) []byte {
-	return fmt.Appendf(b, "backend=%s|cores=%d|iw=%d|mshrs=%d|ghz=%g|sram=%d|"+
-		"scale=%d|l4cap=%d|ways=%d|lookup=%d|lru=%t|ca=%t|hier=%t|"+
-		"nvmcap=%d|anchor=%d|hbm=%+v|pcm=%+v|warm=%d|noadapt=%t|seed=%d",
-		c.BackendName(), c.Cores, c.IssueWidth, c.MSHRs, c.CPUGHz, c.SRAMLat,
+	return fmt.Appendf(b, "backend=%s|cores=%d|%sscale=%d|l4cap=%d|ways=%d|lookup=%d|lru=%t|ca=%t|hier=%t|"+
+		"%sanchor=%d|%swarm=%d|noadapt=%t|seed=%d",
+		c.BackendName(), c.Cores, machineCore,
 		c.Scale, c.L4CapacityFull, c.Ways, c.Lookup, c.LRUReplacement, c.BackendName() == "ca",
-		c.FullHierarchy, c.NVMCapacityFull, c.WorkloadAnchorLines,
-		c.HBM, c.PCM, c.WarmupInstr, c.DisableAdaptiveBudgets, c.Seed)
+		c.FullHierarchy, machineNVM, c.WorkloadAnchorLines,
+		machineDevices, c.WarmupInstr, c.DisableAdaptiveBudgets, c.Seed)
 }
+
+// machineCore, machineNVM and machineDevices are AppendStateFields' text
+// for the fixed machine, formatted once: the devices' %+v alone would
+// otherwise cost every memo-key lookup most of its time.
+var (
+	machineCore = func() string {
+		p := cpu.DefaultParams()
+		return fmt.Sprintf("iw=%d|mshrs=%d|ghz=%g|sram=%d|", p.IssueWidth, p.MSHRs, cpu.ClockGHz, p.SRAMLat)
+	}()
+	machineNVM     = fmt.Sprintf("nvmcap=%d|", NVMCapacityFull)
+	machineDevices = fmt.Sprintf("hbm=%+v|pcm=%+v|", dram.HBM(), dram.PCM())
+)
 
 // WarmFingerprint describes everything that determines the system state
 // at the warmup/measure boundary: the schema, the workload, the L4

@@ -233,10 +233,10 @@ func TestWarmKeyExclusions(t *testing.T) {
 	}
 
 	for name, mutate := range map[string]func(*Config){
-		"Seed":        func(c *Config) { c.Seed = 7 },
-		"WarmupInstr": func(c *Config) { c.WarmupInstr *= 2 },
-		"Scale":       func(c *Config) { c.Scale *= 2 },
-		"MSHRs":       func(c *Config) { c.MSHRs++ },
+		"Seed":          func(c *Config) { c.Seed = 7 },
+		"WarmupInstr":   func(c *Config) { c.WarmupInstr *= 2 },
+		"Scale":         func(c *Config) { c.Scale *= 2 },
+		"FullHierarchy": func(c *Config) { c.FullHierarchy = true },
 	} {
 		cfg := base
 		mutate(&cfg)

@@ -7,6 +7,54 @@ import (
 	"accord/internal/stats"
 )
 
+// ExportRun flattens r into its metrics-export record: the headline
+// numbers, the sampling summary (absent for an exact run) and the metrics
+// bundle. exp.Session.ExportMetrics and accordsim's -metrics-out both
+// write it.
+func (r Result) ExportRun() metrics.Run {
+	return metrics.Run{
+		Config:       r.Config,
+		Workload:     r.Workload,
+		Instructions: r.Instructions,
+		Cycles:       r.Cycles,
+		MeanIPC:      r.MeanIPC(),
+		HitRate:      r.HitRate(),
+		Sampled:      r.Sampled.export(),
+		Metrics:      r.Metrics,
+	}
+}
+
+// export converts a sampling summary to its export form; nil in, nil out.
+func (ss *SampleSummary) export() *metrics.Sampled {
+	if ss == nil {
+		return nil
+	}
+	return &metrics.Sampled{
+		Intervals:  ss.Intervals,
+		Planned:    ss.Planned,
+		Converged:  ss.Converged,
+		Confidence: ss.Confidence,
+		IPC:        ss.IPC.export(),
+		HitRate:    ss.HitRate.export(),
+		MPKI:       ss.MPKI.export(),
+	}
+}
+
+// export converts one estimate, keeping the undefined-not-zero
+// convention: no observations → absent block; one observation → mean
+// without a half-width.
+func (m MetricCI) export() *metrics.SampledCI {
+	if !m.Valid() {
+		return nil
+	}
+	out := &metrics.SampledCI{Mean: m.Mean, Intervals: m.N}
+	if m.OK {
+		half := m.Half
+		out.Half = &half
+	}
+	return out
+}
+
 // Registry exposes the system's metrics registry for inspection; its
 // final snapshot also travels with every Result.
 func (s *System) Registry() *metrics.Registry { return s.reg }

@@ -93,6 +93,22 @@ func (w SampleWork) ManifestEntry() map[string]int64 {
 	}
 }
 
+// Add folds o into w as a total over several runs: Workers is the larger
+// of the two, every other field the sum.
+func (w *SampleWork) Add(o SampleWork) {
+	w.Workers = max(w.Workers, o.Workers)
+	w.Dispatched += o.Dispatched
+	w.Committed += o.Committed
+	w.Discarded += o.Discarded
+	w.SpineTime += o.SpineTime
+	w.DetailTime += o.DetailTime
+	w.WallTime += o.WallTime
+	w.MemoryForks += o.MemoryForks
+	w.SpineSaveTime += o.SpineSaveTime
+	w.LatticeHits += o.LatticeHits
+	w.LatticeMisses += o.LatticeMisses
+}
+
 // SampleWork returns the execution split of the last sampled run (zero
 // value before any).
 func (s *System) SampleWork() SampleWork { return s.work }

@@ -28,11 +28,7 @@ type PolicyFactory func(geom core.Geometry, seed int64) core.Policy
 type Config struct {
 	Name string
 
-	Cores      int
-	IssueWidth int
-	MSHRs      int
-	CPUGHz     float64
-	SRAMLat    int64
+	Cores int
 
 	// Scale divides the full-size capacities (L4, NVM, workload
 	// footprints follow automatically since they are cache-relative).
@@ -61,17 +57,11 @@ type Config struct {
 	// unbiased random policy when nil.
 	Policy PolicyFactory
 
-	// NVMCapacityFull is the unscaled main memory capacity (default 128 GB).
-	NVMCapacityFull int64
-
 	// WorkloadAnchorLines, when nonzero, anchors workload footprints to a
 	// fixed line count instead of the configured cache size — used by the
 	// cache-size sensitivity study (Table VIII), where the workload must
 	// stay constant while the cache grows.
 	WorkloadAnchorLines uint64
-
-	HBM dram.Config
-	PCM dram.Config
 
 	// WarmupInstr and MeasureInstr are per-core instruction budgets. By
 	// default they are lower bounds: windows grow adaptively so low-MPKI
@@ -132,27 +122,25 @@ type Config struct {
 	Seed int64
 }
 
-// Default returns the Table III baseline: a 16-core 3 GHz system with a
-// 4 GB direct-mapped DRAM cache (scaled by 1/256 for simulation speed)
-// and 128 GB of PCM.
+// NVMCapacityFull is Table III's unscaled main-memory capacity: 128 GB of
+// PCM, divided by Config.Scale like the L4. The rest of the machine every
+// Config runs on is fixed too: cpu.DefaultParams cores at cpu.ClockGHz,
+// and dram.HBM and dram.PCM devices.
+const NVMCapacityFull int64 = 128 << 30
+
+// Default returns the Table III baseline: 16 cores with a 4 GB
+// direct-mapped DRAM cache (scaled by 1/256 for simulation speed).
 func Default() Config {
 	return Config{
-		Name:            "direct-mapped",
-		Cores:           16,
-		IssueWidth:      2,
-		MSHRs:           12,
-		CPUGHz:          3.0,
-		SRAMLat:         51,
-		Scale:           256,
-		L4CapacityFull:  4 << 30,
-		Ways:            1,
-		Lookup:          dramcache.LookupPredicted,
-		NVMCapacityFull: 128 << 30,
-		HBM:             dram.HBM(),
-		PCM:             dram.PCM(),
-		WarmupInstr:     4_000_000,
-		MeasureInstr:    4_000_000,
-		Seed:            1,
+		Name:           "direct-mapped",
+		Cores:          16,
+		Scale:          256,
+		L4CapacityFull: 4 << 30,
+		Ways:           1,
+		Lookup:         dramcache.LookupPredicted,
+		WarmupInstr:    4_000_000,
+		MeasureInstr:   4_000_000,
+		Seed:           1,
 	}
 }
 
@@ -172,10 +160,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("sim: cores %d must be >= 1", c.Cores)
 	case c.Scale < 1:
 		return fmt.Errorf("sim: scale %d must be >= 1", c.Scale)
-	case c.L4CapacityFull <= 0 || c.NVMCapacityFull <= 0:
-		return errors.New("sim: capacities must be positive")
-	case c.CPUGHz <= 0:
-		return fmt.Errorf("sim: CPU clock %v must be positive", c.CPUGHz)
+	case c.L4CapacityFull <= 0:
+		return errors.New("sim: L4 capacity must be positive")
 	case c.Backend != "" && !dramcache.HasBackend(c.Backend):
 		return fmt.Errorf("sim: unknown L4 backend %q (have %v)", c.Backend, dramcache.BackendNames())
 	case c.Ways < 1 && (c.BackendName() == "nway" || c.BackendName() == "tdram"):
@@ -427,10 +413,10 @@ func (s *System) assemble(cfg Config, wl workloads.Workload) {
 		panic(fmt.Sprintf("sim: workload %s has %d specs for %d cores", wl.Name, len(wl.Specs), cfg.Cores))
 	}
 
-	hbm := dram.New(cfg.HBM, cfg.CPUGHz)
-	pcm := dram.New(cfg.PCM, cfg.CPUGHz)
+	hbm := dram.New(dram.HBM(), cpu.ClockGHz)
+	pcm := dram.New(dram.PCM(), cpu.ClockGHz)
 
-	frames := uint64(cfg.NVMCapacityFull / cfg.Scale / memtypes.PageSize)
+	frames := uint64(NVMCapacityFull / cfg.Scale / memtypes.PageSize)
 
 	// The L4 organization comes from the backend registry; Validate has
 	// already vetted the name, so remaining failures are geometry errors —
@@ -457,10 +443,10 @@ func (s *System) assemble(cfg Config, wl workloads.Workload) {
 		panic(fmt.Sprintf("sim: building L4 backend %q: %v", cfg.BackendName(), err))
 	}
 
-	vmsys := vm.NewSystem(frames, vm.AllocRandom, cfg.Seed)
+	vmsys := vm.NewSystem(frames, cfg.Seed)
 
 	*s = System{cfg: cfg, specs: wl.Specs, wl: wl, l4: l4, hbm: hbm, pcm: pcm, vmsys: vmsys}
-	params := cpu.Params{IssueWidth: cfg.IssueWidth, MSHRs: cfg.MSHRs, SRAMLat: cfg.SRAMLat}
+	params := cpu.DefaultParams()
 	var hiers []*cache.Hierarchy
 	if cfg.FullHierarchy {
 		hiers, s.l3 = cache.NewSharedHierarchies(cache.DefaultHierarchy(cfg.Scale), cfg.Cores)

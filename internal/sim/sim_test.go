@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"accord/internal/cache"
+	"accord/internal/cpu"
 	"accord/internal/dramcache"
 	"accord/internal/workloads"
 )
@@ -34,7 +35,6 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.Cores = 0 },
 		func(c *Config) { c.Scale = 0 },
 		func(c *Config) { c.L4CapacityFull = 0 },
-		func(c *Config) { c.CPUGHz = 0 },
 		func(c *Config) { c.Ways = 0 },
 		func(c *Config) { c.MeasureInstr = 0 },
 		func(c *Config) { c.WarmupInstr = -1 },
@@ -64,9 +64,10 @@ func TestRunProducesSaneResult(t *testing.T) {
 	if len(res.IPC) != cfg.Cores {
 		t.Fatalf("IPC entries = %d, want %d", len(res.IPC), cfg.Cores)
 	}
+	width := cpu.DefaultParams().IssueWidth
 	for i, ipc := range res.IPC {
-		if ipc <= 0 || ipc > float64(cfg.IssueWidth) {
-			t.Errorf("core %d IPC = %v out of (0,%d]", i, ipc, cfg.IssueWidth)
+		if ipc <= 0 || ipc > float64(width) {
+			t.Errorf("core %d IPC = %v out of (0,%d]", i, ipc, width)
 		}
 	}
 	if res.L4.Reads == 0 {

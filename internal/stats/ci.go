@@ -100,7 +100,7 @@ func tCDF(t float64, df float64) float64 {
 // StudentT returns the two-sided Student-t critical value t* with df
 // degrees of freedom at the given confidence level: the quantile such
 // that P(|T| ≤ t*) = confidence. It follows the package's
-// undefined-not-zero convention (GeomeanOK): ok is false — and the value
+// undefined-not-zero convention (Geomean): ok is false — and the value
 // meaningless — when df < 1 or confidence is outside (0, 1).
 func StudentT(confidence float64, df int) (float64, bool) {
 	if df < 1 || confidence <= 0 || confidence >= 1 ||

@@ -94,7 +94,7 @@ func TestStudentTDegenerate(t *testing.T) {
 }
 
 // TestMeanCIDegenerate: n=0 and n=1 are undefined (no variance estimate),
-// not silently zero — matching GeomeanOK.
+// not silently zero — matching Geomean.
 func TestMeanCIDegenerate(t *testing.T) {
 	if mean, half, ok := MeanCI(nil, 0.95); ok || !math.IsNaN(mean) || half != 0 {
 		t.Errorf("MeanCI(nil) = (%v, %v, %t), want (NaN, 0, false)", mean, half, ok)

@@ -1,31 +1,19 @@
-// Package stats provides the counters, aggregations, and plain-text table
-// rendering used by the simulator and the experiment harness.
+// Package stats provides the aggregations, confidence intervals and
+// plain-text table rendering used by the simulator and the experiment
+// harness.
 package stats
 
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 )
 
-// Geomean returns the geometric mean of xs. Non-positive entries are
-// ignored; an empty (or all-ignored) input yields 0. Table-rendering
-// code keeps this 0-mapping form; export paths that must distinguish
-// "undefined" from a real 0 use GeomeanOK.
-func Geomean(xs []float64) float64 {
-	g, ok := GeomeanOK(xs)
-	if !ok {
-		return 0
-	}
-	return g
-}
-
-// GeomeanOK returns the geometric mean of the positive entries of xs and
-// whether it is defined (at least one positive entry). The JSON/CSV
-// metrics export uses the !ok case to emit an absent value instead of a
-// silent 0.
-func GeomeanOK(xs []float64) (float64, bool) {
+// Geomean returns the geometric mean of the positive entries of xs and
+// whether it is defined (at least one positive entry); non-positive
+// entries are skipped. Callers that render an undefined mean as absent
+// pass the pair to NaNIfUndefined.
+func Geomean(xs []float64) (float64, bool) {
 	sum, n := 0.0, 0
 	for _, x := range xs {
 		if x > 0 {
@@ -51,31 +39,12 @@ func Amean(xs []float64) float64 {
 	return sum / float64(len(xs))
 }
 
-// Ratio returns num/den, or 0 when den is 0 (see RatioOK for the
-// distinguishable form).
-func Ratio(num, den float64) float64 {
-	if den == 0 {
-		return 0
-	}
-	return num / den
-}
-
-// Pct returns 100*num/den, or 0 when den is 0 (see PctOK for the
-// distinguishable form).
-func Pct(num, den float64) float64 { return 100 * Ratio(num, den) }
-
 // RatioOK returns num/den and whether the ratio is defined (den != 0).
 func RatioOK(num, den float64) (float64, bool) {
 	if den == 0 {
 		return 0, false
 	}
 	return num / den, true
-}
-
-// PctOK returns 100*num/den and whether it is defined (den != 0).
-func PctOK(num, den float64) (float64, bool) {
-	r, ok := RatioOK(num, den)
-	return 100 * r, ok
 }
 
 // NaNIfUndefined maps an undefined (value, ok=false) pair to NaN, the
@@ -85,53 +54,6 @@ func NaNIfUndefined(v float64, ok bool) float64 {
 		return math.NaN()
 	}
 	return v
-}
-
-// Counters is an ordered set of named uint64 counters. The zero value is
-// ready to use.
-type Counters struct {
-	names  []string
-	values map[string]uint64
-}
-
-// Add increments counter name by delta, creating it on first use.
-func (c *Counters) Add(name string, delta uint64) {
-	if c.values == nil {
-		c.values = make(map[string]uint64)
-	}
-	if _, ok := c.values[name]; !ok {
-		c.names = append(c.names, name)
-	}
-	c.values[name] += delta
-}
-
-// Inc increments counter name by 1.
-func (c *Counters) Inc(name string) { c.Add(name, 1) }
-
-// Get returns the value of counter name (0 if never touched).
-func (c *Counters) Get(name string) uint64 { return c.values[name] }
-
-// Names returns the counter names in first-use order.
-func (c *Counters) Names() []string {
-	out := make([]string, len(c.names))
-	copy(out, c.names)
-	return out
-}
-
-// Reset zeroes every counter but keeps the name ordering.
-func (c *Counters) Reset() {
-	for k := range c.values {
-		c.values[k] = 0
-	}
-}
-
-// String renders the counters one per line, in first-use order.
-func (c *Counters) String() string {
-	var b strings.Builder
-	for _, n := range c.names {
-		fmt.Fprintf(&b, "%-28s %d\n", n, c.values[n])
-	}
-	return b.String()
 }
 
 // Table accumulates rows of cells and renders them with aligned columns —
@@ -212,67 +134,6 @@ func (t *Table) Render() string {
 		writeRow(row)
 	}
 	return b.String()
-}
-
-// Distribution is a streaming summary of a series of observations.
-type Distribution struct {
-	n          uint64
-	sum, sumSq float64
-	min, max   float64
-}
-
-// Observe adds one observation.
-func (d *Distribution) Observe(x float64) {
-	if d.n == 0 || x < d.min {
-		d.min = x
-	}
-	if d.n == 0 || x > d.max {
-		d.max = x
-	}
-	d.n++
-	d.sum += x
-	d.sumSq += x * x
-}
-
-// Count returns the number of observations.
-func (d *Distribution) Count() uint64 { return d.n }
-
-// Mean returns the arithmetic mean (0 when empty).
-func (d *Distribution) Mean() float64 {
-	if d.n == 0 {
-		return 0
-	}
-	return d.sum / float64(d.n)
-}
-
-// Min returns the smallest observation (0 when empty).
-func (d *Distribution) Min() float64 { return d.min }
-
-// Max returns the largest observation (0 when empty).
-func (d *Distribution) Max() float64 { return d.max }
-
-// StdDev returns the population standard deviation (0 when empty).
-func (d *Distribution) StdDev() float64 {
-	if d.n == 0 {
-		return 0
-	}
-	m := d.Mean()
-	v := d.sumSq/float64(d.n) - m*m
-	if v < 0 {
-		v = 0
-	}
-	return math.Sqrt(v)
-}
-
-// SortedKeys returns the keys of m in ascending order; a convenience for
-// deterministic iteration when printing per-workload results.
-func SortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }
 
 // Bar renders value as a proportional ASCII bar of at most width cells,

@@ -10,18 +10,15 @@ import (
 func almostEqual(a, b float64) bool { return math.Abs(a-b) < 1e-9 }
 
 func TestGeomean(t *testing.T) {
-	if g := Geomean([]float64{2, 8}); !almostEqual(g, 4) {
-		t.Errorf("Geomean(2,8) = %v, want 4", g)
+	if g, ok := Geomean([]float64{2, 8}); !ok || !almostEqual(g, 4) {
+		t.Errorf("Geomean(2,8) = %v,%v, want 4,true", g, ok)
 	}
-	if g := Geomean([]float64{1, 1, 1}); !almostEqual(g, 1) {
-		t.Errorf("Geomean(1,1,1) = %v, want 1", g)
-	}
-	if g := Geomean(nil); g != 0 {
-		t.Errorf("Geomean(nil) = %v, want 0", g)
+	if g, ok := Geomean([]float64{1, 1, 1}); !ok || !almostEqual(g, 1) {
+		t.Errorf("Geomean(1,1,1) = %v,%v, want 1,true", g, ok)
 	}
 	// Non-positive entries are skipped.
-	if g := Geomean([]float64{-1, 0, 4}); !almostEqual(g, 4) {
-		t.Errorf("Geomean with non-positive = %v, want 4", g)
+	if g, ok := Geomean([]float64{-1, 0, 4}); !ok || !almostEqual(g, 4) {
+		t.Errorf("Geomean with non-positive = %v,%v, want 4,true", g, ok)
 	}
 }
 
@@ -31,18 +28,6 @@ func TestAmean(t *testing.T) {
 	}
 	if a := Amean(nil); a != 0 {
 		t.Errorf("Amean(nil) = %v, want 0", a)
-	}
-}
-
-func TestRatioPct(t *testing.T) {
-	if r := Ratio(1, 2); !almostEqual(r, 0.5) {
-		t.Errorf("Ratio = %v", r)
-	}
-	if r := Ratio(1, 0); r != 0 {
-		t.Errorf("Ratio(_, 0) = %v, want 0", r)
-	}
-	if p := Pct(1, 4); !almostEqual(p, 25) {
-		t.Errorf("Pct = %v, want 25", p)
 	}
 }
 
@@ -58,44 +43,14 @@ func TestGeomeanBetweenMinMax(t *testing.T) {
 			xs = append(xs, x)
 			lo, hi = math.Min(lo, x), math.Max(hi, x)
 		}
+		g, ok := Geomean(xs)
 		if len(xs) == 0 {
-			return Geomean(xs) == 0
+			return !ok
 		}
-		g := Geomean(xs)
-		return g >= lo*(1-1e-9) && g <= hi*(1+1e-9)
+		return ok && g >= lo*(1-1e-9) && g <= hi*(1+1e-9)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestCounters(t *testing.T) {
-	var c Counters
-	c.Inc("hits")
-	c.Add("hits", 4)
-	c.Add("misses", 2)
-	if c.Get("hits") != 5 {
-		t.Errorf("hits = %d, want 5", c.Get("hits"))
-	}
-	if c.Get("misses") != 2 {
-		t.Errorf("misses = %d, want 2", c.Get("misses"))
-	}
-	if c.Get("absent") != 0 {
-		t.Errorf("absent counter = %d, want 0", c.Get("absent"))
-	}
-	names := c.Names()
-	if len(names) != 2 || names[0] != "hits" || names[1] != "misses" {
-		t.Errorf("Names() = %v, want [hits misses]", names)
-	}
-	if !strings.Contains(c.String(), "hits") {
-		t.Error("String() missing counter name")
-	}
-	c.Reset()
-	if c.Get("hits") != 0 || c.Get("misses") != 0 {
-		t.Error("Reset did not zero counters")
-	}
-	if len(c.Names()) != 2 {
-		t.Error("Reset dropped names")
 	}
 }
 
@@ -128,37 +83,6 @@ func TestTableNoHeader(t *testing.T) {
 	}
 	if !strings.Contains(out, "x") {
 		t.Errorf("row missing: %q", out)
-	}
-}
-
-func TestDistribution(t *testing.T) {
-	var d Distribution
-	if d.Mean() != 0 || d.StdDev() != 0 || d.Count() != 0 {
-		t.Error("empty distribution not zeroed")
-	}
-	for _, x := range []float64{1, 2, 3, 4} {
-		d.Observe(x)
-	}
-	if d.Count() != 4 {
-		t.Errorf("Count = %d", d.Count())
-	}
-	if !almostEqual(d.Mean(), 2.5) {
-		t.Errorf("Mean = %v", d.Mean())
-	}
-	if d.Min() != 1 || d.Max() != 4 {
-		t.Errorf("Min/Max = %v/%v", d.Min(), d.Max())
-	}
-	want := math.Sqrt(1.25)
-	if math.Abs(d.StdDev()-want) > 1e-9 {
-		t.Errorf("StdDev = %v, want %v", d.StdDev(), want)
-	}
-}
-
-func TestSortedKeys(t *testing.T) {
-	m := map[string]int{"c": 1, "a": 2, "b": 3}
-	got := SortedKeys(m)
-	if len(got) != 3 || got[0] != "a" || got[1] != "b" || got[2] != "c" {
-		t.Errorf("SortedKeys = %v", got)
 	}
 }
 
@@ -198,27 +122,16 @@ func TestRenderMarkdown(t *testing.T) {
 	}
 }
 
-// TestUndefinedForms pins both behaviors of the aggregate helpers: the
-// legacy table path keeps mapping undefined inputs to 0, while the *OK
-// forms report them distinguishably for the JSON/CSV export path.
+// TestUndefinedForms pins the undefined-not-zero convention of the
+// aggregate helpers: an undefined result is reported distinguishably, a
+// real 0 stays defined, and NaNIfUndefined carries the difference into
+// the metrics export.
 func TestUndefinedForms(t *testing.T) {
-	// Legacy 0-mapping (tables must keep rendering "0.00", not "NaN").
-	if Geomean(nil) != 0 || Geomean([]float64{-1, 0}) != 0 {
-		t.Error("Geomean no longer maps undefined inputs to 0")
+	if _, ok := Geomean(nil); ok {
+		t.Error("Geomean(nil) claims to be defined")
 	}
-	if Pct(5, 0) != 0 || Ratio(5, 0) != 0 {
-		t.Error("Pct/Ratio no longer map zero denominators to 0")
-	}
-
-	// Distinguishable forms.
-	if _, ok := GeomeanOK(nil); ok {
-		t.Error("GeomeanOK(nil) claims to be defined")
-	}
-	if _, ok := GeomeanOK([]float64{-2, 0}); ok {
-		t.Error("GeomeanOK with no positive entries claims to be defined")
-	}
-	if g, ok := GeomeanOK([]float64{2, 8}); !ok || g != 4 {
-		t.Errorf("GeomeanOK([2 8]) = %v,%v, want 4,true", g, ok)
+	if _, ok := Geomean([]float64{-2, 0}); ok {
+		t.Error("Geomean with no positive entries claims to be defined")
 	}
 	if _, ok := RatioOK(5, 0); ok {
 		t.Error("RatioOK(5,0) claims to be defined")
@@ -226,18 +139,15 @@ func TestUndefinedForms(t *testing.T) {
 	if r, ok := RatioOK(0, 4); !ok || r != 0 {
 		t.Errorf("RatioOK(0,4) = %v,%v, want 0,true — a real 0 stays defined", r, ok)
 	}
-	if p, ok := PctOK(1, 4); !ok || p != 25 {
-		t.Errorf("PctOK(1,4) = %v,%v, want 25,true", p, ok)
-	}
-	if _, ok := PctOK(1, 0); ok {
-		t.Error("PctOK(1,0) claims to be defined")
-	}
 
 	// The bridge into the metrics export: undefined becomes NaN.
-	if !math.IsNaN(NaNIfUndefined(PctOK(1, 0))) {
+	if !math.IsNaN(NaNIfUndefined(RatioOK(1, 0))) {
 		t.Error("NaNIfUndefined did not map undefined to NaN")
 	}
-	if NaNIfUndefined(PctOK(1, 4)) != 25 {
+	if NaNIfUndefined(RatioOK(1, 4)) != 0.25 {
 		t.Error("NaNIfUndefined perturbed a defined value")
+	}
+	if !math.IsNaN(NaNIfUndefined(Geomean(nil))) {
+		t.Error("NaNIfUndefined did not map an undefined Geomean to NaN")
 	}
 }

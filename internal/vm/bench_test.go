@@ -13,7 +13,7 @@ import (
 // memory event.
 func BenchmarkTranslateLine(b *testing.B) {
 	const pages = 1 << 14 // 16 K pages across 32 leaves
-	sys := NewSystem(pages*2, AllocRandom, 1)
+	sys := NewSystem(pages*2, 1)
 	sp := sys.NewSpace()
 	lines := make([]memtypes.LineAddr, pages)
 	for i := range lines {

@@ -9,6 +9,11 @@ import (
 // vmVersion tags the System encoding; bump on any layout change.
 const vmVersion = 1
 
+// allocRandom is the encoding's allocation-policy byte. The random
+// allocator is the only one, so the byte is always 0; it stays in the
+// layout so existing checkpoints keep their bytes.
+const allocRandom = 0
+
 // Snapshot serializes the allocator (frame bitmap, cursors, RNG) and
 // every address space's page table. Leaves are written in directory
 // cell order, and Restore puts them back into the same cells, so a
@@ -16,7 +21,7 @@ const vmVersion = 1
 func (s *System) Snapshot(e *ckpt.Encoder) {
 	e.U8(vmVersion)
 	e.U64(s.numFrames)
-	e.U8(uint8(s.policy))
+	e.U8(allocRandom)
 	e.U64(s.usedCount)
 	e.U64(s.nextSeq)
 	s.rng.Snapshot(e)
@@ -44,8 +49,8 @@ func (s *System) Restore(d *ckpt.Decoder) error {
 	if nf := d.U64(); d.Err() == nil && nf != s.numFrames {
 		d.Failf("vm: snapshot has %d frames, system has %d", nf, s.numFrames)
 	}
-	if p := d.U8(); d.Err() == nil && AllocPolicy(p) != s.policy {
-		d.Failf("vm: snapshot policy %d, system policy %d", p, s.policy)
+	if p := d.U8(); d.Err() == nil && p != allocRandom {
+		d.Failf("vm: snapshot allocation policy %d, want %d (random)", p, allocRandom)
 	}
 	usedCount := d.U64()
 	nextSeq := d.U64()
@@ -135,12 +140,12 @@ func (s *System) Restore(d *ckpt.Decoder) error {
 // Snapshot would: the frame bitmap, allocator cursors and RNG, and every
 // space's page table, directory cell for cell, with the leaf MRU
 // cleared. It reuses s's leaf nodes, so once s holds as many leaves as
-// src a copy allocates nothing. src must have the same frame count,
-// allocation policy and number of spaces.
+// src a copy allocates nothing. src must have the same frame count and
+// number of spaces.
 func (s *System) CopyFrom(src *System) error {
-	if s.numFrames != src.numFrames || s.policy != src.policy || len(s.spaces) != len(src.spaces) {
-		return fmt.Errorf("vm: cannot copy a %d-frame %v system with %d spaces into a %d-frame %v system with %d spaces",
-			src.numFrames, src.policy, len(src.spaces), s.numFrames, s.policy, len(s.spaces))
+	if s.numFrames != src.numFrames || len(s.spaces) != len(src.spaces) {
+		return fmt.Errorf("vm: cannot copy a %d-frame system with %d spaces into a %d-frame system with %d spaces",
+			src.numFrames, len(src.spaces), s.numFrames, len(s.spaces))
 	}
 	s.usedCount, s.nextSeq = src.usedCount, src.nextSeq
 	*s.rng = *src.rng

@@ -10,7 +10,7 @@ import (
 
 // build allocates ~pages mappings across two spaces of a fresh system.
 func build(seed int64, pages int) (*System, []*Space) {
-	s := NewSystem(1<<14, AllocRandom, seed)
+	s := NewSystem(1<<14, seed)
 	sps := []*Space{s.NewSpace(), s.NewSpace()}
 	for i := 0; i < pages; i++ {
 		sp := sps[i%2]
@@ -57,8 +57,9 @@ func TestSystemRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSystemRestoreRejectsBadInput covers version bumps, space-count and
-// frame-count mismatches, and truncations.
+// TestSystemRestoreRejectsBadInput covers version bumps, a nonzero
+// allocation-policy byte, space-count and frame-count mismatches, and
+// truncations.
 func TestSystemRestoreRejectsBadInput(t *testing.T) {
 	s, _ := build(3, 1000)
 	e := ckpt.NewEncoder(0)
@@ -74,14 +75,21 @@ func TestSystemRestoreRejectsBadInput(t *testing.T) {
 	if err := freshSys().Restore(ckpt.NewDecoder(bad)); err == nil {
 		t.Error("version-bumped snapshot accepted")
 	}
+	// The policy byte follows the version and the frame count; random
+	// allocation, the only policy, is 0.
+	bad = append([]byte(nil), payload...)
+	bad[9] = 1
+	if err := freshSys().Restore(ckpt.NewDecoder(bad)); err == nil {
+		t.Error("nonzero allocation-policy byte accepted")
+	}
 	// One-space system must reject a two-space snapshot.
-	one := NewSystem(1<<14, AllocRandom, 3)
+	one := NewSystem(1<<14, 3)
 	one.NewSpace()
 	if err := one.Restore(ckpt.NewDecoder(payload)); err == nil {
 		t.Error("space-count mismatch accepted")
 	}
 	// Different frame count must be rejected.
-	small := NewSystem(1<<10, AllocRandom, 3)
+	small := NewSystem(1<<10, 3)
 	small.NewSpace()
 	small.NewSpace()
 	if err := small.Restore(ckpt.NewDecoder(payload)); err == nil {
@@ -104,7 +112,7 @@ func snapshotOf(s *System) []byte {
 // restoreInto restores blob into a fresh system of the given shape.
 func restoreInto(t *testing.T, blob []byte, frames uint64, spaces int) *System {
 	t.Helper()
-	s := NewSystem(frames, AllocRandom, 99)
+	s := NewSystem(frames, 99)
 	for i := 0; i < spaces; i++ {
 		s.NewSpace()
 	}
@@ -137,7 +145,7 @@ func TestRestoreRebuildsDirectoryLayout(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for h := 0; h < 400; h++ {
 		touches := 200 + rng.Intn(3001)
-		src := NewSystem(1<<13, AllocRandom, int64(h))
+		src := NewSystem(1<<13, int64(h))
 		sp := src.NewSpace()
 		touchHistory(sp, rng, touches)
 		blob := snapshotOf(src)
@@ -159,7 +167,7 @@ func TestRestoreRebuildsDirectoryLayout(t *testing.T) {
 // Rebuilt in that order, the second leaf could not be found from its home
 // cell; Restore must fail instead of losing its mappings.
 func TestRestoreRejectsUnreachableLeaf(t *testing.T) {
-	s := NewSystem(1<<16, AllocRandom, 5)
+	s := NewSystem(1<<16, 5)
 	sp := s.NewSpace()
 	// Two leaves whose home cells in an eight-cell directory are c and c+1.
 	var his []uint64
@@ -179,7 +187,7 @@ func TestRestoreRejectsUnreachableLeaf(t *testing.T) {
 	sp.dir.leaves[c], sp.dir.leaves[c+1] = sp.dir.leaves[c+1], sp.dir.leaves[c]
 	blob := snapshotOf(s)
 
-	fresh := NewSystem(1<<16, AllocRandom, 5)
+	fresh := NewSystem(1<<16, 5)
 	fresh.NewSpace()
 	d, err := ckpt.NewDecoderChecked(blob)
 	if err != nil {
@@ -196,8 +204,8 @@ func TestRestoreRejectsUnreachableLeaf(t *testing.T) {
 // once warm, copy without allocating.
 func TestCopyFromMatchesRestore(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	src := NewSystem(1<<16, AllocRandom, 1)
-	dst := NewSystem(1<<16, AllocRandom, 2)
+	src := NewSystem(1<<16, 1)
+	dst := NewSystem(1<<16, 2)
 	srcSps := []*Space{src.NewSpace(), src.NewSpace()}
 	dstSps := []*Space{dst.NewSpace(), dst.NewSpace()}
 	for i := range srcSps {
@@ -229,10 +237,10 @@ func TestCopyFromMatchesRestore(t *testing.T) {
 		t.Fatalf("warm CopyFrom allocated %.1f times, want 0", avg)
 	}
 
-	if err := NewSystem(1<<15, AllocRandom, 1).CopyFrom(src); err == nil {
+	if err := NewSystem(1<<15, 1).CopyFrom(src); err == nil {
 		t.Error("copy across frame counts accepted")
 	}
-	if err := NewSystem(1<<16, AllocRandom, 1).CopyFrom(src); err == nil {
+	if err := NewSystem(1<<16, 1).CopyFrom(src); err == nil {
 		t.Error("copy across space counts accepted")
 	}
 }

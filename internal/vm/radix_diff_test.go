@@ -15,7 +15,7 @@ import (
 // between the two structures would surface as mismatched frames.
 func TestRadixMatchesMapReference(t *testing.T) {
 	for _, seed := range []int64{1, 2, 42} {
-		sys := NewSystem(1<<16, AllocRandom, seed)
+		sys := NewSystem(1<<16, seed)
 		sp := sys.NewSpace()
 		ref := make(map[memtypes.PageNum]memtypes.PageNum)
 		r := rand.New(rand.NewSource(seed * 7))
@@ -69,12 +69,12 @@ func TestRadixMatchesMapReference(t *testing.T) {
 // identically, draw the same frames in the same order.
 func TestRadixAllocationOrderMatchesMap(t *testing.T) {
 	const seed = 9
-	sysA := NewSystem(1<<12, AllocRandom, seed)
+	sysA := NewSystem(1<<12, seed)
 	spA := sysA.NewSpace()
 
 	// The reference reimplements the old map-based Space inline: one map,
 	// one allocFrame call per first touch, in access order.
-	sysB := NewSystem(1<<12, AllocRandom, seed)
+	sysB := NewSystem(1<<12, seed)
 	refTable := make(map[memtypes.PageNum]memtypes.PageNum)
 	refTranslate := func(vp memtypes.PageNum) memtypes.PageNum {
 		if f, ok := refTable[vp]; ok {

@@ -7,42 +7,16 @@
 package vm
 
 import (
-	"accord/internal/xrand"
-	"fmt"
-
 	"accord/internal/memtypes"
+	"accord/internal/xrand"
 )
-
-// AllocPolicy selects how physical frames are assigned to newly touched
-// virtual pages.
-type AllocPolicy int
-
-const (
-	// AllocRandom assigns a uniformly random free frame (default; models a
-	// long-running OS with a fragmented free list).
-	AllocRandom AllocPolicy = iota
-	// AllocSequential assigns frames in increasing order (useful for
-	// deterministic tests and controlled conflict studies).
-	AllocSequential
-)
-
-// String implements fmt.Stringer.
-func (p AllocPolicy) String() string {
-	switch p {
-	case AllocRandom:
-		return "random"
-	case AllocSequential:
-		return "sequential"
-	default:
-		return fmt.Sprintf("AllocPolicy(%d)", int(p))
-	}
-}
 
 // System is the machine-wide VM state: one frame allocator shared by all
-// address spaces. It is not safe for concurrent use.
+// address spaces. It assigns each newly touched page a uniformly random
+// free frame, which models a long-running OS with a fragmented free
+// list. It is not safe for concurrent use.
 type System struct {
 	numFrames uint64
-	policy    AllocPolicy
 	rng       *xrand.Rand
 
 	used      []bool
@@ -63,21 +37,17 @@ type Space struct {
 }
 
 // NewSystem creates a VM system managing numFrames physical frames. seed
-// makes random allocation reproducible.
-func NewSystem(numFrames uint64, policy AllocPolicy, seed int64) *System {
+// makes the random allocation reproducible.
+func NewSystem(numFrames uint64, seed int64) *System {
 	if numFrames == 0 {
 		panic("vm: zero physical frames")
 	}
 	return &System{
 		numFrames: numFrames,
-		policy:    policy,
 		rng:       xrand.New(seed),
 		used:      make([]bool, numFrames),
 	}
 }
-
-// NumFrames returns the physical frame count.
-func (s *System) NumFrames() uint64 { return s.numFrames }
 
 // AllocatedFrames returns the number of frames currently mapped.
 func (s *System) AllocatedFrames() uint64 { return s.usedCount }
@@ -89,9 +59,10 @@ func (s *System) NewSpace() *Space {
 	return sp
 }
 
-// allocFrame picks a free frame per policy. When memory is exhausted it
-// wraps around and reuses frames deterministically (the simulator's
-// workloads are sized to avoid this; wrapping keeps long fuzz runs alive).
+// allocFrame picks a uniformly random free frame. When memory is
+// exhausted it wraps around and reuses frames deterministically (the
+// simulator's workloads are sized to avoid this; wrapping keeps long fuzz
+// runs alive).
 func (s *System) allocFrame() memtypes.PageNum {
 	if s.usedCount >= s.numFrames {
 		// Out of physical memory: fall back to round-robin reuse.
@@ -99,24 +70,12 @@ func (s *System) allocFrame() memtypes.PageNum {
 		s.nextSeq++
 		return f
 	}
-	switch s.policy {
-	case AllocSequential:
-		for s.used[s.nextSeq%s.numFrames] {
-			s.nextSeq++
-		}
-		f := s.nextSeq % s.numFrames
-		s.used[f] = true
-		s.usedCount++
-		s.nextSeq++
-		return memtypes.PageNum(f)
-	default:
-		for {
-			f := uint64(s.rng.Int63n(int64(s.numFrames)))
-			if !s.used[f] {
-				s.used[f] = true
-				s.usedCount++
-				return memtypes.PageNum(f)
-			}
+	for {
+		f := uint64(s.rng.Int63n(int64(s.numFrames)))
+		if !s.used[f] {
+			s.used[f] = true
+			s.usedCount++
+			return memtypes.PageNum(f)
 		}
 	}
 }

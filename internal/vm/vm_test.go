@@ -7,26 +7,17 @@ import (
 	"accord/internal/memtypes"
 )
 
-func TestPolicyString(t *testing.T) {
-	if AllocRandom.String() != "random" || AllocSequential.String() != "sequential" {
-		t.Error("policy strings wrong")
-	}
-	if AllocPolicy(7).String() == "" {
-		t.Error("unknown policy produced empty string")
-	}
-}
-
 func TestNewSystemPanicsOnZero(t *testing.T) {
 	defer func() {
 		if recover() == nil {
 			t.Error("no panic for zero frames")
 		}
 	}()
-	NewSystem(0, AllocRandom, 1)
+	NewSystem(0, 1)
 }
 
 func TestTranslationStable(t *testing.T) {
-	sys := NewSystem(1024, AllocRandom, 7)
+	sys := NewSystem(1024, 7)
 	sp := sys.NewSpace()
 	va := memtypes.Addr(0x12345)
 	p1 := sp.Translate(va)
@@ -41,7 +32,7 @@ func TestTranslationStable(t *testing.T) {
 }
 
 func TestDistinctPagesDistinctFrames(t *testing.T) {
-	sys := NewSystem(4096, AllocRandom, 3)
+	sys := NewSystem(4096, 3)
 	sp := sys.NewSpace()
 	frames := map[memtypes.PageNum]memtypes.PageNum{}
 	for p := uint64(0); p < 1000; p++ {
@@ -58,7 +49,7 @@ func TestDistinctPagesDistinctFrames(t *testing.T) {
 }
 
 func TestSpacesAreIsolated(t *testing.T) {
-	sys := NewSystem(4096, AllocRandom, 9)
+	sys := NewSystem(4096, 9)
 	a, b := sys.NewSpace(), sys.NewSpace()
 	va := memtypes.Addr(0x5000)
 	if a.Translate(va) == b.Translate(va) {
@@ -66,19 +57,8 @@ func TestSpacesAreIsolated(t *testing.T) {
 	}
 }
 
-func TestSequentialAllocation(t *testing.T) {
-	sys := NewSystem(64, AllocSequential, 0)
-	sp := sys.NewSpace()
-	for p := uint64(0); p < 4; p++ {
-		pl := sp.TranslateLine(memtypes.PageNum(p).Line(0))
-		if got := uint64(pl.Page()); got != p {
-			t.Errorf("page %d -> frame %d, want %d", p, got, p)
-		}
-	}
-}
-
 func TestExhaustionWrapsInsteadOfPanicking(t *testing.T) {
-	sys := NewSystem(4, AllocSequential, 0)
+	sys := NewSystem(4, 0)
 	sp := sys.NewSpace()
 	for p := uint64(0); p < 16; p++ {
 		sp.TranslateLine(memtypes.PageNum(p).Line(0))
@@ -92,7 +72,7 @@ func TestExhaustionWrapsInsteadOfPanicking(t *testing.T) {
 }
 
 func TestFootprint(t *testing.T) {
-	sys := NewSystem(1024, AllocRandom, 1)
+	sys := NewSystem(1024, 1)
 	sp := sys.NewSpace()
 	for p := uint64(0); p < 10; p++ {
 		sp.TranslateLine(memtypes.PageNum(p).Line(3))
@@ -104,7 +84,7 @@ func TestFootprint(t *testing.T) {
 
 func TestDeterministicAcrossRuns(t *testing.T) {
 	build := func() []memtypes.LineAddr {
-		sys := NewSystem(2048, AllocRandom, 42)
+		sys := NewSystem(2048, 42)
 		sp := sys.NewSpace()
 		var out []memtypes.LineAddr
 		for p := uint64(0); p < 100; p++ {
@@ -121,7 +101,7 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 }
 
 func TestQuickOffsetPreserved(t *testing.T) {
-	sys := NewSystem(1<<16, AllocRandom, 5)
+	sys := NewSystem(1<<16, 5)
 	sp := sys.NewSpace()
 	f := func(raw uint32) bool {
 		vl := memtypes.LineAddr(raw)
@@ -134,7 +114,7 @@ func TestQuickOffsetPreserved(t *testing.T) {
 }
 
 func TestQuickInjectiveWithinSpace(t *testing.T) {
-	sys := NewSystem(1<<16, AllocRandom, 6)
+	sys := NewSystem(1<<16, 6)
 	sp := sys.NewSpace()
 	seen := map[memtypes.LineAddr]memtypes.LineAddr{}
 	f := func(raw uint16) bool {
