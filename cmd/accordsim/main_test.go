@@ -1,9 +1,15 @@
 package main
 
 import (
+	"bytes"
+	"errors"
+	"flag"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"accord/internal/sim"
@@ -92,6 +98,51 @@ func TestTraceRewriteNeverRestores(t *testing.T) {
 			}
 			if !reflect.DeepEqual(coldA, gotA) {
 				t.Error("restored trace run diverged from its cold run")
+			}
+		})
+	}
+}
+
+// TestMain runs the command itself when a test starts the test binary
+// with "--" followed by accordsim arguments, so a test can check exit
+// codes and output of the real main; otherwise it runs the tests.
+func TestMain(m *testing.M) {
+	if i := slices.Index(os.Args, "--"); i >= 0 {
+		os.Args = append([]string{"accordsim"}, os.Args[i+1:]...)
+		flag.CommandLine = flag.NewFlagSet("accordsim", flag.ExitOnError)
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// TestBadScaleFailsValidation runs accordsim at scales that leave the L4
+// or the NVM without a valid geometry. Each must fail validation with an
+// error naming the scale and exit 2, not panic during assembly.
+func TestBadScaleFailsValidation(t *testing.T) {
+	for _, args := range [][]string{
+		{"-scale", "100000000"},
+		{"-org", "direct", "-scale", "40000000"},
+		{"-org", "banshee", "-scale", "1048576"},
+		{"-org", "accord", "-ways", "3", "-scale", "8192"},
+		{"-org", "direct", "-scale", "67108864"},
+	} {
+		t.Run(strings.Join(args, " "), func(t *testing.T) {
+			argv := append([]string{"--", "-workload", "mcf", "-cores", "1"}, args...)
+			cmd := exec.Command(os.Args[0], argv...)
+			var stderr bytes.Buffer
+			cmd.Stderr = &stderr
+			err := cmd.Run()
+			var exit *exec.ExitError
+			if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+				t.Fatalf("exit: %v, want status 2; stderr:\n%s", err, stderr.String())
+			}
+			msg := stderr.String()
+			if strings.Contains(msg, "panic:") {
+				t.Fatalf("stderr holds a panic:\n%s", msg)
+			}
+			if scale := args[len(args)-1]; !strings.Contains(msg, "scale "+scale) {
+				t.Errorf("error does not name scale %s: %s", scale, msg)
 			}
 		})
 	}

@@ -11,12 +11,12 @@ import (
 // Spine checkpoint lattice: a family of content-addressed entries in a
 // Store, one per interval boundary of a sampled run, plus a small index
 // blob chaining them together. An exact run's warm state is a one-entry
-// lattice, boundary 0 saved with SaveEntry and never indexed. The lattice is keyed by a caller-supplied
-// fingerprint covering everything that determines boundary state
-// (configuration, workload, interval geometry); each entry additionally
-// keys on its interval number and absolute instruction offset, so a
-// geometry change moves every key and a stale lattice can only miss,
-// never restore the wrong state.
+// lattice, boundary 0 saved with SaveEntry and never indexed. The
+// lattice is keyed by a caller-supplied fingerprint covering everything
+// that determines boundary state (configuration, workload, interval
+// geometry); each entry additionally keys on its interval number and
+// absolute instruction offset, so a geometry change moves every key and
+// a stale lattice can only miss, never restore the wrong state.
 //
 // Integrity is layered: every entry and the index are CRC-framed
 // (Encoder.Finish), every entry echoes the fingerprint/interval/offset
@@ -39,6 +39,9 @@ const (
 
 	// maxLatticeIndexEntries bounds index decoding against corrupt counts.
 	maxLatticeIndexEntries = 1 << 20
+	// latticeIndexRecordBytes is one index record's encoded size: interval
+	// u32, offset i64, length u64 and the SHA-256 digest.
+	latticeIndexRecordBytes = 4 + 8 + 8 + sha256.Size
 )
 
 // latticeIndexEntry is one chained record: which entry exists and what
@@ -80,23 +83,15 @@ func latticeIndexKey(fingerprint string) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// Save persists one boundary payload and merges it into the index. A
-// failed entry write is returned without touching the index; a failed
-// index write still leaves the entry loadable (Probe falls back to
-// direct entry validation when the index is absent or stale).
-func (l *Lattice) Save(interval int, offset int64, payload []byte) error {
-	if err := l.SaveEntry(interval, offset, payload); err != nil {
-		return err
-	}
-	return l.FlushIndex()
-}
-
 // SaveEntry persists one boundary payload and merges it into the
-// in-memory index without rewriting the index blob — the batch form for
-// writers saving many boundaries in one run. Entries saved this way are
-// immediately probeable (entry validation does not need the index);
-// call FlushIndex once after the batch to persist the digest chain. A
-// crash before the flush loses only the chain, never the entries.
+// in-memory index without rewriting the index blob, so a writer saving
+// many boundaries in one run pays one store write each. Entries saved
+// this way are immediately probeable (entry validation does not need the
+// index); call FlushIndex once after the batch to persist the digest
+// chain. A failed entry write is returned without touching the index. A
+// crash before the flush, or a failed flush, loses only the chain, never
+// the entries (Probe falls back to direct entry validation when the
+// index is absent or stale).
 func (l *Lattice) SaveEntry(interval int, offset int64, payload []byte) error {
 	// The header is the fingerprint plus 36 bytes of fixed fields and CRC.
 	e := NewEncoder(len(payload) + len(l.fp) + 64)
@@ -230,7 +225,9 @@ func (l *Lattice) loadIndexLocked() {
 	if d.String() != l.fp {
 		return
 	}
-	n := d.Len(maxLatticeIndexEntries)
+	// A count the remaining bytes cannot hold is corrupt; rejecting it
+	// here keeps a damaged index from sizing a map for a million records.
+	n := d.Len(min(maxLatticeIndexEntries, d.Remaining()/latticeIndexRecordBytes))
 	entries := make(map[int]latticeIndexEntry, n)
 	for i := 0; i < n; i++ {
 		var ie latticeIndexEntry
@@ -254,7 +251,7 @@ func (l *Lattice) saveIndexLocked() error {
 		keys = append(keys, k)
 	}
 	sort.Ints(keys)
-	e := NewEncoder(64 + len(keys)*(4+8+8+sha256.Size))
+	e := NewEncoder(64 + len(keys)*latticeIndexRecordBytes)
 	e.Raw([]byte(latticeIndexMagic))
 	e.U32(LatticeSchema)
 	e.String(l.fp)

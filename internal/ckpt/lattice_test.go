@@ -16,6 +16,18 @@ func testLattice(t *testing.T, fp string) (*Lattice, *Store) {
 	return NewLattice(store, fp), store
 }
 
+// saveIndexed persists one boundary the way a sampled run's writer does:
+// SaveEntry for the entry, then FlushIndex for the digest chain.
+func saveIndexed(t *testing.T, lat *Lattice, interval int, offset int64, payload []byte) {
+	t.Helper()
+	if err := lat.SaveEntry(interval, offset, payload); err != nil {
+		t.Fatalf("save entry: %v", err)
+	}
+	if err := lat.FlushIndex(); err != nil {
+		t.Fatalf("flush index: %v", err)
+	}
+}
+
 func latticePayload(n int) []byte {
 	p := make([]byte, n)
 	for i := range p {
@@ -33,9 +45,12 @@ func TestLatticeRoundTrip(t *testing.T) {
 	}
 	offset := func(k int) int64 { return int64(1000 + k*500) }
 	for k, p := range payloads {
-		if err := lat.Save(k, offset(k), p); err != nil {
+		if err := lat.SaveEntry(k, offset(k), p); err != nil {
 			t.Fatalf("save interval %d: %v", k, err)
 		}
+	}
+	if err := lat.FlushIndex(); err != nil {
+		t.Fatalf("flush index: %v", err)
 	}
 	for k, p := range payloads {
 		got, ok := lat.Probe(k, offset(k))
@@ -75,9 +90,7 @@ func TestLatticeReopen(t *testing.T) {
 		t.Fatalf("open store: %v", err)
 	}
 	p := latticePayload(1024)
-	if err := NewLattice(store, "fp-reopen").Save(2, 2048, p); err != nil {
-		t.Fatalf("save: %v", err)
-	}
+	saveIndexed(t, NewLattice(store, "fp-reopen"), 2, 2048, p)
 	lat := NewLattice(store, "fp-reopen")
 	got, ok := lat.Probe(2, 2048)
 	if !ok || !bytes.Equal(got, p) {
@@ -98,9 +111,7 @@ func TestLatticeKeySeparation(t *testing.T) {
 		t.Fatalf("open store: %v", err)
 	}
 	lat := NewLattice(store, "fp-a")
-	if err := lat.Save(1, 100, latticePayload(64)); err != nil {
-		t.Fatalf("save: %v", err)
-	}
+	saveIndexed(t, lat, 1, 100, latticePayload(64))
 	if _, ok := lat.Probe(2, 100); ok {
 		t.Fatal("probe with wrong interval hit")
 	}
@@ -127,9 +138,7 @@ func entryFile(t *testing.T, store *Store, fp string, interval int, offset int64
 func TestLatticeEntryTruncationSweep(t *testing.T) {
 	const fp = "fp-truncate"
 	lat, store := testLattice(t, fp)
-	if err := lat.Save(0, 64, latticePayload(96)); err != nil {
-		t.Fatalf("save: %v", err)
-	}
+	saveIndexed(t, lat, 0, 64, latticePayload(96))
 	path := entryFile(t, store, fp, 0, 64)
 	full, err := os.ReadFile(path)
 	if err != nil {
@@ -152,9 +161,7 @@ func TestLatticeEntryTruncationSweep(t *testing.T) {
 func TestLatticeEntryCorruptionSweep(t *testing.T) {
 	const fp = "fp-corrupt"
 	lat, store := testLattice(t, fp)
-	if err := lat.Save(0, 64, latticePayload(48)); err != nil {
-		t.Fatalf("save: %v", err)
-	}
+	saveIndexed(t, lat, 0, 64, latticePayload(48))
 	path := entryFile(t, store, fp, 0, 64)
 	full, err := os.ReadFile(path)
 	if err != nil {
@@ -229,9 +236,7 @@ func TestLatticeEntryStructuralMismatch(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			lat, store := testLattice(t, fp)
-			if err := lat.Save(0, 64, latticePayload(32)); err != nil {
-				t.Fatalf("save: %v", err)
-			}
+			saveIndexed(t, lat, 0, 64, latticePayload(32))
 			mutateEntry(t, store, fp, 0, 64, tc.edit)
 			if _, ok := NewLattice(store, fp).Probe(0, 64); ok {
 				t.Fatal("probe hit on structurally damaged entry")
@@ -246,9 +251,7 @@ func TestLatticeIndexCorruption(t *testing.T) {
 	const fp = "fp-index"
 	lat, store := testLattice(t, fp)
 	payload := latticePayload(80)
-	if err := lat.Save(0, 64, payload); err != nil {
-		t.Fatalf("save: %v", err)
-	}
+	saveIndexed(t, lat, 0, 64, payload)
 	idxPath := filepath.Join(store.Dir(), latticeIndexKey(fp)+".ckpt")
 	full, err := os.ReadFile(idxPath)
 	if err != nil {
@@ -301,9 +304,7 @@ func TestLatticeIndexCorruption(t *testing.T) {
 func TestLatticeIndexDigestMismatch(t *testing.T) {
 	const fp = "fp-digest"
 	lat, store := testLattice(t, fp)
-	if err := lat.Save(0, 64, latticePayload(40)); err != nil {
-		t.Fatalf("save: %v", err)
-	}
+	saveIndexed(t, lat, 0, 64, latticePayload(40))
 	// Re-frame the entry with a different payload of the same coordinates
 	// (valid CRC, valid header) without updating the index.
 	mutateEntry(t, store, fp, 0, 64, func(b []byte) []byte {
@@ -340,9 +341,12 @@ func BenchmarkLatticeProbe(b *testing.B) {
 	payload := latticePayload(128 << 10)
 	lat := NewLattice(store, fp)
 	for k := 0; k < intervals; k++ {
-		if err := lat.Save(k, int64(k*1000), payload); err != nil {
+		if err := lat.SaveEntry(k, int64(k*1000), payload); err != nil {
 			b.Fatalf("save: %v", err)
 		}
+	}
+	if err := lat.FlushIndex(); err != nil {
+		b.Fatalf("flush index: %v", err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

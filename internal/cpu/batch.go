@@ -100,12 +100,7 @@ func (c *Core) StepFunctionalBatch(target int64) {
 
 	// Reduce the carry once for the whole run: ((a+g1) mod w + g2) mod w
 	// == (a+g1+g2) mod w, inductively for any run length.
-	c.instCarry += gapSum
-	if c.issueMask >= 0 {
-		c.instCarry &= c.issueMask
-	} else {
-		c.instCarry %= c.issueWidth
-	}
+	c.instCarry = (c.instCarry + gapSum) & c.issueMask
 	c.reads += reads
 	c.writes += writes
 	c.depStalls += depStalls
@@ -131,6 +126,11 @@ func (c *Core) ResetSampleTiming() {
 	c.mshrStalls = 0
 	c.markTime = 0
 	c.markInstr = c.instr
+	c.dropMemos()
+}
+
+// dropMemos empties both translation memos.
+func (c *Core) dropMemos() {
 	c.memoVPage = ^memtypes.PageNum(0)
 	clear(c.tlbTag[:])
 }

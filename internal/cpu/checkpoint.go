@@ -11,8 +11,8 @@ import (
 const coreVersion = 1
 
 // checkpointer returns the core's stream as a workloads.Checkpointer,
-// the lookup all four codec methods share; cores over streams without
-// one cannot be checkpointed.
+// the lookup Snapshot and Restore share; cores over streams without one
+// cannot be checkpointed.
 func (c *Core) checkpointer() (workloads.Checkpointer, error) {
 	cp, ok := c.stream.(workloads.Checkpointer)
 	if !ok {
@@ -51,69 +51,18 @@ func (c *Core) Snapshot(e *ckpt.Encoder) error {
 	return nil
 }
 
-// FunctionalSnapshot serializes only the core state functional
-// fast-forwarding defines: retired instructions, the issue-width carry,
-// the event-mix counters, and the stream cursor. The clock, MSHR
-// completion times, MSHR-stall counter, and window marks are timing
-// state — a functional and a detailed run of the same events disagree on
-// them by construction — so they are deliberately excluded. Used by the
-// functional-vs-detailed differential tests (sim.FunctionalSnapshot).
-func (c *Core) FunctionalSnapshot(e *ckpt.Encoder) error {
-	cp, err := c.checkpointer()
-	if err != nil {
-		return err
-	}
-	e.U8(coreVersion)
-	e.I64(c.instr)
-	e.I64(c.instCarry)
-	e.U64(c.reads)
-	e.U64(c.writes)
-	e.U64(c.depStalls)
-	cp.Snapshot(e)
-	return nil
-}
-
-// RestoreFunctional replaces the core's functional state with a
-// FunctionalSnapshot blob and resets everything the blob deliberately
-// excludes — clock, MSHRs, MSHR-stall count, window marks — to the
-// canonical fresh-core values via ResetSampleTiming. This is the fork
-// half of parallel interval sampling: a worker restoring a spine fork
-// gets exactly the state a brand-new core would have after functionally
-// retiring the same events. On error the core must be discarded.
-func (c *Core) RestoreFunctional(d *ckpt.Decoder) error {
-	cp, err := c.checkpointer()
-	if err != nil {
-		return err
-	}
-	if v := d.U8(); d.Err() == nil && v != coreVersion {
-		d.Failf("cpu: snapshot version %d, want %d", v, coreVersion)
-	}
-	c.instr = d.I64()
-	c.instCarry = d.I64()
-	c.reads = d.U64()
-	c.writes = d.U64()
-	c.depStalls = d.U64()
-	if err := d.Err(); err != nil {
-		return err
-	}
-	if err := cp.Restore(d); err != nil {
-		return err
-	}
-	c.ResetSampleTiming()
-	return nil
-}
-
 // streamCopier is the optional in-memory counterpart of
 // workloads.Checkpointer; every bundled stream implements it.
 type streamCopier interface {
 	CopyFrom(src workloads.Stream) error
 }
 
-// CopyFunctionalFrom makes c a copy of src's functional state, leaving c
-// exactly as RestoreFunctional of src's FunctionalSnapshot would:
-// retired instructions, issue carry, event-mix counters and the stream
-// position, with the timing state reset by ResetSampleTiming. It
-// allocates nothing. It fails when c's stream has no CopyFrom method or
+// CopyFunctionalFrom makes c a copy of src's functional state: retired
+// instructions, issue carry, event-mix counters and the stream position,
+// with the timing state reset by ResetSampleTiming. For src just after
+// its own ResetSampleTiming, as at a sampled run's interval boundary,
+// that leaves c exactly as restoring src's Snapshot would. It allocates
+// nothing. It fails when c's stream has no CopyFrom method or
 // src replays another stream; the core is then unspecified.
 func (c *Core) CopyFunctionalFrom(src *Core) error {
 	sc, ok := c.stream.(streamCopier)
@@ -129,8 +78,11 @@ func (c *Core) CopyFunctionalFrom(src *Core) error {
 	return nil
 }
 
-// Restore replaces the core's state with a snapshot. On error the core
-// is left in an unspecified state and must be discarded.
+// Restore replaces the core's state with a snapshot and empties the
+// translation memos: they are derived state, absent from the snapshot,
+// and an entry left from before the restore could name a page the
+// restored VM state has not mapped. On error the core is left in an
+// unspecified state and must be discarded.
 func (c *Core) Restore(d *ckpt.Decoder) error {
 	cp, err := c.checkpointer()
 	if err != nil {
@@ -160,5 +112,6 @@ func (c *Core) Restore(d *ckpt.Decoder) error {
 	if err := d.Err(); err != nil {
 		return err
 	}
+	c.dropMemos()
 	return cp.Restore(d)
 }

@@ -25,7 +25,7 @@ type MemorySystem interface {
 
 // Params configures a core.
 type Params struct {
-	IssueWidth int   // instructions per cycle for non-memory work
+	IssueWidth int   // instructions per cycle for non-memory work; a power of two
 	MSHRs      int   // maximum outstanding independent misses
 	SRAMLat    int64 // L1+L2+L3 lookup cycles on the miss path
 }
@@ -43,8 +43,8 @@ func DefaultParams() Params {
 
 // Validate reports a descriptive error for unusable parameters.
 func (p Params) Validate() error {
-	if p.IssueWidth < 1 {
-		return fmt.Errorf("cpu: issue width %d must be >= 1", p.IssueWidth)
+	if p.IssueWidth < 1 || p.IssueWidth&(p.IssueWidth-1) != 0 {
+		return fmt.Errorf("cpu: issue width %d must be a power of two", p.IssueWidth)
 	}
 	if p.MSHRs < 1 {
 		return fmt.Errorf("cpu: MSHRs %d must be >= 1", p.MSHRs)
@@ -65,14 +65,13 @@ type Translate func(memtypes.LineAddr) memtypes.LineAddr
 // safe for concurrent use.
 type Core struct {
 	// Hot per-event state leads the struct so the common path touches the
-	// first cache line or two: the clocks and the widened issue parameters
+	// first cache line or two: the clocks and the issue parameters
 	// (converted from Params once at construction instead of per event).
 	time       int64
 	instr      int64
 	instCarry  int64
-	issueWidth int64   // int64(params.IssueWidth), hoisted off the event path
-	issueMask  int64   // issueWidth-1 when the width is a power of two, else -1
-	issueShift uint8   // log2(issueWidth) when issueMask >= 0
+	issueMask  int64   // params.IssueWidth-1
+	issueShift uint8   // log2(params.IssueWidth)
 	sramLat    int64   // params.SRAMLat
 	mshr       []int64 // completion cycles of in-flight misses
 
@@ -94,8 +93,8 @@ type Core struct {
 	// derived state — mappings are immutable once allocated — but a memo
 	// entry implies "this page is already mapped", which restoring an
 	// earlier snapshot can falsify (the walk's first-touch allocation
-	// draws from the VM RNG), so both memos go cold together in
-	// ResetSampleTiming.
+	// draws from the VM RNG), so both memos go cold together in Restore
+	// and ResetSampleTiming.
 	tlbTag   [tlbSize]uint64
 	tlbPBase [tlbSize]memtypes.LineAddr
 
@@ -132,13 +131,9 @@ func New(id int, params Params, stream workloads.Stream, translate Translate, me
 	if !ok {
 		panic(fmt.Sprintf("cpu: core %d stream %T serves no window", id, stream))
 	}
-	w := int64(params.IssueWidth)
-	mask, shift := int64(-1), uint8(0)
-	if w&(w-1) == 0 {
-		mask = w - 1
-		for 1<<shift < w {
-			shift++
-		}
+	shift := uint8(0)
+	for 1<<shift < params.IssueWidth {
+		shift++
 	}
 	bmem, _ := mem.(BatchFunctionalMemory)
 	return &Core{
@@ -147,8 +142,7 @@ func New(id int, params Params, stream workloads.Stream, translate Translate, me
 		id:         id,
 		params:     params,
 		memoVPage:  ^memtypes.PageNum(0),
-		issueWidth: w,
-		issueMask:  mask,
+		issueMask:  int64(params.IssueWidth) - 1,
 		issueShift: shift,
 		sramLat:    params.SRAMLat,
 		stream:     stream,

@@ -39,6 +39,7 @@ func TestParamsValidate(t *testing.T) {
 	}
 	bad := []Params{
 		{IssueWidth: 0, MSHRs: 1},
+		{IssueWidth: 3, MSHRs: 1},
 		{IssueWidth: 1, MSHRs: 0},
 		{IssueWidth: 1, MSHRs: 1, SRAMLat: -1},
 	}

@@ -33,17 +33,12 @@ func (c *Core) StepRun(target, stopTime int64, stopOnTie bool) bool {
 		for i := range gaps {
 			// Non-memory instructions retire at the issue width; the
 			// remainder carries so long-run throughput is exact. carry is
-			// never negative, so for power-of-two widths the division is
-			// a shift.
+			// never negative and the width a power of two, so the
+			// division is a shift.
 			g := int64(gaps[i])
 			carry += g
-			if c.issueMask >= 0 {
-				time += carry >> c.issueShift
-				carry &= c.issueMask
-			} else {
-				time += carry / c.issueWidth
-				carry %= c.issueWidth
-			}
+			time += carry >> c.issueShift
+			carry &= c.issueMask
 
 			vl := lines[i]
 			var line memtypes.LineAddr

@@ -81,20 +81,9 @@ const (
 // design stores its mapping in); it bounds nothing directly but is
 // validated so a misconfigured system fails loudly.
 func NewBanshee(capacityBytes int64, dev, nvm *dram.Device, frames uint64) (*Banshee, error) {
-	pages := capacityBytes / memtypes.PageSize
-	switch {
-	case capacityBytes%memtypes.PageSize != 0:
-		return nil, fmt.Errorf("dramcache: banshee capacity %d not page-aligned", capacityBytes)
-	case pages < bansheePageWays:
-		return nil, fmt.Errorf("dramcache: banshee capacity %d below one page set", capacityBytes)
-	case pages%bansheePageWays != 0:
-		return nil, fmt.Errorf("dramcache: banshee capacity %d not divisible by page-set size", capacityBytes)
-	case frames == 0:
-		return nil, fmt.Errorf("dramcache: banshee needs a nonzero frame count")
-	}
-	sets := uint64(pages / bansheePageWays)
-	if sets&(sets-1) != 0 {
-		return nil, fmt.Errorf("dramcache: banshee %d page sets, must be a power of two", sets)
+	sets, err := bansheeSets(capacityBytes, frames)
+	if err != nil {
+		return nil, err
 	}
 	return &Banshee{
 		deviceBase: newDeviceBase(dev, nvm),
@@ -106,6 +95,26 @@ func NewBanshee(capacityBytes int64, dev, nvm *dram.Device, frames uint64) (*Ban
 		cand:       make([]bansheeCand, sets*bansheeCandWays),
 		devMap:     dev.Config().NewMapper(dev.Config().RowBytes / memtypes.LineSize),
 	}, nil
+}
+
+// bansheeSets checks a Banshee geometry and returns its page-set count.
+func bansheeSets(capacityBytes int64, frames uint64) (uint64, error) {
+	pages := capacityBytes / memtypes.PageSize
+	switch {
+	case capacityBytes%memtypes.PageSize != 0:
+		return 0, fmt.Errorf("dramcache: banshee capacity %d not page-aligned", capacityBytes)
+	case pages < bansheePageWays:
+		return 0, fmt.Errorf("dramcache: banshee capacity %d below one page set", capacityBytes)
+	case pages%bansheePageWays != 0:
+		return 0, fmt.Errorf("dramcache: banshee capacity %d not divisible by page-set size", capacityBytes)
+	case frames == 0:
+		return 0, fmt.Errorf("dramcache: banshee needs a nonzero frame count")
+	}
+	sets := uint64(pages / bansheePageWays)
+	if sets&(sets-1) != 0 {
+		return 0, fmt.Errorf("dramcache: banshee %d page sets, must be a power of two", sets)
+	}
+	return sets, nil
 }
 
 // Name implements Interface.
@@ -508,6 +517,10 @@ var _ Interface = (*Banshee)(nil)
 func init() {
 	Register(Backend{
 		Name: "banshee",
+		Check: func(cfg BackendConfig, frames uint64) error {
+			_, err := bansheeSets(cfg.CapacityBytes, frames)
+			return err
+		},
 		New: func(cfg BackendConfig, deps Deps) (Interface, error) {
 			b, err := NewBanshee(cfg.CapacityBytes, deps.Dev, deps.NVM, deps.Frames)
 			if err != nil {

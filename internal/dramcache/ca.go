@@ -37,16 +37,26 @@ type caOutcome struct {
 	writeOut bool              // evicted holds a dirty line
 }
 
-// NewCA builds a column-associative cache of the given capacity.
+// checkCA reports why capacityBytes gives no column-associative cache:
+// a direct-mapped geometry of at least two slots, so every slot has a
+// rehash partner.
+func checkCA(capacityBytes int64) error {
+	if err := (Config{CapacityBytes: capacityBytes, Ways: 1}).Validate(); err != nil {
+		return err
+	}
+	if slots := capacityBytes / memtypes.LineSize; slots < 2 {
+		return fmt.Errorf("dramcache: CA cache needs >= 2 slots, got %d", slots)
+	}
+	return nil
+}
+
+// NewCA builds a column-associative cache of the given capacity. It
+// panics on a capacity checkCA rejects.
 func NewCA(capacityBytes int64, dev, nvm *dram.Device) *CACache {
-	cfg := Config{CapacityBytes: capacityBytes, Ways: 1}
-	if err := cfg.Validate(); err != nil {
+	if err := checkCA(capacityBytes); err != nil {
 		panic(err)
 	}
 	sets := uint64(capacityBytes / memtypes.LineSize)
-	if sets < 2 {
-		panic(fmt.Sprintf("dramcache: CA cache needs >= 2 slots, got %d", sets))
-	}
 	return &CACache{
 		deviceBase: newDeviceBase(dev, nvm),
 		sets:       sets,

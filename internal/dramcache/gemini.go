@@ -28,10 +28,14 @@ type Gemini struct {
 // a power of two.
 const geminiWays = 4
 
+// checkGemini reports why capacityBytes gives no geminiWays-way geometry.
+func checkGemini(capacityBytes int64) error {
+	return Config{CapacityBytes: capacityBytes, Ways: geminiWays}.Validate()
+}
+
 // NewGemini builds the hybrid-mapped cache.
 func NewGemini(capacityBytes int64, dev, nvm *dram.Device) (*Gemini, error) {
-	cfg := Config{CapacityBytes: capacityBytes, Ways: geminiWays}
-	if err := cfg.Validate(); err != nil {
+	if err := checkGemini(capacityBytes); err != nil {
 		return nil, err
 	}
 	return &Gemini{newTagStore(capacityBytes, geminiWays, memtypes.TagUnitSize, dev, nvm)}, nil
@@ -186,7 +190,8 @@ var _ Interface = (*Gemini)(nil)
 
 func init() {
 	Register(Backend{
-		Name: "gemini",
+		Name:  "gemini",
+		Check: func(cfg BackendConfig, _ uint64) error { return checkGemini(cfg.CapacityBytes) },
 		New: func(cfg BackendConfig, deps Deps) (Interface, error) {
 			g, err := NewGemini(cfg.CapacityBytes, deps.Dev, deps.NVM)
 			if err != nil {

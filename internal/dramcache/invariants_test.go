@@ -30,7 +30,7 @@ func registryInstance(t *testing.T, name string, seed int64) Interface {
 	if spec.UsesPolicy {
 		cfg.Policy = core.NewACCORD(core.DefaultACCORD(cfg.Geometry(), seed))
 	}
-	c, err := NewBackend(name, cfg, Deps{Dev: dev, NVM: nvm, Frames: 1 << 16})
+	c, err := spec.New(cfg, Deps{Dev: dev, NVM: nvm, Frames: 1 << 16})
 	if err != nil {
 		t.Fatalf("building backend %q: %v", name, err)
 	}

@@ -49,6 +49,11 @@ type Backend struct {
 	// layer builds a policy (and includes it in checkpoint fingerprints)
 	// only for backends that ask.
 	UsesPolicy bool
+	// Check, when set, reports the geometry error New would return for
+	// cfg on a machine with frames physical frames, without building
+	// anything, so a bad design point fails validation instead of
+	// assembly. Every bundled backend sets it; New applies the same check.
+	Check func(cfg BackendConfig, frames uint64) error
 	// New builds an instance. Errors are configuration errors (bad
 	// capacity/ways for the organization's geometry, missing policy).
 	New func(cfg BackendConfig, deps Deps) (Interface, error)
@@ -92,30 +97,26 @@ func BackendNames() []string {
 	return names
 }
 
-// NewBackend builds a named backend, returning a descriptive error for
-// unknown names or configurations the organization rejects.
-func NewBackend(name string, cfg BackendConfig, deps Deps) (Interface, error) {
-	b, ok := backends[name]
-	if !ok {
-		return nil, fmt.Errorf("dramcache: unknown backend %q (have %v)", name, BackendNames())
+// nwayConfig is the set-associative cache an nway backend config builds.
+func nwayConfig(cfg BackendConfig) Config {
+	return Config{
+		CapacityBytes:  cfg.CapacityBytes,
+		Ways:           cfg.Ways,
+		Lookup:         cfg.Lookup,
+		LRUReplacement: cfg.LRUReplacement,
 	}
-	return b.New(cfg, deps)
 }
 
 func init() {
 	Register(Backend{
 		Name:       "nway",
 		UsesPolicy: true,
+		Check:      func(cfg BackendConfig, _ uint64) error { return nwayConfig(cfg).Validate() },
 		New: func(cfg BackendConfig, deps Deps) (Interface, error) {
 			if cfg.Policy == nil {
 				return nil, fmt.Errorf("dramcache: backend %q requires a policy", "nway")
 			}
-			c := Config{
-				CapacityBytes:  cfg.CapacityBytes,
-				Ways:           cfg.Ways,
-				Lookup:         cfg.Lookup,
-				LRUReplacement: cfg.LRUReplacement,
-			}
+			c := nwayConfig(cfg)
 			if err := c.Validate(); err != nil {
 				return nil, err
 			}
@@ -123,14 +124,11 @@ func init() {
 		},
 	})
 	Register(Backend{
-		Name: "ca",
+		Name:  "ca",
+		Check: func(cfg BackendConfig, _ uint64) error { return checkCA(cfg.CapacityBytes) },
 		New: func(cfg BackendConfig, deps Deps) (Interface, error) {
-			c := Config{CapacityBytes: cfg.CapacityBytes, Ways: 1}
-			if err := c.Validate(); err != nil {
+			if err := checkCA(cfg.CapacityBytes); err != nil {
 				return nil, err
-			}
-			if cfg.CapacityBytes/memtypes.LineSize < 2 {
-				return nil, fmt.Errorf("dramcache: CA cache needs >= 2 slots")
 			}
 			return NewCA(cfg.CapacityBytes, deps.Dev, deps.NVM), nil
 		},

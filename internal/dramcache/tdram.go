@@ -38,14 +38,21 @@ type TDRAM struct {
 // tdramTagBytes sizes the early tag readout used to precompute tagEarly.
 const tdramTagBytes = 8
 
-// NewTDRAM builds a tag-enhanced cache with the given associativity.
-func NewTDRAM(capacityBytes int64, ways int, dev, nvm *dram.Device) (*TDRAM, error) {
-	cfg := Config{CapacityBytes: capacityBytes, Ways: ways}
-	if err := cfg.Validate(); err != nil {
-		return nil, err
+// checkTDRAM reports why capacityBytes and ways give no TDRAM geometry.
+func checkTDRAM(capacityBytes int64, ways int) error {
+	if err := (Config{CapacityBytes: capacityBytes, Ways: ways}).Validate(); err != nil {
+		return err
 	}
 	if ways > 256 {
-		return nil, fmt.Errorf("dramcache: tdram ways %d exceed the uint8 MRU hint", ways)
+		return fmt.Errorf("dramcache: tdram ways %d exceed the uint8 MRU hint", ways)
+	}
+	return nil
+}
+
+// NewTDRAM builds a tag-enhanced cache with the given associativity.
+func NewTDRAM(capacityBytes int64, ways int, dev, nvm *dram.Device) (*TDRAM, error) {
+	if err := checkTDRAM(capacityBytes, ways); err != nil {
+		return nil, err
 	}
 	early := dev.UnloadedReadLatency(memtypes.LineSize) - dev.UnloadedReadLatency(tdramTagBytes)
 	if early < 0 {
@@ -259,7 +266,8 @@ var _ Interface = (*TDRAM)(nil)
 
 func init() {
 	Register(Backend{
-		Name: "tdram",
+		Name:  "tdram",
+		Check: func(cfg BackendConfig, _ uint64) error { return checkTDRAM(cfg.CapacityBytes, cfg.Ways) },
 		New: func(cfg BackendConfig, deps Deps) (Interface, error) {
 			t, err := NewTDRAM(cfg.CapacityBytes, cfg.Ways, deps.Dev, deps.NVM)
 			if err != nil {

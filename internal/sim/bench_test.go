@@ -117,8 +117,9 @@ func BenchmarkSampledParallel(b *testing.B) {
 // run, the layer the benchmark's traced run cannot isolate (its probes
 // wrap the L4, so traced runs fork through the codec). The system is the
 // benchmark's sampled configuration: ACCORD 2-way at Scale 64 (a 1 M-line
-// L4), 8 cores on mcf, trace-cache cursors, warmed functionally. codec
-// encodes the boundary (FunctionalSnapshot) and restores it into a fork;
+// L4), 8 cores on mcf, trace-cache cursors, warmed functionally and
+// reset to an interval boundary. codec encodes the boundary (Snapshot)
+// and restores it into a fork;
 // copy copies the live system into a holder and the holder into a fork,
 // the two copies an in-memory fork costs. ns/fork is ns/op; B/op shows
 // the codec's blob per boundary against the copy's zero.
@@ -154,11 +155,11 @@ func BenchmarkSpineFork(b *testing.B) {
 	}
 	b.Run("codec", func(b *testing.B) {
 		fork1(b, func() error {
-			blob, err := live.FunctionalSnapshot(wlName)
+			blob, err := live.Snapshot(wlName)
 			if err != nil {
 				return err
 			}
-			return fork.RestoreFunctional(blob, wlName)
+			return fork.Restore(blob, wlName)
 		})
 	})
 	b.Run("copy", func(b *testing.B) {

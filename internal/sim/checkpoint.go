@@ -90,64 +90,47 @@ func (s *System) WarmFingerprint(wlName string) string {
 	return string(s.cfg.AppendStateFields(b))
 }
 
-// Snapshot serializes the complete warm state of the system: every
-// component a measured run reads or mutates. It must be called exactly
-// at the warmup/measure boundary (after RunWarmup, before RunMeasure);
-// the embedded fingerprint documents the configuration the state belongs
-// to and is re-verified on Restore.
-func (s *System) Snapshot(wlName string) ([]byte, error) {
-	return s.encodeState(wlName, false, &s.snapLen)
-}
-
-// FunctionalSnapshot serializes exactly the state functional
-// fast-forwarding defines: the VM system (page tables, frame allocator,
-// RNG), the L4 organization (tags, dirty bits, LRU stamps, policy tables
-// + RNG + diagnostic counters; its stats section is zero at the warmup
-// boundary in both modes), the functional core subset (retired
-// instructions, issue carry, event-mix counters, stream cursor), and —
-// in full-hierarchy mode — the SRAM caches. Timing state (core clocks,
-// MSHR completion times, DRAM row buffers and busy intervals) is
-// excluded: a functional and a detailed run of the same events disagree
-// on it by construction. The differential tests compare these bytes
-// across the two modes at the warmup boundary.
-func (s *System) FunctionalSnapshot(wlName string) ([]byte, error) {
-	return s.encodeState(wlName, true, &s.funcSnapLen)
-}
-
-// encodeState encodes a warm-state or functional blob into a buffer sized
-// to hold it, so every blob is a single allocation. The size comes from
-// the previous blob of the same kind (*last), plus slack for growth of
-// the variable-length sections (page-table leaves, policy region tables,
-// DRAM busy intervals) since then; a system's first blob of a kind is
-// sized by a measuring pass over the same sections instead. A buffer
+// Snapshot serializes the complete state of the system: every
+// component a measured run reads or mutates. It is taken at one of two
+// kinds of boundary: the warmup/measure boundary of an exact run (after
+// RunWarmup, before RunMeasure), or a sampled run's interval boundary,
+// right after resetIntervalState, where the core clocks, MSHRs, window
+// marks and DRAM timing and statistics it records are all zero. The
+// embedded fingerprint documents the configuration the state belongs to
+// and is re-verified on Restore.
+//
+// The blob is encoded into a buffer sized to hold it, so every blob is a
+// single allocation. The size comes from the previous blob plus slack
+// for growth of the variable-length sections (page-table leaves, policy
+// region tables, DRAM busy intervals) since then; a system's first blob
+// is sized by a measuring pass over the same sections instead. A buffer
 // regrown from a fixed hint would leave outgrown copies for the
 // collector, and where the next large allocation lands would then depend
 // on when it freed them: the process's peak memory would vary from run
 // to run.
-func (s *System) encodeState(wlName string, functional bool, last *int) ([]byte, error) {
+func (s *System) Snapshot(wlName string) ([]byte, error) {
 	fp := s.WarmFingerprint(wlName)
-	size := *last + *last/64
-	if *last == 0 {
+	size := s.snapLen + s.snapLen/64
+	if s.snapLen == 0 {
 		m := ckpt.NewMeasurer()
-		if err := s.writeState(m, fp, functional); err != nil {
+		if err := s.writeState(m, fp); err != nil {
 			return nil, err
 		}
 		m.Finish()
 		size = m.Len()
 	}
 	e := ckpt.NewEncoder(size)
-	if err := s.writeState(e, fp, functional); err != nil {
+	if err := s.writeState(e, fp); err != nil {
 		return nil, err
 	}
 	blob := e.Finish()
-	*last = len(blob)
+	s.snapLen = len(blob)
 	return blob, nil
 }
 
 // writeState writes every section of a snapshot blob but the CRC: the
-// header with fingerprint fp, then the components. The functional form
-// leaves out the DRAM devices and writes each core's functional subset.
-func (s *System) writeState(e *ckpt.Encoder, fp string, functional bool) error {
+// header with fingerprint fp, then the components.
+func (s *System) writeState(e *ckpt.Encoder, fp string) error {
 	e.Raw([]byte(snapshotMagic))
 	e.U32(SnapshotSchema)
 	e.String(fp)
@@ -158,19 +141,11 @@ func (s *System) writeState(e *ckpt.Encoder, fp string, functional bool) error {
 	if err := s.l4.Snapshot(e); err != nil {
 		return err
 	}
-	if !functional {
-		s.hbm.Snapshot(e)
-		s.pcm.Snapshot(e)
-	}
+	s.hbm.Snapshot(e)
+	s.pcm.Snapshot(e)
 	e.U32(uint32(len(s.cores)))
 	for _, c := range s.cores {
-		var err error
-		if functional {
-			err = c.FunctionalSnapshot(e)
-		} else {
-			err = c.Snapshot(e)
-		}
-		if err != nil {
+		if err := c.Snapshot(e); err != nil {
 			return err
 		}
 	}
@@ -184,35 +159,16 @@ func (s *System) writeState(e *ckpt.Encoder, fp string, functional bool) error {
 	return nil
 }
 
-// Restore loads a warm-state snapshot into a freshly constructed system
-// (same Config, same workload). On error the system is left in an
-// unspecified state and must be discarded; the caller falls back to a
-// cold run. Adversarial input cannot panic: every length is bounded and
-// every section validates its shape against the constructed system.
+// Restore loads a snapshot into a system built from the same Config and
+// workload: a freshly constructed one (an exact run's warm state), or
+// any earlier state of one (a sampled run's forks and spine, which
+// restore interval boundaries over whatever they held). On error the
+// system is left in an unspecified state and must be discarded; the
+// caller falls back to a cold run. Adversarial input cannot panic: every
+// length is bounded and every section validates its shape against the
+// constructed system. It mirrors writeState: the CRC frame and the
+// header against this system's fingerprint, then the components.
 func (s *System) Restore(blob []byte, wlName string) error {
-	return s.readState(blob, wlName, false)
-}
-
-// RestoreFunctional loads a FunctionalSnapshot blob into a system of the
-// same Config and workload, then resets the interval-start timing state
-// — the snapshot deliberately omits timing, and every consumer (interval
-// forks, the spine's lattice catch-up, final-state canonicalization)
-// wants the canonical fresh-timing condition, so the reset is part of
-// the restore contract. On error the system state is unspecified and
-// must be discarded.
-func (s *System) RestoreFunctional(blob []byte, wlName string) error {
-	if err := s.readState(blob, wlName, true); err != nil {
-		return err
-	}
-	s.resetIntervalState()
-	return nil
-}
-
-// readState mirrors writeState: it checks the CRC frame and the header
-// against this system's fingerprint, then restores the components. The
-// functional form has no DRAM devices and reads each core's functional
-// subset.
-func (s *System) readState(blob []byte, wlName string, functional bool) error {
 	d, err := ckpt.NewDecoderChecked(blob)
 	if err != nil {
 		return err
@@ -235,13 +191,11 @@ func (s *System) readState(blob []byte, wlName string, functional bool) error {
 	if err := s.l4.Restore(d); err != nil {
 		return err
 	}
-	if !functional {
-		if err := s.hbm.Restore(d); err != nil {
-			return err
-		}
-		if err := s.pcm.Restore(d); err != nil {
-			return err
-		}
+	if err := s.hbm.Restore(d); err != nil {
+		return err
+	}
+	if err := s.pcm.Restore(d); err != nil {
+		return err
 	}
 	if n := d.U32(); d.Err() == nil && int(n) != len(s.cores) {
 		d.Failf("sim: snapshot has %d cores, system has %d", n, len(s.cores))
@@ -250,13 +204,7 @@ func (s *System) readState(blob []byte, wlName string, functional bool) error {
 		return err
 	}
 	for _, c := range s.cores {
-		var err error
-		if functional {
-			err = c.RestoreFunctional(d)
-		} else {
-			err = c.Restore(d)
-		}
-		if err != nil {
+		if err := c.Restore(d); err != nil {
 			return err
 		}
 	}

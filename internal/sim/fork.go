@@ -11,13 +11,12 @@ import (
 
 // In-memory interval forks (DESIGN.md §12.1). Without a spine lattice
 // the boundary state a sampled run hands its workers never leaves the
-// process, so encoding it (FunctionalSnapshot) and decoding it
-// (RestoreFunctional) is wasted work. Instead the spine copies the live
-// system into a pooled holder System, and a worker copies the holder
-// into its own fork. Each component copies into the destination's
-// existing buffers, leaving it exactly as a restore of the source's
-// snapshot would, so the two fork paths give byte-identical results
-// (TestForkCopyMatchesRestore).
+// process, so encoding it (Snapshot) and decoding it (Restore) is wasted
+// work. Instead the spine copies the live system into a pooled holder
+// System, and a worker copies the holder into its own fork. Each
+// component copies into the destination's existing buffers, leaving it
+// exactly as a restore of the source's snapshot would, so the two fork
+// paths give byte-identical results (TestForkCopyMatchesRestore).
 
 // l4Copier is the optional in-memory fork method of an L4 backend (every
 // bundled organization has one, see dramcache/copy.go). It is not part
@@ -27,10 +26,11 @@ type l4Copier interface {
 	CopyFrom(src dramcache.Interface) error
 }
 
-// copyFunctionalFrom makes s a copy of src's functional state, leaving s
-// exactly as s.RestoreFunctional(src.FunctionalSnapshot()) would, the
-// interval reset included. s and src must be built from the same Config
-// and workload. Once s is warm it allocates nothing. It fails when a
+// copyFunctionalFrom makes s a copy of src's functional state followed
+// by the interval reset. For src at an interval boundary (just after its
+// own resetIntervalState) that leaves s exactly as restoring src's
+// Snapshot would. s and src must be built from the same Config and
+// workload. Once s is warm it allocates nothing. It fails when a
 // component of s has no copy method (a stream, the L4 or its policy);
 // s is then unspecified, as after a failed restore.
 func (s *System) copyFunctionalFrom(src *System) error {
@@ -86,7 +86,7 @@ type holderPool struct {
 // that can neither copy nor snapshot its state cannot fork at all, and
 // forkPlan panics naming the components that failed both trials.
 func (s *System) forkPlan(wlName string) (*spineLattice, *holderPool) {
-	snapErr := s.writeState(ckpt.NewMeasurer(), s.WarmFingerprint(wlName), true)
+	snapErr := s.writeState(ckpt.NewMeasurer(), s.WarmFingerprint(wlName))
 	if snapErr == nil {
 		if lat := s.openSpineLattice(wlName); lat != nil {
 			return lat, nil

@@ -20,12 +20,12 @@ var forkSampling = SamplingConfig{Period: 50_000, DetailLen: 12_000, WarmLen: 5_
 // every backend, flat and FullHierarchy, on trace-cache and generator
 // streams, one and two cores, a boundary copied through a holder into a
 // fork (the spine's and the worker's copies) must leave the fork
-// exactly as restoring the boundary's functional snapshot does. The
-// copy fork is dirty from an earlier interval and the holder from an
-// earlier boundary, so leftover state would show. Both forks must
-// snapshot to the boundary's bytes, measure identical intervals, and
-// still agree afterwards. ACCORD_BACKEND narrows the matrix to one
-// backend.
+// exactly as restoring the boundary's snapshot, taken after the interval
+// reset, does. The copy fork is dirty from an earlier interval and the
+// holder from an earlier boundary, so leftover state would show. Both
+// forks must snapshot to the boundary's bytes, measure identical
+// intervals, and still agree afterwards, timing state included.
+// ACCORD_BACKEND narrows the matrix to one backend.
 func TestForkCopyMatchesRestore(t *testing.T) {
 	const wlName = "libquantum"
 	for _, bc := range backendCases() {
@@ -80,7 +80,7 @@ func checkForkCopy(t *testing.T, cfg Config, wl workloads.Workload, wlName strin
 	viaCopy.measureInterval(sc)
 
 	advance()
-	blob, err := live.FunctionalSnapshot(wlName)
+	blob, err := live.Snapshot(wlName)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,16 +91,16 @@ func checkForkCopy(t *testing.T, cfg Config, wl workloads.Workload, wlName strin
 		t.Fatal(err)
 	}
 	viaRestore := New(cfg, wl)
-	if err := viaRestore.RestoreFunctional(blob, wlName); err != nil {
+	if err := viaRestore.Restore(blob, wlName); err != nil {
 		t.Fatal(err)
 	}
 	for name, s := range map[string]*System{"holder": holder, "copy fork": viaCopy, "restored fork": viaRestore} {
-		got, err := s.FunctionalSnapshot(wlName)
+		got, err := s.Snapshot(wlName)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(got, blob) {
-			t.Fatalf("%s: FunctionalSnapshot differs from the boundary's (%d vs %d bytes)", name, len(got), len(blob))
+			t.Fatalf("%s: Snapshot differs from the boundary's (%d vs %d bytes)", name, len(got), len(blob))
 		}
 	}
 
@@ -108,11 +108,11 @@ func checkForkCopy(t *testing.T, cfg Config, wl workloads.Workload, wlName strin
 	if !reflect.DeepEqual(rc, rr) {
 		t.Fatalf("measured intervals differ:\ncopy    %+v\nrestore %+v", rc, rr)
 	}
-	after, err := viaCopy.FunctionalSnapshot(wlName)
+	after, err := viaCopy.Snapshot(wlName)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want, _ := viaRestore.FunctionalSnapshot(wlName); !bytes.Equal(after, want) {
+	if want, _ := viaRestore.Snapshot(wlName); !bytes.Equal(after, want) {
 		t.Fatal("forks diverged over the measured interval")
 	}
 }

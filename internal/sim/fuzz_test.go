@@ -34,45 +34,45 @@ func fuzzSystems() []Config {
 // restoreFramed builds a fresh system from cfg and restores payload into
 // it after appending a valid CRC-32C, so the bytes reach the component
 // decoders whatever they are.
-func restoreFramed(cfg Config, functional bool, payload []byte) error {
+func restoreFramed(cfg Config, payload []byte) error {
 	s := New(cfg, workloads.MustGet(fuzzWorkload, cfg.Cores))
 	e := ckpt.NewEncoder(len(payload) + 4)
 	e.Raw(payload)
-	if functional {
-		return s.RestoreFunctional(e.Finish(), fuzzWorkload)
-	}
 	return s.Restore(e.Finish(), fuzzWorkload)
 }
 
-// FuzzSystemRestore holds Restore and RestoreFunctional to their
-// documented contract: whatever the payload, they return an error or
-// succeed, and never panic. An input picks one of fuzzSystems and the
-// snapshot kind; its payload is re-framed with a valid checksum, since a
-// mutation that only broke the checksum would test nothing past it. The
-// seeds are each system's live Snapshot and FunctionalSnapshot payloads
-// at the warmup boundary, and each must restore as it is.
+// FuzzSystemRestore holds Restore to its documented contract: whatever
+// the payload, it returns an error or succeeds, and never panics. An
+// input picks one of fuzzSystems; its payload is re-framed with a valid
+// checksum, since a mutation that only broke the checksum would test
+// nothing past it. Each system seeds the payloads of the two boundaries
+// a snapshot is taken at, and each must restore as it is: the warm
+// state of an exact run (after RunWarmup), and an interval boundary of a
+// sampled run (after RunWarmupFunctional and resetIntervalState), the
+// blob a spine lattice stores.
 func FuzzSystemRestore(f *testing.F) {
 	systems := fuzzSystems()
 	for i, cfg := range systems {
-		s := New(cfg, workloads.MustGet(fuzzWorkload, cfg.Cores))
-		s.RunWarmup()
-		for _, functional := range []bool{false, true} {
-			snap := s.Snapshot
-			if functional {
-				snap = s.FunctionalSnapshot
+		for _, boundary := range []string{"warm", "interval"} {
+			s := New(cfg, workloads.MustGet(fuzzWorkload, cfg.Cores))
+			if boundary == "warm" {
+				s.RunWarmup()
+			} else {
+				s.RunWarmupFunctional()
+				s.resetIntervalState()
 			}
-			blob, err := snap(fuzzWorkload)
+			blob, err := s.Snapshot(fuzzWorkload)
 			if err != nil {
-				f.Fatalf("%s: %v", cfg.Name, err)
+				f.Fatalf("%s %s: %v", cfg.Name, boundary, err)
 			}
 			payload := blob[:len(blob)-4]
-			if err := restoreFramed(cfg, functional, payload); err != nil {
-				f.Fatalf("%s functional=%t: seed does not restore: %v", cfg.Name, functional, err)
+			if err := restoreFramed(cfg, payload); err != nil {
+				f.Fatalf("%s %s boundary: seed does not restore: %v", cfg.Name, boundary, err)
 			}
-			f.Add(uint8(i), functional, payload)
+			f.Add(uint8(i), payload)
 		}
 	}
-	f.Fuzz(func(t *testing.T, system uint8, functional bool, payload []byte) {
-		_ = restoreFramed(systems[int(system)%len(systems)], functional, payload)
+	f.Fuzz(func(t *testing.T, system uint8, payload []byte) {
+		_ = restoreFramed(systems[int(system)%len(systems)], payload)
 	})
 }

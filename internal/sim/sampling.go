@@ -287,29 +287,6 @@ func (s *System) advanceFunctional(targets []int64) {
 	}
 }
 
-// RunWarmupFunctional is RunWarmup with the warmup phase executed in
-// functional mode: the cache/policy/VM state at return is byte-identical
-// to a detailed warmup of the same events (single-core; multi-core runs
-// differ only in cross-core interleaving — see DESIGN.md §9), at a small
-// fraction of the cost.
-func (s *System) RunWarmupFunctional() {
-	warm := s.adaptiveBudget(warmFactor, s.cfg.WarmupInstr)
-	targets := make([]int64, len(s.cores))
-	for i := range targets {
-		targets[i] = warm
-	}
-	s.advanceFunctional(targets)
-	s.l4.ResetStats()
-	s.hbm.ResetStats()
-	s.pcm.ResetStats()
-	if s.l3 != nil {
-		s.l3.ResetStats()
-	}
-	for _, c := range s.cores {
-		c.MarkWindow()
-	}
-}
-
 // resetIntervalState puts the system's timing and statistics state into
 // the canonical interval-start condition: zeroed component stats, fresh
 // device timing (row buffers, busy intervals, write backlogs), and cores
@@ -317,7 +294,9 @@ func (s *System) RunWarmupFunctional() {
 // runs apply it at every interval boundary, so a measured window's
 // starting state is a pure function of the functional state at its
 // boundary — the property that makes worker-count-independent results
-// possible (DESIGN.md §12).
+// possible (DESIGN.md §12). A Snapshot taken right after it is the
+// interval boundary's blob: its timing and statistics sections are all
+// zero, so restoring it reproduces the reset.
 func (s *System) resetIntervalState() {
 	s.l4.ResetStats()
 	s.hbm.ResetStats()
@@ -338,7 +317,7 @@ func (s *System) resetIntervalState() {
 type intervalResult struct {
 	index int
 	// holder or blob carries the boundary state the detailed legs started
-	// from, as a pooled in-memory copy or a functional snapshot.
+	// from, as a pooled in-memory copy or a boundary snapshot.
 	// finishSampled copies or restores the last committed one to
 	// canonicalize the final system state.
 	holder *System
@@ -624,7 +603,7 @@ func (s *System) finishSampled(st *sampleState, wlName string) Result {
 		if last.holder != nil {
 			err = s.copyFunctionalFrom(last.holder)
 		} else {
-			err = s.RestoreFunctional(last.blob, st.wlName)
+			err = s.Restore(last.blob, st.wlName)
 		}
 		if err != nil {
 			panic(fmt.Sprintf("sim: final boundary restore failed: %v", err))

@@ -12,7 +12,7 @@ import (
 // each interval boundary it resets the canonical interval-start state
 // and hands the boundary to a worker pool, as a pooled in-memory copy
 // (fork.go) or, when the run has a spine lattice or a component cannot
-// copy itself, as a functional snapshot blob. Each worker copies or
+// copy itself, as a Snapshot blob. Each worker copies or
 // restores the boundary into its own fork System and runs the detailed
 // warm+measured legs there. Results are committed strictly in interval
 // order on the caller's goroutine, so the observation sequence — and
@@ -114,7 +114,7 @@ func (w *SampleWork) Add(o SampleWork) {
 func (s *System) SampleWork() SampleWork { return s.work }
 
 // sampleJob hands one interval boundary to the worker pool, as a pooled
-// holder or as a functional snapshot blob.
+// holder or as a Snapshot blob.
 type sampleJob struct {
 	index  int
 	holder *System
@@ -200,7 +200,7 @@ func (s *System) runSampledParallel(st *sampleState, workers int, lat *spineLatt
 				if stale {
 					// Catch the live system up to boundary k-1 before walking
 					// to k, reproducing the cold spine's trajectory exactly.
-					if err := s.RestoreFunctional(lastBlob, st.wlName); err != nil {
+					if err := s.Restore(lastBlob, st.wlName); err != nil {
 						panic(fmt.Sprintf("sim: spine catch-up restore failed: %v", err))
 					}
 					for i, c := range s.cores {
@@ -218,7 +218,7 @@ func (s *System) runSampledParallel(st *sampleState, workers int, lat *spineLatt
 						panic(fmt.Sprintf("sim: interval copy failed after passing the trial copy: %v", err))
 					}
 				} else {
-					b, err := s.FunctionalSnapshot(st.wlName)
+					b, err := s.Snapshot(st.wlName)
 					if err != nil {
 						panic(fmt.Sprintf("sim: interval snapshot failed after passing the trial snapshot: %v", err))
 					}
@@ -271,7 +271,7 @@ func (s *System) runSampledParallel(st *sampleState, workers int, lat *spineLatt
 				if job.holder != nil {
 					err = fork.copyFunctionalFrom(job.holder)
 				} else {
-					err = fork.RestoreFunctional(job.blob, st.wlName)
+					err = fork.Restore(job.blob, st.wlName)
 				}
 				if err != nil {
 					panic(fmt.Sprintf("sim: fork restore failed: %v", err))

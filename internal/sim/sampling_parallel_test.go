@@ -57,8 +57,8 @@ func traceWorkload(wlName string, cfg Config) workloads.Workload {
 }
 
 // runSampledWorkers runs one sampled simulation at the given worker
-// count and returns the Result, its JSON encoding, and the final
-// functional state of the system.
+// count and returns the Result, its JSON encoding, and the Snapshot of
+// the system's final state.
 func runSampledWorkers(t *testing.T, cfg Config, wl workloads.Workload, wlName string, workers int) (Result, []byte, []byte, SampleWork) {
 	t.Helper()
 	c := cfg
@@ -69,9 +69,9 @@ func runSampledWorkers(t *testing.T, cfg Config, wl workloads.Workload, wlName s
 	if err != nil {
 		t.Fatalf("marshal metrics: %v", err)
 	}
-	state, err := s.FunctionalSnapshot(wlName)
+	state, err := s.Snapshot(wlName)
 	if err != nil {
-		t.Fatalf("final FunctionalSnapshot: %v", err)
+		t.Fatalf("final Snapshot: %v", err)
 	}
 	return res, js, state, s.SampleWork()
 }
@@ -81,7 +81,7 @@ func runSampledWorkers(t *testing.T, cfg Config, wl workloads.Workload, wlName s
 // early stopping, a sampled run on several workers must reproduce the
 // one-worker run exactly — same Result (summary, per-interval series,
 // stats, registry snapshot), same exported metrics JSON, and
-// byte-identical final functional state. Run it under -race to also
+// byte-identical final state. Run it under -race to also
 // prove the fork protocol shares no state it shouldn't. ACCORD_BACKEND
 // narrows the matrix to one backend.
 func TestSampledParallelMatchesSequential(t *testing.T) {
@@ -111,7 +111,7 @@ func TestSampledParallelMatchesSequential(t *testing.T) {
 							t.Errorf("workers=%d: exported metrics JSON diverged from sequential", workers)
 						}
 						if !bytes.Equal(seqState, parState) {
-							t.Errorf("workers=%d: final functional state diverged from sequential (%d vs %d bytes)",
+							t.Errorf("workers=%d: final state diverged from sequential (%d vs %d bytes)",
 								workers, len(seqState), len(parState))
 						}
 						if parWork.Committed != seqRes.Sampled.Intervals {
@@ -144,7 +144,7 @@ func TestSampledParallelGeneratorWorkload(t *testing.T) {
 		t.Errorf("generator workload: exported metrics JSON diverged")
 	}
 	if !bytes.Equal(seqState, parState) {
-		t.Errorf("generator workload: final functional state diverged")
+		t.Errorf("generator workload: final state diverged")
 	}
 }
 
@@ -153,7 +153,7 @@ func TestSampledParallelGeneratorWorkload(t *testing.T) {
 // recorded chunk per window and the generator one event, but both feed
 // the same two event loops, and the spine interleaves cores by a fixed
 // instruction quantum. So a multi-core run must give the same Result,
-// exported metrics JSON and final functional state either way, on the
+// exported metrics JSON and final state either way, on the
 // flat hierarchy and behind the full SRAM hierarchy. On the flat
 // hierarchy, a lattice a generator-fed run populates must also resume a
 // trace-cache-fed run to that same result.
@@ -183,7 +183,7 @@ func TestSampledStreamKindInvariant(t *testing.T) {
 						t.Errorf("%s: exported metrics JSON diverged from the trace-cache-fed run", what)
 					}
 					if !bytes.Equal(wantState, state) {
-						t.Errorf("%s: final functional state diverged from the trace-cache-fed run", what)
+						t.Errorf("%s: final state diverged from the trace-cache-fed run", what)
 					}
 				}
 				res, js, state, _ := runSampledWorkers(t, cfg, gen, wlName, 2)
@@ -207,7 +207,7 @@ func TestSampledStreamKindInvariant(t *testing.T) {
 // fully reset between intervals: a run whose workers rebuild a fresh
 // fork for every job, and whose spine a fresh holder for every boundary,
 // must match a run that reuses them across intervals. Any state the
-// copy (or RestoreFunctional) plus the interval reset miss would surface
+// copy plus the interval reset (or the restore) misses would surface
 // as a divergence here. The spine, the workers and the committer all
 // share the holder pool, so run it under -race -count=10. Mutates the
 // global test hook, so no t.Parallel.
@@ -283,7 +283,7 @@ func TestSampleWorkersResolution(t *testing.T) {
 
 // TestSampledTraceWorkloadForks pins that trace replay forks like any
 // other workload: a two-core TraceWorkload gives the same Result,
-// metrics JSON and final functional state at one and three workers, with
+// metrics JSON and final state at one and three workers, with
 // every boundary handed over as an in-memory copy.
 func TestSampledTraceWorkloadForks(t *testing.T) {
 	const wlName = "trace"
@@ -311,6 +311,6 @@ func TestSampledTraceWorkloadForks(t *testing.T) {
 		t.Errorf("trace workload: exported metrics JSON differs between 1 and 3 workers")
 	}
 	if !bytes.Equal(oneState, state) {
-		t.Errorf("trace workload: final functional state differs between 1 and 3 workers")
+		t.Errorf("trace workload: final state differs between 1 and 3 workers")
 	}
 }

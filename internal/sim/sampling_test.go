@@ -48,9 +48,11 @@ func functionalCases(seed int64, warm int64) []Config {
 // TestFunctionalWarmStateMatchesDetailed is the randomized differential
 // test behind sampling's correctness claim: for every organization, a
 // functional warmup and a detailed warmup of the same events leave
-// byte-identical functional state (FunctionalSnapshot) at the boundary.
-// Any drift here would silently fork sampled runs from the checkpoint
-// path.
+// byte-identical state at the boundary once the interval reset has
+// zeroed the timing state only the detailed one keeps (core clocks,
+// MSHRs, window marks, DRAM timing and statistics): their Snapshots,
+// taken after resetIntervalState, must match. Any drift here would
+// silently fork sampled runs from the checkpoint path.
 func TestFunctionalWarmStateMatchesDetailed(t *testing.T) {
 	wls := []string{"libquantum", "milc"}
 	seeds := []int64{1, 7, 12345}
@@ -69,16 +71,18 @@ func TestFunctionalWarmStateMatchesDetailed(t *testing.T) {
 
 						det := New(c, wl)
 						det.RunWarmup()
-						want, err := det.FunctionalSnapshot(wlName)
+						det.resetIntervalState()
+						want, err := det.Snapshot(wlName)
 						if err != nil {
-							t.Fatalf("detailed FunctionalSnapshot: %v", err)
+							t.Fatalf("detailed Snapshot: %v", err)
 						}
 
 						fun := New(c, wl)
 						fun.RunWarmupFunctional()
-						got, err := fun.FunctionalSnapshot(wlName)
+						fun.resetIntervalState()
+						got, err := fun.Snapshot(wlName)
 						if err != nil {
-							t.Fatalf("functional FunctionalSnapshot: %v", err)
+							t.Fatalf("functional Snapshot: %v", err)
 						}
 
 						if !bytes.Equal(want, got) {

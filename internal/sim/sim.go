@@ -164,8 +164,6 @@ func (c Config) Validate() error {
 		return errors.New("sim: L4 capacity must be positive")
 	case c.Backend != "" && !dramcache.HasBackend(c.Backend):
 		return fmt.Errorf("sim: unknown L4 backend %q (have %v)", c.Backend, dramcache.BackendNames())
-	case c.Ways < 1 && (c.BackendName() == "nway" || c.BackendName() == "tdram"):
-		return fmt.Errorf("sim: ways %d must be >= 1", c.Ways)
 	case c.WarmupInstr < 0 || c.MeasureInstr <= 0:
 		return errors.New("sim: instruction budgets invalid")
 	case c.SampleWorkers < 0:
@@ -173,7 +171,52 @@ func (c Config) Validate() error {
 	case c.SpineStride < 0:
 		return fmt.Errorf("sim: SpineStride %d must be >= 0 (0 = auto)", c.SpineStride)
 	}
+	if err := c.validateMachine(); err != nil {
+		return err
+	}
 	return c.Sampling.validate(c)
+}
+
+// validateMachine rejects a design point the machine cannot be built at,
+// through each component's own check: the L4 organization's geometry
+// check from the backend registry, the NVM's page count, and, with
+// FullHierarchy, each scaled SRAM level's cache.Config.Validate.
+func (c Config) validateMachine() error {
+	frames := c.frames()
+	if spec, _ := dramcache.GetBackend(c.BackendName()); spec.Check != nil {
+		if err := spec.Check(c.backendConfig(), frames); err != nil {
+			return fmt.Errorf("sim: L4 %q at scale %d, ways %d: %w", c.BackendName(), c.Scale, c.Ways, err)
+		}
+	}
+	if frames == 0 {
+		return fmt.Errorf("sim: scale %d leaves the %d-byte NVM without a %d-byte page",
+			c.Scale, NVMCapacityFull, memtypes.PageSize)
+	}
+	if c.FullHierarchy {
+		h := cache.DefaultHierarchy(c.Scale)
+		for _, level := range []cache.Config{h.L1, h.L2, h.L3} {
+			if err := level.Validate(); err != nil {
+				return fmt.Errorf("sim: SRAM hierarchy at scale %d: %w", c.Scale, err)
+			}
+		}
+	}
+	return nil
+}
+
+// backendConfig is the L4 backend configuration c builds, without the
+// policy assemble adds for backends that use one.
+func (c Config) backendConfig() dramcache.BackendConfig {
+	return dramcache.BackendConfig{
+		CapacityBytes:  c.L4Capacity(),
+		Ways:           c.Ways,
+		Lookup:         c.Lookup,
+		LRUReplacement: c.LRUReplacement,
+	}
+}
+
+// frames is the scaled NVM's physical page count.
+func (c Config) frames() uint64 {
+	return uint64(NVMCapacityFull / c.Scale / memtypes.PageSize)
 }
 
 // L4Capacity returns the scaled DRAM-cache capacity in bytes.
@@ -319,10 +362,9 @@ type System struct {
 	// byte-identical at every worker count and checkpoint state.
 	work SampleWork
 
-	// snapLen and funcSnapLen are the lengths of the last Snapshot and
-	// FunctionalSnapshot blobs; the next blob of the same kind sizes its
-	// encoder from them (see encodeState).
-	snapLen, funcSnapLen int
+	// snapLen is the length of the last Snapshot blob; the next one sizes
+	// its encoder from it.
+	snapLen int
 
 	// advanceUntil bookkeeping, reused across the warmup and measure
 	// phases to keep the run loop allocation-free.
@@ -416,21 +458,14 @@ func (s *System) assemble(cfg Config, wl workloads.Workload) {
 	hbm := dram.New(dram.HBM(), cpu.ClockGHz)
 	pcm := dram.New(dram.PCM(), cpu.ClockGHz)
 
-	frames := uint64(NVMCapacityFull / cfg.Scale / memtypes.PageSize)
+	frames := cfg.frames()
 
 	// The L4 organization comes from the backend registry; Validate has
-	// already vetted the name, so remaining failures are geometry errors —
-	// programming errors at this layer, like the Validate panic above.
-	spec, ok := dramcache.GetBackend(cfg.BackendName())
-	if !ok {
-		panic(fmt.Sprintf("sim: unknown L4 backend %q", cfg.BackendName()))
-	}
-	bcfg := dramcache.BackendConfig{
-		CapacityBytes:  cfg.L4Capacity(),
-		Ways:           cfg.Ways,
-		Lookup:         cfg.Lookup,
-		LRUReplacement: cfg.LRUReplacement,
-	}
+	// already vetted the name and, for a backend with a geometry check,
+	// the geometry, so a remaining failure is a programming error at this
+	// layer, like the Validate panic above.
+	spec, _ := dramcache.GetBackend(cfg.BackendName())
+	bcfg := cfg.backendConfig()
 	if spec.UsesPolicy {
 		factory := cfg.Policy
 		if factory == nil {
@@ -473,9 +508,6 @@ func (s *System) assemble(cfg Config, wl workloads.Workload) {
 	s.reg = metrics.NewRegistry()
 	s.registerMetrics()
 }
-
-// L4 exposes the cache for inspection.
-func (s *System) L4() dramcache.Interface { return s.l4 }
 
 // warmFactor and measureFactor size the adaptive instruction windows in
 // units of "L4 accesses per cache line": warmup must touch the cache
@@ -521,15 +553,30 @@ func (s *System) Run(wlName string) Result {
 // at return is exactly what a warm-state checkpoint captures: calling
 // RunMeasure afterwards — on this instance or on a fresh one restored
 // from the snapshot — produces identical results.
-func (s *System) RunWarmup() {
-	// Warmup: advance every core far enough to warm the cache (low-MPKI
-	// workloads need more instructions to generate the same traffic).
+func (s *System) RunWarmup() { s.runWarmup(false) }
+
+// RunWarmupFunctional is RunWarmup with the warmup phase executed in
+// functional mode: the cache/policy/VM state at return is byte-identical
+// to a detailed warmup of the same events (single-core; multi-core runs
+// differ only in cross-core interleaving — see DESIGN.md §9), at a small
+// fraction of the cost.
+func (s *System) RunWarmupFunctional() { s.runWarmup(true) }
+
+// runWarmup is the one body of both warmups; they differ only in the
+// advance call.
+func (s *System) runWarmup(functional bool) {
+	// Advance every core far enough to warm the cache (low-MPKI workloads
+	// need more instructions to generate the same traffic).
 	warm := s.adaptiveBudget(warmFactor, s.cfg.WarmupInstr)
 	targets := make([]int64, len(s.cores))
 	for i := range targets {
 		targets[i] = warm
 	}
-	s.advanceUntil(targets)
+	if functional {
+		s.advanceFunctional(targets)
+	} else {
+		s.advanceUntil(targets)
+	}
 	s.l4.ResetStats()
 	s.hbm.ResetStats()
 	s.pcm.ResetStats()

@@ -38,6 +38,9 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.Ways = 0 },
 		func(c *Config) { c.MeasureInstr = 0 },
 		func(c *Config) { c.WarmupInstr = -1 },
+		// A 1 GiB L4 and 11 M NVM pages are fine at Scale 3, but the
+		// scaled L2 (87,381 bytes) holds no power-of-two set count.
+		func(c *Config) { c.L4CapacityFull, c.Scale, c.FullHierarchy = 3<<30, 3, true },
 	}
 	for i, m := range mutations {
 		c := Default()
@@ -45,6 +48,48 @@ func TestConfigValidate(t *testing.T) {
 		if err := c.Validate(); err == nil {
 			t.Errorf("mutation %d passed validation", i)
 		}
+	}
+}
+
+// TestValidateMeansNewBuilds holds Validate to its contract for every
+// organization Named knows, at associativities 1, 2, 3, 4 and 8 and at
+// every power-of-two scale from 2^10 to 2^34, on one core: a Config that
+// passes Validate must assemble without panicking. Scales past 2^25
+// leave the NVM without a page and scales near 2^26 the L4 without a
+// set, so both kinds of rejection are exercised.
+func TestValidateMeansNewBuilds(t *testing.T) {
+	orgs := []string{
+		"direct", "parallel", "serial", "idealized", "perfect", "unbiased", "pws", "gws",
+		"accord", "mru", "partialtag", "ca", "lru", "banshee", "gemini", "tdram",
+	}
+	valid, rejected := 0, 0
+	for _, org := range orgs {
+		for _, ways := range []int{1, 2, 3, 4, 8} {
+			for shift := 10; shift <= 34; shift++ {
+				cfg, err := Named(org, ways, 0.85)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cfg.Cores = 1
+				cfg.Scale = 1 << shift
+				if cfg.Validate() != nil {
+					rejected++
+					continue
+				}
+				valid++
+				func() {
+					defer func() {
+						if r := recover(); r != nil {
+							t.Errorf("%s ways=%d scale=2^%d passed Validate but New panicked: %v", org, ways, shift, r)
+						}
+					}()
+					New(cfg, workloads.MustGet("mcf", 1))
+				}()
+			}
+		}
+	}
+	if valid == 0 || rejected == 0 {
+		t.Errorf("%d configs valid, %d rejected; want both kinds", valid, rejected)
 	}
 }
 

@@ -24,27 +24,26 @@ const digestFile = "testdata/snapshot_digests.json"
 // registered backend, with the nway backend taken direct-mapped, with
 // ACCORD's policy tables and with LRU stamps, so every array section of
 // the format is covered; and the nway backend under every lookup mode and
-// the MRU and partial-tag policies. The "snapshot" kind holds the
-// detailed warmup's device timing state, so those entries pin each
-// lookup's probe schedule, which no golden covers.
+// the MRU and partial-tag policies. The snapshots hold the detailed
+// warmup's device timing state, so they pin each lookup's probe
+// schedule, which no golden covers.
 var digestOrgs = []string{
 	"direct", "accord", "lru", "ca", "banshee", "gemini", "tdram",
 	"parallel", "serial", "perfect", "idealized", "partialtag", "mru",
 }
 
 // snapshotDigests is the committed record: the schema the digests were
-// taken under and the SHA-256 of each blob, keyed org/hierarchy/kind.
+// taken under and the SHA-256 of each blob, keyed org/hierarchy/snapshot.
 type snapshotDigests struct {
 	Schema  int               `json:"schema"`
 	Digests map[string]string `json:"digests"`
 }
 
 // TestSnapshotFormatDigests pins the checkpoint format byte for byte: the
-// warm-state and functional snapshots of every organization, flat and
-// behind the full SRAM hierarchy, must hash to the digests recorded in
-// testdata. A codec or tag-store change that alters a single byte fails
-// here; a deliberate format change bumps SnapshotSchema and re-records
-// with -update.
+// warm-state snapshot of every organization, flat and behind the full
+// SRAM hierarchy, must hash to the digest recorded in testdata. A codec
+// or tag-store change that alters a single byte fails here; a deliberate
+// format change bumps SnapshotSchema and re-records with -update.
 func TestSnapshotFormatDigests(t *testing.T) {
 	const wlName = "libquantum"
 	got := snapshotDigests{Schema: SnapshotSchema, Digests: map[string]string{}}
@@ -66,23 +65,18 @@ func TestSnapshotFormatDigests(t *testing.T) {
 
 			s := New(cfg, workloads.MustGet(wlName, cfg.Cores))
 			s.RunWarmup()
-			key := fmt.Sprintf("%s/hier=%t", org, hier)
-			for kind, snap := range map[string]func(string) ([]byte, error){
-				"snapshot":   s.Snapshot,
-				"functional": s.FunctionalSnapshot,
-			} {
-				blob, err := snap(wlName)
-				if err != nil {
-					t.Fatalf("%s %s: %v", key, kind, err)
-				}
-				// The system's first blob of each kind is sized by a
-				// measuring pass, which must count every section exactly.
-				if cap(blob) != len(blob) {
-					t.Errorf("%s %s: measured capacity %d for a %d-byte blob", key, kind, cap(blob), len(blob))
-				}
-				sum := sha256.Sum256(blob)
-				got.Digests[key+"/"+kind] = hex.EncodeToString(sum[:])
+			key := fmt.Sprintf("%s/hier=%t/snapshot", org, hier)
+			blob, err := s.Snapshot(wlName)
+			if err != nil {
+				t.Fatalf("%s: %v", key, err)
 			}
+			// The system's first blob is sized by a measuring pass, which
+			// must count every section exactly.
+			if cap(blob) != len(blob) {
+				t.Errorf("%s: measured capacity %d for a %d-byte blob", key, cap(blob), len(blob))
+			}
+			sum := sha256.Sum256(blob)
+			got.Digests[key] = hex.EncodeToString(sum[:])
 		}
 	}
 	for _, b := range dramcache.BackendNames() {
@@ -136,8 +130,9 @@ func TestSnapshotFormatDigests(t *testing.T) {
 // TestSnapshotsAllocateOneBuffer checks the snapshot allocation contract:
 // every blob costs about one blob's worth of bytes, not the repeated
 // regrowth of a buffer started from a fixed hint. A system's first blob
-// of each kind is sized by a measuring pass, later ones from the blob
-// before; the functional pair is the boundary fork's steady state.
+// is sized by a measuring pass, later ones from the blob before. Both are
+// interval-boundary blobs, taken after the interval reset; the second is
+// the boundary fork's steady state.
 func TestSnapshotsAllocateOneBuffer(t *testing.T) {
 	const wlName = "libquantum"
 	cfg := ACCORD(2)
@@ -149,17 +144,11 @@ func TestSnapshotsAllocateOneBuffer(t *testing.T) {
 	cfg.Seed = 1
 	s := New(cfg, workloads.MustGet(wlName, cfg.Cores))
 	s.RunWarmupFunctional()
-	for _, step := range []struct {
-		name string
-		snap func(string) ([]byte, error)
-	}{
-		{"first Snapshot", s.Snapshot},
-		{"first FunctionalSnapshot", s.FunctionalSnapshot},
-		{"second FunctionalSnapshot", s.FunctionalSnapshot},
-	} {
+	s.resetIntervalState()
+	for _, step := range []string{"first Snapshot", "second Snapshot"} {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		blob, err := step.snap(wlName)
+		blob, err := s.Snapshot(wlName)
 		runtime.ReadMemStats(&after)
 		if err != nil {
 			t.Fatal(err)
@@ -167,7 +156,7 @@ func TestSnapshotsAllocateOneBuffer(t *testing.T) {
 		alloc := after.TotalAlloc - before.TotalAlloc
 		if limit := uint64(len(blob)) * 5 / 4; alloc >= limit {
 			t.Errorf("%s allocated %d bytes for a %d-byte blob (%.2fx), want under 1.25x",
-				step.name, alloc, len(blob), float64(alloc)/float64(len(blob)))
+				step, alloc, len(blob), float64(alloc)/float64(len(blob)))
 		}
 	}
 }

@@ -34,7 +34,12 @@ import (
 // core per turn unless every stream was a trace-cache cursor on the flat
 // hierarchy, so its lattices hold boundaries the spine no longer
 // computes.
-const spineLatticeVersion = 2
+//
+// Version 3: boundaries are stored as ordinary Snapshots taken after the
+// interval reset. Version 2 stored a functional form without the DRAM
+// devices and core timing, which Restore cannot read, so its entries
+// must miss rather than reach the decoder.
+const spineLatticeVersion = 3
 
 // spineSaveGranule is the disk granule automatic stride sizing targets:
 // with SpineStride 0, the stride is chosen so roughly one granule of
@@ -74,18 +79,17 @@ func (s *System) spineOffset(interval int) int64 {
 	return warm + (sc.Period - sc.WarmLen - sc.DetailLen) + int64(interval)*sc.Period
 }
 
-// validFunctionalSnapshot reports whether blob carries a well-framed
-// functional snapshot for fingerprint fp: CRC frame, magic, schema, and
-// the embedded fingerprint. This is the probe-side gate that makes the
-// lattice restore paths safe to run against live systems: every
-// adversarial failure mode (truncation, corruption, stale schema, wrong
-// config) is rejected here and degrades to a cold miss. A blob that
-// passes was produced by FunctionalSnapshot on an identically
-// fingerprinted system — the fingerprint covers everything that shapes
-// the payload — so a subsequent restore failure is a forged-CRC
-// scenario and treated as a programming-error panic, exactly like the
-// post-trial snapshot panics.
-func validFunctionalSnapshot(blob []byte, fp string) bool {
+// validSnapshot reports whether blob carries a well-framed snapshot for
+// fingerprint fp: CRC frame, magic, schema, and the embedded
+// fingerprint. This is the probe-side gate that makes the lattice
+// restore paths safe to run against live systems: every adversarial
+// failure mode (truncation, corruption, stale schema, wrong config) is
+// rejected here and degrades to a cold miss. A blob that passes was
+// produced by Snapshot on an identically fingerprinted system — the
+// fingerprint covers everything that shapes the payload — so a
+// subsequent restore failure is a forged-CRC scenario and treated as a
+// programming-error panic, exactly like the post-trial snapshot panics.
+func validSnapshot(blob []byte, fp string) bool {
 	d, err := ckpt.NewDecoderChecked(blob)
 	if err != nil {
 		return false
@@ -169,7 +173,7 @@ func (sl *spineLattice) probe(interval int) ([]byte, bool) {
 		return nil, false
 	}
 	payload, ok := sl.lat.Probe(interval, sl.offsetOf(interval))
-	if ok && validFunctionalSnapshot(payload, sl.warmFP) {
+	if ok && validSnapshot(payload, sl.warmFP) {
 		sl.resolveStride(len(payload))
 		sl.hits++
 		return payload, true
