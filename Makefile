@@ -55,17 +55,20 @@ bench-smoke:
 	$(GO) test -run xxx -bench BenchmarkFunctionalBatch -benchtime 1x ./internal/dramcache
 	$(GO) test -run xxx -bench BenchmarkSpineFork -benchtime 1x ./internal/sim
 
-# A short native-fuzzing pass over the checkpoint decoders, 30 s per
-# target. FuzzSystemRestore mutates the warm-state and interval-boundary
-# snapshots of four tiny systems, re-framed with a valid checksum, and
-# Restore must return an error or succeed, never panic. FuzzLatticeEntry
-# mutates a lattice entry and its index, and Load and Probe must miss or
-# fail, never panic. `go test ./...` runs only their seeds. The minimizer
-# is capped because a snapshot-sized input can hold it for most of a
-# short run.
+# A short native-fuzzing pass over the decoders of outside input, 30 s
+# per target. FuzzSystemRestore mutates the warm-state and
+# interval-boundary snapshots of four tiny systems, re-framed with a
+# valid checksum, and Restore must return an error or succeed, never
+# panic. FuzzLatticeEntry mutates a lattice entry, re-framed the same
+# way, and Load must miss or fail, never panic. FuzzReadTrace mutates
+# trace text, and ReadTrace must fail or return events that survive a
+# WriteTrace/ReadTrace round trip. `go test ./...` runs only their
+# seeds. The minimizer is capped because a snapshot-sized input can hold
+# it for most of a short run.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzSystemRestore$$' -fuzztime 30s -fuzzminimizetime 5s ./internal/sim
 	$(GO) test -run '^$$' -fuzz '^FuzzLatticeEntry$$' -fuzztime 30s -fuzzminimizetime 5s ./internal/ckpt
+	$(GO) test -run '^$$' -fuzz '^FuzzReadTrace$$' -fuzztime 30s -fuzzminimizetime 5s ./internal/workloads
 
 # Populate CKPT_DIR with warm-state checkpoints for the golden-suite
 # configurations (the three architectures at the pinned golden scale).

@@ -14,7 +14,6 @@ import (
 	"os"
 	"strings"
 
-	"accord/internal/memtypes"
 	"accord/internal/sim"
 	"accord/internal/workloads"
 )
@@ -35,6 +34,13 @@ func main() {
 		fmt.Println(strings.Join(workloads.Names(), "\n"))
 		return
 	}
+	cfg := sim.Default()
+	cfg.Cores = *cores
+	cfg.Scale = *scale
+	if err := cfg.Validate(); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
 	wl, err := workloads.Get(*workload, *cores)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -44,10 +50,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "core %d out of range [0,%d)\n", *coreID, *cores)
 		os.Exit(2)
 	}
-	cfg := sim.Default()
-	cfg.Scale = *scale
-	cacheLines := uint64(cfg.L4CapacityFull / memtypes.LineSize / *scale)
-	st := workloads.NewStream(wl.Specs[*coreID], cacheLines, *cores, *seed*1000+int64(*coreID))
+	st := workloads.NewStream(wl.Specs[*coreID], cfg.AnchorLines(), *cores, workloads.StreamSeed(*seed, *coreID))
 
 	fmt.Printf("# accord trace: workload=%s core=%d events=%d scale=1/%d seed=%d\n",
 		*workload, *coreID, *events, *scale, *seed)

@@ -16,16 +16,18 @@ func testLattice(t *testing.T, fp string) (*Lattice, *Store) {
 	return NewLattice(store, fp), store
 }
 
-// saveIndexed persists one boundary the way a sampled run's writer does:
-// SaveEntry for the entry, then FlushIndex for the digest chain.
-func saveIndexed(t *testing.T, lat *Lattice, interval int, offset int64, payload []byte) {
+func saveEntry(t *testing.T, lat *Lattice, interval int, offset int64, payload []byte) {
 	t.Helper()
 	if err := lat.SaveEntry(interval, offset, payload); err != nil {
 		t.Fatalf("save entry: %v", err)
 	}
-	if err := lat.FlushIndex(); err != nil {
-		t.Fatalf("flush index: %v", err)
-	}
+}
+
+// hits reports whether lat's entry for (interval, offset) loads and
+// validates, the only outcome a caller treats as a hit.
+func hits(lat *Lattice, interval int, offset int64) bool {
+	_, ok, err := lat.Load(interval, offset)
+	return ok && err == nil
 }
 
 func latticePayload(n int) []byte {
@@ -45,38 +47,21 @@ func TestLatticeRoundTrip(t *testing.T) {
 	}
 	offset := func(k int) int64 { return int64(1000 + k*500) }
 	for k, p := range payloads {
-		if err := lat.SaveEntry(k, offset(k), p); err != nil {
-			t.Fatalf("save interval %d: %v", k, err)
-		}
-	}
-	if err := lat.FlushIndex(); err != nil {
-		t.Fatalf("flush index: %v", err)
+		saveEntry(t, lat, k, offset(k), p)
 	}
 	for k, p := range payloads {
-		got, ok := lat.Probe(k, offset(k))
-		if !ok {
-			t.Fatalf("probe interval %d: miss", k)
+		got, ok, err := lat.Load(k, offset(k))
+		if !ok || err != nil {
+			t.Fatalf("load interval %d: ok=%t err=%v", k, ok, err)
 		}
 		if !bytes.Equal(got, p) {
-			t.Fatalf("probe interval %d: payload mismatch", k)
-		}
-	}
-	if got, want := lat.Intervals(), []int{0, 3, 7}; len(got) != len(want) {
-		t.Fatalf("intervals = %v, want %v", got, want)
-	} else {
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("intervals = %v, want %v", got, want)
-			}
+			t.Fatalf("load interval %d: payload mismatch", k)
 		}
 	}
 }
 
 func TestLatticeMissing(t *testing.T) {
 	lat, _ := testLattice(t, "fp-missing")
-	if _, ok := lat.Probe(0, 0); ok {
-		t.Fatal("probe of empty lattice hit")
-	}
 	if _, ok, err := lat.Load(5, 500); ok || err != nil {
 		t.Fatalf("load of missing entry = (%v, %v), want (false, nil)", ok, err)
 	}
@@ -90,14 +75,10 @@ func TestLatticeReopen(t *testing.T) {
 		t.Fatalf("open store: %v", err)
 	}
 	p := latticePayload(1024)
-	saveIndexed(t, NewLattice(store, "fp-reopen"), 2, 2048, p)
-	lat := NewLattice(store, "fp-reopen")
-	got, ok := lat.Probe(2, 2048)
-	if !ok || !bytes.Equal(got, p) {
-		t.Fatalf("reopened probe = (%d bytes, %v), want hit with %d bytes", len(got), ok, len(p))
-	}
-	if iv := lat.Intervals(); len(iv) != 1 || iv[0] != 2 {
-		t.Fatalf("reopened intervals = %v, want [2]", iv)
+	saveEntry(t, NewLattice(store, "fp-reopen"), 2, 2048, p)
+	got, ok, err := NewLattice(store, "fp-reopen").Load(2, 2048)
+	if !ok || err != nil || !bytes.Equal(got, p) {
+		t.Fatalf("reopened load = (%d bytes, %v, %v), want hit with %d bytes", len(got), ok, err, len(p))
 	}
 }
 
@@ -111,15 +92,15 @@ func TestLatticeKeySeparation(t *testing.T) {
 		t.Fatalf("open store: %v", err)
 	}
 	lat := NewLattice(store, "fp-a")
-	saveIndexed(t, lat, 1, 100, latticePayload(64))
-	if _, ok := lat.Probe(2, 100); ok {
-		t.Fatal("probe with wrong interval hit")
+	saveEntry(t, lat, 1, 100, latticePayload(64))
+	if hits(lat, 2, 100) {
+		t.Fatal("load with wrong interval hit")
 	}
-	if _, ok := lat.Probe(1, 200); ok {
-		t.Fatal("probe with wrong offset hit")
+	if hits(lat, 1, 200) {
+		t.Fatal("load with wrong offset hit")
 	}
-	if _, ok := NewLattice(store, "fp-b").Probe(1, 100); ok {
-		t.Fatal("probe with wrong fingerprint hit")
+	if hits(NewLattice(store, "fp-b"), 1, 100) {
+		t.Fatal("load with wrong fingerprint hit")
 	}
 }
 
@@ -138,7 +119,7 @@ func entryFile(t *testing.T, store *Store, fp string, interval int, offset int64
 func TestLatticeEntryTruncationSweep(t *testing.T) {
 	const fp = "fp-truncate"
 	lat, store := testLattice(t, fp)
-	saveIndexed(t, lat, 0, 64, latticePayload(96))
+	saveEntry(t, lat, 0, 64, latticePayload(96))
 	path := entryFile(t, store, fp, 0, 64)
 	full, err := os.ReadFile(path)
 	if err != nil {
@@ -148,9 +129,8 @@ func TestLatticeEntryTruncationSweep(t *testing.T) {
 		if err := os.WriteFile(path, full[:n], 0o644); err != nil {
 			t.Fatalf("truncate to %d: %v", n, err)
 		}
-		// A fresh lattice so the cached index cannot mask the damage.
-		if _, ok := NewLattice(store, fp).Probe(0, 64); ok {
-			t.Fatalf("probe hit on entry truncated to %d bytes", n)
+		if hits(lat, 0, 64) {
+			t.Fatalf("load hit on entry truncated to %d bytes", n)
 		}
 	}
 }
@@ -161,7 +141,7 @@ func TestLatticeEntryTruncationSweep(t *testing.T) {
 func TestLatticeEntryCorruptionSweep(t *testing.T) {
 	const fp = "fp-corrupt"
 	lat, store := testLattice(t, fp)
-	saveIndexed(t, lat, 0, 64, latticePayload(48))
+	saveEntry(t, lat, 0, 64, latticePayload(48))
 	path := entryFile(t, store, fp, 0, 64)
 	full, err := os.ReadFile(path)
 	if err != nil {
@@ -173,8 +153,8 @@ func TestLatticeEntryCorruptionSweep(t *testing.T) {
 		if err := os.WriteFile(path, mut, 0o644); err != nil {
 			t.Fatalf("corrupt byte %d: %v", i, err)
 		}
-		if _, ok := NewLattice(store, fp).Probe(0, 64); ok {
-			t.Fatalf("probe hit with byte %d corrupted", i)
+		if hits(lat, 0, 64) {
+			t.Fatalf("load hit with byte %d corrupted", i)
 		}
 	}
 }
@@ -236,99 +216,18 @@ func TestLatticeEntryStructuralMismatch(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			lat, store := testLattice(t, fp)
-			saveIndexed(t, lat, 0, 64, latticePayload(32))
+			saveEntry(t, lat, 0, 64, latticePayload(32))
 			mutateEntry(t, store, fp, 0, 64, tc.edit)
-			if _, ok := NewLattice(store, fp).Probe(0, 64); ok {
-				t.Fatal("probe hit on structurally damaged entry")
+			if hits(lat, 0, 64) {
+				t.Fatal("load hit on structurally damaged entry")
 			}
 		})
 	}
 }
 
-// Damage to the index must never block valid entries (they validate on
-// their own) and must never let a forged index payload through.
-func TestLatticeIndexCorruption(t *testing.T) {
-	const fp = "fp-index"
-	lat, store := testLattice(t, fp)
-	payload := latticePayload(80)
-	saveIndexed(t, lat, 0, 64, payload)
-	idxPath := filepath.Join(store.Dir(), latticeIndexKey(fp)+".ckpt")
-	full, err := os.ReadFile(idxPath)
-	if err != nil {
-		t.Fatalf("read index: %v", err)
-	}
-
-	t.Run("corrupt index still probes entries", func(t *testing.T) {
-		mut := append([]byte(nil), full...)
-		mut[len(mut)/2] ^= 0xFF
-		if err := os.WriteFile(idxPath, mut, 0o644); err != nil {
-			t.Fatalf("corrupt index: %v", err)
-		}
-		got, ok := NewLattice(store, fp).Probe(0, 64)
-		if !ok || !bytes.Equal(got, payload) {
-			t.Fatal("entry probe failed under corrupt index")
-		}
-		if iv := NewLattice(store, fp).Intervals(); len(iv) != 0 {
-			t.Fatalf("corrupt index reported intervals %v", iv)
-		}
-	})
-
-	t.Run("missing index still probes entries", func(t *testing.T) {
-		if err := os.Remove(idxPath); err != nil {
-			t.Fatalf("remove index: %v", err)
-		}
-		got, ok := NewLattice(store, fp).Probe(0, 64)
-		if !ok || !bytes.Equal(got, payload) {
-			t.Fatal("entry probe failed with index removed")
-		}
-	})
-
-	t.Run("truncated index sweep", func(t *testing.T) {
-		for n := 0; n < len(full); n += 7 {
-			if err := os.WriteFile(idxPath, full[:n], 0o644); err != nil {
-				t.Fatalf("truncate index to %d: %v", n, err)
-			}
-			if _, ok := NewLattice(store, fp).Probe(0, 64); !ok {
-				t.Fatalf("entry probe failed under index truncated to %d", n)
-			}
-		}
-		if err := os.WriteFile(idxPath, full, 0o644); err != nil {
-			t.Fatalf("restore index: %v", err)
-		}
-	})
-}
-
-// When the index and an entry disagree — entry replaced by a validly
-// framed blob saved under a different digest — the digest chain turns
-// the probe into a miss.
-func TestLatticeIndexDigestMismatch(t *testing.T) {
-	const fp = "fp-digest"
-	lat, store := testLattice(t, fp)
-	saveIndexed(t, lat, 0, 64, latticePayload(40))
-	// Re-frame the entry with a different payload of the same coordinates
-	// (valid CRC, valid header) without updating the index.
-	mutateEntry(t, store, fp, 0, 64, func(b []byte) []byte {
-		e := NewEncoder(64)
-		e.Raw([]byte(latticeEntryMagic))
-		e.U32(LatticeSchema)
-		e.String(fp)
-		e.U32(0)
-		e.I64(64)
-		other := latticePayload(40)
-		other[0] ^= 0xFF
-		e.U32(uint32(len(other)))
-		e.Raw(other)
-		// mutateEntry re-frames with Finish, so hand back the unframed body.
-		return e.buf
-	})
-	if _, ok := NewLattice(store, fp).Probe(0, 64); ok {
-		t.Fatal("probe hit on entry whose digest disagrees with the index")
-	}
-}
-
 // BenchmarkLatticeProbe measures the warm-run fast path: one validated
-// lattice lookup (store read, CRC frame, header echo, index digest
-// chain) at a spine-snapshot-sized payload. This is the per-boundary
+// lattice lookup (store read, CRC frame, header echo) at a
+// spine-snapshot-sized payload. This is the per-boundary
 // cost a fully-warm resumed run pays instead of the functional
 // fast-forward it memoizes.
 func BenchmarkLatticeProbe(b *testing.B) {
@@ -345,15 +244,12 @@ func BenchmarkLatticeProbe(b *testing.B) {
 			b.Fatalf("save: %v", err)
 		}
 	}
-	if err := lat.FlushIndex(); err != nil {
-		b.Fatalf("flush index: %v", err)
-	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		k := i % intervals
-		if _, ok := lat.Probe(k, int64(k*1000)); !ok {
-			b.Fatal("probe missed a populated boundary")
+		if !hits(lat, k, int64(k*1000)) {
+			b.Fatal("load missed a populated boundary")
 		}
 	}
 }

@@ -246,8 +246,13 @@ type bank struct {
 }
 
 // maxBusyIntervals bounds the per-channel busy-interval history used for
-// data-bus backfill. Requests arriving earlier than the oldest tracked
-// interval are rare; dropping history is conservative only for them.
+// data-bus backfill. Dropping the oldest interval forgets that its bus
+// time was taken, so a request that starts before the oldest retained
+// interval can be booked over it: the bus is overbooked, not
+// conservatively delayed. Such requests are rare: with ACCORD 2-way,
+// 16 cores and Scale 256 over 1M + 1M instructions, 0 of 4.82 M
+// reservations on mcf landed on forgotten time, and 1 of 1.63 M (12
+// cycles) on libquantum.
 const maxBusyIntervals = 24
 
 type busyIvl struct{ start, end int64 }

@@ -232,8 +232,8 @@ func (s *System) Restore(blob []byte, wlName string) error {
 
 // runExact is Run's exact path. With Config.SpineCheckpointDir set, the
 // warm state is boundary 0 of a one-entry ckpt.Lattice keyed by
-// WarmFingerprint, its offset the warmup budget: the same framing and
-// echo checks as a sampled run's spine entries, without an index. A hit
+// WarmFingerprint, its offset the warmup budget: the same entry, framing
+// and echo checks as a sampled run's spine boundaries. A hit
 // restores it and skips warmup; a miss warms up cold and saves it. Any
 // checkpoint problem (a damaged entry, a foreign or stale one, a policy
 // that cannot snapshot, an unusable directory) degrades to a cold run,

@@ -172,8 +172,8 @@ func (sl *spineLattice) probe(interval int) ([]byte, bool) {
 	if sl == nil {
 		return nil, false
 	}
-	payload, ok := sl.lat.Probe(interval, sl.offsetOf(interval))
-	if ok && validSnapshot(payload, sl.warmFP) {
+	payload, ok, err := sl.lat.Load(interval, sl.offsetOf(interval))
+	if ok && err == nil && validSnapshot(payload, sl.warmFP) {
 		sl.resolveStride(len(payload))
 		sl.hits++
 		return payload, true
@@ -217,29 +217,19 @@ func (sl *spineLattice) offsetOf(interval int) int64 {
 	return sl.base + int64(interval)*sl.period
 }
 
-// writer drains the save queue, persisting each boundary best-effort: a
-// full disk or read-only store loses memoization, never the run.
-// Entries go down individually (SaveEntry); the index digest chain is
-// written once after the queue closes, so a run saving N boundaries
-// pays N+1 store writes instead of 2N.
+// writer drains the save queue, persisting each boundary best-effort in
+// one store write: a full disk or read-only store loses memoization,
+// never the run.
 func (sl *spineLattice) writer() {
 	defer close(sl.done)
-	saved := false
 	for req := range sl.saves {
 		t0 := time.Now()
-		if sl.lat.SaveEntry(req.interval, req.offset, req.blob) == nil {
-			saved = true
-		}
-		sl.saveNS += int64(time.Since(t0))
-	}
-	if saved {
-		t0 := time.Now()
-		_ = sl.lat.FlushIndex()
+		_ = sl.lat.SaveEntry(req.interval, req.offset, req.blob)
 		sl.saveNS += int64(time.Since(t0))
 	}
 }
 
-// close flushes and joins the background writer. The channel close
+// close drains and joins the background writer. The channel close
 // happens-before the writer's done signal, so reading saveNS afterwards
 // is race-free.
 func (sl *spineLattice) close() {
