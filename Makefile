@@ -48,25 +48,32 @@ lint:
 # A fast benchmark pass that catches gross performance or allocation
 # regressions on the hot paths the scheduler multiplies, plus the L4
 # functional layer the sampling spine runs on (one window per backend,
-# so it only proves the benchmark still builds and runs allocation-free)
-# and one interval fork each way, codec and in-memory copy.
+# so it only proves the benchmark still builds and runs allocation-free),
+# one interval fork each way, codec and in-memory copy, a sampled run
+# resumed from a populated spine lattice, and one lattice probe.
 bench-smoke:
 	$(GO) test -run xxx -bench 'BenchmarkSimulatorThroughput|BenchmarkSessionParallel|BenchmarkDRAMCacheRead' -benchtime 2x .
 	$(GO) test -run xxx -bench BenchmarkFunctionalBatch -benchtime 1x ./internal/dramcache
-	$(GO) test -run xxx -bench BenchmarkSpineFork -benchtime 1x ./internal/sim
+	$(GO) test -run xxx -bench 'BenchmarkSpineFork|BenchmarkSpineResume/resumed' -benchtime 1x ./internal/sim
+	$(GO) test -run xxx -bench BenchmarkLatticeProbe -benchtime 1x ./internal/ckpt
 
 # A short native-fuzzing pass over the decoders of outside input, 30 s
 # per target. FuzzSystemRestore mutates the warm-state and
 # interval-boundary snapshots of four tiny systems, re-framed with a
 # valid checksum, and Restore must return an error or succeed, never
-# panic. FuzzLatticeEntry mutates a lattice entry, re-framed the same
-# way, and Load must miss or fail, never panic. FuzzReadTrace mutates
-# trace text, and ReadTrace must fail or return events that survive a
+# panic. FuzzVMRestore and FuzzCacheRestore do the same for the VM
+# system and the DRAM cache's tag records over seeds of a few KB, and a
+# restore that succeeds must also be a Snapshot/Restore fixed point.
+# FuzzLatticeEntry mutates a lattice entry, re-framed the same way, and
+# Load must miss or fail, never panic. FuzzReadTrace mutates trace text,
+# and ReadTrace must fail or return events that survive a
 # WriteTrace/ReadTrace round trip. `go test ./...` runs only their
 # seeds. The minimizer is capped because a snapshot-sized input can hold
 # it for most of a short run.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzSystemRestore$$' -fuzztime 30s -fuzzminimizetime 5s ./internal/sim
+	$(GO) test -run '^$$' -fuzz '^FuzzVMRestore$$' -fuzztime 30s -fuzzminimizetime 5s ./internal/vm
+	$(GO) test -run '^$$' -fuzz '^FuzzCacheRestore$$' -fuzztime 30s -fuzzminimizetime 5s ./internal/dramcache
 	$(GO) test -run '^$$' -fuzz '^FuzzLatticeEntry$$' -fuzztime 30s -fuzzminimizetime 5s ./internal/ckpt
 	$(GO) test -run '^$$' -fuzz '^FuzzReadTrace$$' -fuzztime 30s -fuzzminimizetime 5s ./internal/workloads
 

@@ -21,6 +21,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"math/bits"
 )
 
 // Encoder appends fixed-width binary fields to a growing buffer. The
@@ -225,6 +226,17 @@ func NewDecoderChecked(b []byte) (*Decoder, error) {
 	return &Decoder{buf: payload}, nil
 }
 
+// NewDecoderVerified returns a decoder over the payload of an
+// Encoder.Finish blob whose checksum has already been verified, such as
+// a payload Lattice.Load returned: it strips the CRC-32C without
+// recomputing it. A blob too short to hold one decodes as an error.
+func NewDecoderVerified(b []byte) *Decoder {
+	if len(b) < 4 {
+		return &Decoder{err: fmt.Errorf("ckpt: blob of %d bytes is too short for a checksum", len(b))}
+	}
+	return &Decoder{buf: b[:len(b)-4]}
+}
+
 // Err returns the first decoding error, or nil.
 func (d *Decoder) Err() error { return d.err }
 
@@ -340,14 +352,35 @@ func (d *Decoder) U64s(dst []uint64) {
 	}
 }
 
-// Bools reads len(dst) bit-packed bools into dst.
-func (d *Decoder) Bools(dst []bool) {
-	nbytes := (len(dst) + 7) / 8
-	b := d.need(nbytes)
+// Bools reads len(dst) bit-packed bools into dst, a byte at a time, and
+// returns how many of them are true. Padding bits past len(dst) in the
+// last byte are neither stored nor counted. On error dst is left
+// unchanged and the count is 0.
+func (d *Decoder) Bools(dst []bool) int {
+	b := d.need((len(dst) + 7) / 8)
 	if b == nil {
-		return
+		return 0
 	}
-	for i := range dst {
-		dst[i] = b[i>>3]&(1<<(uint(i)&7)) != 0
+	full := len(dst) / 8
+	n := 0
+	for i, x := range b[:full] {
+		*(*[8]bool)(dst[8*i:]) = unpacked[x]
+		n += bits.OnesCount8(x)
 	}
+	if rest := len(dst) - 8*full; rest > 0 {
+		x := b[full] & (1<<rest - 1)
+		copy(dst[8*full:], unpacked[x][:rest])
+		n += bits.OnesCount8(x)
+	}
+	return n
 }
+
+// unpacked[x] is byte x's eight bits as bools, lowest bit first.
+var unpacked = func() (t [256][8]bool) {
+	for x := range t {
+		for j := range t[x] {
+			t[x][j] = x&(1<<j) != 0
+		}
+	}
+	return t
+}()

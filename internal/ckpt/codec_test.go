@@ -146,18 +146,32 @@ func TestCheckedTooShort(t *testing.T) {
 	}
 }
 
+// TestBoolsRoundTripWidths round-trips every width from 0 to 17, and a
+// few past whole words, and checks the count Bools returns. Padding bits
+// set in the last byte must be neither stored nor counted.
 func TestBoolsRoundTripWidths(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	for _, n := range []int{0, 1, 7, 8, 9, 63, 64, 65, 1000} {
+	widths := []int{63, 64, 65, 1000}
+	for n := 0; n <= 17; n++ {
+		widths = append(widths, n)
+	}
+	for _, n := range widths {
 		v := make([]bool, n)
+		set := 0
 		for i := range v {
 			v[i] = rng.Intn(2) == 1
+			if v[i] {
+				set++
+			}
 		}
 		e := NewEncoder(0)
 		e.Bools(v)
+		if n%8 != 0 {
+			e.buf[len(e.buf)-1] |= 0xFF << (n % 8) // padding bits
+		}
 		d := NewDecoder(e.buf)
 		back := make([]bool, n)
-		d.Bools(back)
+		got := d.Bools(back)
 		if d.Err() != nil {
 			t.Fatalf("n=%d: %v", n, d.Err())
 		}
@@ -166,9 +180,17 @@ func TestBoolsRoundTripWidths(t *testing.T) {
 				t.Fatalf("n=%d: bit %d differs", n, i)
 			}
 		}
+		if got != set {
+			t.Fatalf("n=%d: Bools counted %d set, want %d", n, got, set)
+		}
 		if d.Remaining() != 0 {
 			t.Fatalf("n=%d: %d bytes left over", n, d.Remaining())
 		}
+	}
+	// A truncated bitmap leaves dst alone and counts nothing.
+	dst := []bool{true, false, true}
+	if got := NewDecoder(nil).Bools(dst); got != 0 || !dst[0] || dst[1] || !dst[2] {
+		t.Fatalf("truncated Bools returned %d and left %v", got, dst)
 	}
 }
 

@@ -17,7 +17,7 @@ const (
 // the CRC-32C.
 func fileBody(tb testing.TB, store *Store, key string) []byte {
 	tb.Helper()
-	blob, ok, err := store.Load(key)
+	blob, ok, err := store.Load(key, nil)
 	if err != nil || !ok || len(blob) < 4 {
 		tb.Fatalf("load %s: ok=%t err=%v", key, ok, err)
 	}
@@ -38,7 +38,8 @@ func writeFramed(tb testing.TB, store *Store, key string, body []byte) {
 }
 
 // FuzzLatticeEntry holds Load to its contract: whatever the entry file
-// holds, Load returns an error, a miss or a payload, and never panics.
+// holds, Load returns an error, a miss or a payload, and never panics,
+// and a payload it returns passes its own checksum.
 // An input is the body of the entry file, re-framed with a valid
 // checksum, since a mutation that only broke the checksum would test
 // nothing past it. The seed is a valid entry over a 16-byte payload, a
@@ -64,8 +65,12 @@ func FuzzLatticeEntry(f *testing.F) {
 	lat := NewLattice(store, fuzzFingerprint)
 	f.Fuzz(func(t *testing.T, entry []byte) {
 		writeFramed(t, store, entryKey, entry)
-		if _, ok, err := lat.Load(fuzzInterval, fuzzOffset); ok && err != nil {
+		payload, ok, err := lat.Load(fuzzInterval, fuzzOffset, nil)
+		if ok && err != nil {
 			t.Fatalf("Load reported a hit and an error: %v", err)
+		}
+		if _, err := NewDecoderChecked(payload); ok && err != nil {
+			t.Fatalf("Load hit on a payload that fails its own checksum: %v", err)
 		}
 	})
 }

@@ -2,8 +2,10 @@ package ckpt
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"hash/crc32"
 )
 
 // Spine checkpoint lattice: a family of content-addressed entries in a
@@ -17,8 +19,8 @@ import (
 //
 // Each entry checks itself: it is CRC-framed (Encoder.Finish) and echoes
 // the fingerprint, interval, offset and payload length it was saved
-// under. Any failure degrades to a miss; nothing here panics on
-// adversarial bytes.
+// under, and its payload is itself CRC-framed. Any failure degrades to
+// a miss; nothing here panics on adversarial bytes.
 
 const (
 	// latticeEntryMagic opens every lattice entry blob.
@@ -65,19 +67,37 @@ func (l *Lattice) SaveEntry(interval int, offset int64, payload []byte) error {
 	return l.store.Save(LatticeEntryKey(l.fp, interval, offset), e.Finish())
 }
 
-// Load fetches and validates the entry for (interval, offset): CRC frame,
-// magic, schema, fingerprint, and the echoed interval/offset/length. A
-// missing entry reports (nil, false, nil); any validation failure is an
-// error the caller should treat as a miss.
-func (l *Lattice) Load(interval int, offset int64) ([]byte, bool, error) {
-	blob, ok, err := l.store.Load(LatticeEntryKey(l.fp, interval, offset))
+// Load reads the entry for (interval, offset) into *buf (see
+// Store.Load) and validates it. A payload is an Encoder.Finish blob, as
+// every snapshot is, so Load checks two frames: the entry's (its CRC,
+// magic, schema and echoed fingerprint, interval, offset and length) and
+// the payload's own CRC. Both checksums cover the payload body, and one
+// pass over it yields both (crc32Combine). The payload it returns keeps
+// its CRC word; decode it with NewDecoderVerified. A missing entry
+// reports (nil, false, nil); any validation failure is an error the
+// caller should treat as a miss.
+func (l *Lattice) Load(interval int, offset int64, buf *[]byte) ([]byte, bool, error) {
+	blob, ok, err := l.store.Load(LatticeEntryKey(l.fp, interval, offset), buf)
 	if err != nil || !ok {
 		return nil, false, err
 	}
-	d, err := NewDecoderChecked(blob)
-	if err != nil {
-		return nil, false, err
+	if len(blob) < 4 {
+		return nil, false, fmt.Errorf("ckpt: blob of %d bytes is too short for a checksum", len(blob))
 	}
+	framed, want := blob[:len(blob)-4], binary.LittleEndian.Uint32(blob[len(blob)-4:])
+	// An entry of this fingerprint has a header of a known length; split
+	// there, and before the payload's own CRC word. The combined checksum
+	// is the entry's whatever the split, so a foreign or damaged header
+	// fails the echo checks below, not this one.
+	hdr := min(len(latticeEntryMagic)+4+4+len(l.fp)+4+8+4, len(framed))
+	end := max(hdr, len(framed)-4)
+	bodyCRC := crc32.Checksum(framed[hdr:end], crcTable)
+	got := crc32Combine(crc32.Checksum(framed[:hdr], crcTable), bodyCRC, end-hdr)
+	got = crc32Combine(got, crc32.Checksum(framed[end:], crcTable), len(framed)-end)
+	if got != want {
+		return nil, false, fmt.Errorf("ckpt: checksum mismatch (%#08x != %#08x): corrupt or truncated blob", got, want)
+	}
+	d := NewDecoder(framed)
 	if m := d.Raw(len(latticeEntryMagic)); d.Err() == nil && string(m) != latticeEntryMagic {
 		d.Failf("ckpt: bad lattice entry magic %q", m)
 	}
@@ -100,6 +120,14 @@ func (l *Lattice) Load(interval int, offset int64) ([]byte, bool, error) {
 	payload := d.Raw(n)
 	if err := d.Err(); err != nil {
 		return nil, false, err
+	}
+	// The header checks passed, so the split above fell exactly between
+	// the header and the payload, and bodyCRC is the payload body's.
+	if n < 4 {
+		return nil, false, fmt.Errorf("ckpt: lattice payload of %d bytes is too short for a checksum", n)
+	}
+	if inner := binary.LittleEndian.Uint32(payload[n-4:]); bodyCRC != inner {
+		return nil, false, fmt.Errorf("ckpt: payload checksum mismatch (%#08x != %#08x): corrupt blob", bodyCRC, inner)
 	}
 	return payload, true, nil
 }

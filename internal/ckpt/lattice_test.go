@@ -26,16 +26,18 @@ func saveEntry(t *testing.T, lat *Lattice, interval int, offset int64, payload [
 // hits reports whether lat's entry for (interval, offset) loads and
 // validates, the only outcome a caller treats as a hit.
 func hits(lat *Lattice, interval int, offset int64) bool {
-	_, ok, err := lat.Load(interval, offset)
+	_, ok, err := lat.Load(interval, offset, nil)
 	return ok && err == nil
 }
 
+// latticePayload returns an Encoder.Finish blob over n patterned bytes,
+// the payload shape Load requires.
 func latticePayload(n int) []byte {
-	p := make([]byte, n)
-	for i := range p {
-		p[i] = byte(i*7 + 3)
+	e := NewEncoder(n + 4)
+	for i := range e.Reserve(n) {
+		e.buf[i] = byte(i*7 + 3)
 	}
-	return p
+	return e.Finish()
 }
 
 func TestLatticeRoundTrip(t *testing.T) {
@@ -50,7 +52,7 @@ func TestLatticeRoundTrip(t *testing.T) {
 		saveEntry(t, lat, k, offset(k), p)
 	}
 	for k, p := range payloads {
-		got, ok, err := lat.Load(k, offset(k))
+		got, ok, err := lat.Load(k, offset(k), nil)
 		if !ok || err != nil {
 			t.Fatalf("load interval %d: ok=%t err=%v", k, ok, err)
 		}
@@ -62,7 +64,7 @@ func TestLatticeRoundTrip(t *testing.T) {
 
 func TestLatticeMissing(t *testing.T) {
 	lat, _ := testLattice(t, "fp-missing")
-	if _, ok, err := lat.Load(5, 500); ok || err != nil {
+	if _, ok, err := lat.Load(5, 500, nil); ok || err != nil {
 		t.Fatalf("load of missing entry = (%v, %v), want (false, nil)", ok, err)
 	}
 }
@@ -76,7 +78,7 @@ func TestLatticeReopen(t *testing.T) {
 	}
 	p := latticePayload(1024)
 	saveEntry(t, NewLattice(store, "fp-reopen"), 2, 2048, p)
-	got, ok, err := NewLattice(store, "fp-reopen").Load(2, 2048)
+	got, ok, err := NewLattice(store, "fp-reopen").Load(2, 2048, nil)
 	if !ok || err != nil || !bytes.Equal(got, p) {
 		t.Fatalf("reopened load = (%d bytes, %v, %v), want hit with %d bytes", len(got), ok, err, len(p))
 	}
@@ -225,11 +227,71 @@ func TestLatticeEntryStructuralMismatch(t *testing.T) {
 	}
 }
 
+// TestLatticePayloadChecksum pins the second frame Load checks: an entry
+// whose own frame is intact but whose payload is not a well-framed
+// Encoder.Finish blob (a damaged body under a recomputed entry CRC, or a
+// payload too short to hold a CRC) must miss.
+func TestLatticePayloadChecksum(t *testing.T) {
+	const fp = "fp-payload-crc"
+	for _, tc := range []struct {
+		name    string
+		payload []byte
+	}{
+		{"body flipped", func() []byte {
+			p := latticePayload(64)
+			p[10] ^= 0x01
+			return p
+		}()},
+		{"crc word flipped", func() []byte {
+			p := latticePayload(64)
+			p[len(p)-1] ^= 0x80
+			return p
+		}()},
+		{"too short", []byte{1, 2, 3}},
+		{"empty", nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			lat, _ := testLattice(t, fp)
+			saveEntry(t, lat, 0, 64, tc.payload)
+			if hits(lat, 0, 64) {
+				t.Fatal("load hit on an entry whose payload fails its own checksum")
+			}
+		})
+	}
+}
+
+// TestLatticeLoadReusesBuffer checks that loads into one buffer return
+// each entry's payload intact and, once the buffer holds the largest,
+// reuse it.
+func TestLatticeLoadReusesBuffer(t *testing.T) {
+	lat, _ := testLattice(t, "fp-reuse")
+	sizes := []int{4096, 100, 4000, 0}
+	for k, n := range sizes {
+		saveEntry(t, lat, k, int64(k), latticePayload(n))
+	}
+	var buf []byte
+	for round := 0; round < 2; round++ {
+		for k, n := range sizes {
+			before := cap(buf)
+			got, ok, err := lat.Load(k, int64(k), &buf)
+			if !ok || err != nil {
+				t.Fatalf("round %d: load %d: ok=%t err=%v", round, k, ok, err)
+			}
+			if !bytes.Equal(got, latticePayload(n)) {
+				t.Fatalf("round %d: load %d: payload mismatch", round, k)
+			}
+			if (round > 0 || k > 0) && cap(buf) != before {
+				t.Fatalf("round %d: load %d regrew the buffer from %d to %d bytes", round, k, before, cap(buf))
+			}
+		}
+	}
+}
+
 // BenchmarkLatticeProbe measures the warm-run fast path: one validated
-// lattice lookup (store read, CRC frame, header echo) at a
-// spine-snapshot-sized payload. This is the per-boundary
-// cost a fully-warm resumed run pays instead of the functional
-// fast-forward it memoizes.
+// lattice lookup (store read, both CRC frames in one pass, header echo)
+// at a spine-snapshot-sized payload, read into one reused buffer as the
+// spine reads its probes. This is the per-boundary cost a fully-warm
+// resumed run pays instead of the functional fast-forward it memoizes.
 func BenchmarkLatticeProbe(b *testing.B) {
 	store, err := Open(b.TempDir())
 	if err != nil {
@@ -244,12 +306,13 @@ func BenchmarkLatticeProbe(b *testing.B) {
 			b.Fatalf("save: %v", err)
 		}
 	}
+	var buf []byte
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		k := i % intervals
-		if !hits(lat, k, int64(k*1000)) {
-			b.Fatal("load missed a populated boundary")
+		if _, ok, err := lat.Load(k, int64(k*1000), &buf); !ok || err != nil {
+			b.Fatalf("load missed a populated boundary: %v", err)
 		}
 	}
 }

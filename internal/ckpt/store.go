@@ -3,6 +3,7 @@ package ckpt
 import (
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -46,19 +47,43 @@ func (s *Store) path(key string) (string, error) {
 	return filepath.Join(s.dir, key+".ckpt"), nil
 }
 
-// Load returns the blob stored under key. A missing entry reports
-// (nil, false, nil); any other failure — unreadable file, bad magic —
-// is an error the caller should treat as a cold-run fallback.
-func (s *Store) Load(key string) ([]byte, bool, error) {
+// Load reads the blob stored under key into *buf and returns it: a
+// slice of *buf, which the next Load into the same buffer overwrites.
+// The buffer is reused when the file fits and replaced by a larger one
+// when it does not, so a caller that keeps one buffer per in-flight blob
+// reads each file without allocating or zeroing memory for it; a nil buf
+// reads into a new buffer. A missing entry reports (nil, false, nil);
+// any other failure — unreadable file, bad magic — is an error the
+// caller should treat as a cold-run fallback.
+func (s *Store) Load(key string, buf *[]byte) ([]byte, bool, error) {
 	p, err := s.path(key)
 	if err != nil {
 		return nil, false, err
 	}
-	b, err := os.ReadFile(p)
+	f, err := os.Open(p)
 	if errors.Is(err, os.ErrNotExist) {
 		return nil, false, nil
 	}
 	if err != nil {
+		return nil, false, fmt.Errorf("ckpt: read %s: %w", p, err)
+	}
+	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, false, fmt.Errorf("ckpt: read %s: %w", p, err)
+	}
+	if buf == nil {
+		buf = new([]byte)
+	}
+	// A replacement keeps a sixty-fourth to spare, so a later, slightly
+	// larger blob of the same kind still fits.
+	size := int(fi.Size())
+	if cap(*buf) < size {
+		*buf = make([]byte, 0, size+size/64)
+	}
+	*buf = (*buf)[:size]
+	b := *buf
+	if _, err := io.ReadFull(f, b); err != nil {
 		return nil, false, fmt.Errorf("ckpt: read %s: %w", p, err)
 	}
 	if len(b) < len(storeMagic) || string(b[:len(storeMagic)]) != storeMagic {

@@ -166,22 +166,23 @@ func (s *System) writeState(e *ckpt.Encoder, fp string) error {
 // system is left in an unspecified state and must be discarded; the
 // caller falls back to a cold run. Adversarial input cannot panic: every
 // length is bounded and every section validates its shape against the
-// constructed system. It mirrors writeState: the CRC frame and the
-// header against this system's fingerprint, then the components.
+// constructed system. It checks the CRC frame, then decodes the rest
+// with restore.
 func (s *System) Restore(blob []byte, wlName string) error {
 	d, err := ckpt.NewDecoderChecked(blob)
 	if err != nil {
 		return err
 	}
-	if magic := d.Raw(len(snapshotMagic)); d.Err() == nil && string(magic) != snapshotMagic {
-		d.Failf("sim: bad snapshot magic %q", magic)
-	}
-	if schema := d.U32(); d.Err() == nil && schema != SnapshotSchema {
-		d.Failf("sim: snapshot schema %d, want %d", schema, SnapshotSchema)
-	}
-	if fp := d.String(); d.Err() == nil && fp != s.WarmFingerprint(wlName) {
-		d.Failf("sim: snapshot fingerprint mismatch:\n  have %s\n  want %s", fp, s.WarmFingerprint(wlName))
-	}
+	return s.restore(d, wlName)
+}
+
+// restore is Restore after the CRC check, for a blob whose checksum has
+// already been verified in this run: a lattice hit (ckpt.Lattice.Load
+// checks it), or a blob a worker has restored through Restore. It
+// mirrors writeState: the header against this system's fingerprint, then
+// the components.
+func (s *System) restore(d *ckpt.Decoder, wlName string) error {
+	readHeader(d, s.WarmFingerprint(wlName))
 	if err := d.Err(); err != nil {
 		return err
 	}
@@ -230,14 +231,30 @@ func (s *System) Restore(blob []byte, wlName string) error {
 	return nil
 }
 
+// readHeader reads a snapshot's header, the magic, schema and embedded
+// fingerprint writeState wrote, and fails d unless they are this
+// format's and fp.
+func readHeader(d *ckpt.Decoder, fp string) {
+	if magic := d.Raw(len(snapshotMagic)); d.Err() == nil && string(magic) != snapshotMagic {
+		d.Failf("sim: bad snapshot magic %q", magic)
+	}
+	if schema := d.U32(); d.Err() == nil && schema != SnapshotSchema {
+		d.Failf("sim: snapshot schema %d, want %d", schema, SnapshotSchema)
+	}
+	if got := d.String(); d.Err() == nil && got != fp {
+		d.Failf("sim: snapshot fingerprint mismatch:\n  have %s\n  want %s", got, fp)
+	}
+}
+
 // runExact is Run's exact path. With Config.SpineCheckpointDir set, the
 // warm state is boundary 0 of a one-entry ckpt.Lattice keyed by
 // WarmFingerprint, its offset the warmup budget: the same entry, framing
-// and echo checks as a sampled run's spine boundaries. A hit
-// restores it and skips warmup; a miss warms up cold and saves it. Any
-// checkpoint problem (a damaged entry, a foreign or stale one, a policy
-// that cannot snapshot, an unusable directory) degrades to a cold run,
-// which re-saves; a restore that fails midway rebuilds the system first.
+// and echo checks as a sampled run's spine boundaries, both checksums
+// verified by the load. A hit restores it and skips warmup; a miss
+// warms up cold and saves it. Any checkpoint problem (a damaged entry,
+// a foreign or stale one, a policy that cannot snapshot, an unusable
+// directory) degrades to a cold run, which re-saves; a restore that
+// fails midway rebuilds the system first.
 // SampleWork reports the probe as one lattice hit or one miss.
 func (s *System) runExact(wlName string) Result {
 	// Open rejects an empty directory, so a run without one starts here.
@@ -248,8 +265,8 @@ func (s *System) runExact(wlName string) Result {
 	}
 	lat := ckpt.NewLattice(store, s.WarmFingerprint(wlName))
 	warm := s.adaptiveBudget(warmFactor, s.cfg.WarmupInstr)
-	if blob, ok, err := lat.Load(0, warm); err == nil && ok {
-		if s.Restore(blob, wlName) == nil {
+	if blob, ok, err := lat.Load(0, warm, nil); err == nil && ok {
+		if s.restore(ckpt.NewDecoderVerified(blob), wlName) == nil {
 			s.work.LatticeHits = 1
 			return s.RunMeasure(wlName)
 		}

@@ -6,7 +6,6 @@ import (
 
 	"accord/internal/ckpt"
 	"accord/internal/dramcache"
-	"accord/internal/workloads"
 )
 
 // In-memory interval forks (DESIGN.md §12.1). Without a spine lattice
@@ -63,18 +62,19 @@ func (s *System) copyFunctionalFrom(src *System) error {
 	return nil
 }
 
-// holderPool recycles the boundary holders of a run that forks in
-// memory: Systems that carry one boundary's functional state from the
-// spine to a worker, and the last committed one to finishSampled. The
-// spine takes holders; workers return cancelled ones and the committer
-// discarded and superseded ones, so the pool is shared by goroutines.
+// freeList recycles what a sampled run hands from goroutine to
+// goroutine: the boundary holders of a run that forks in memory (Systems
+// that carry one boundary's functional state from the spine to a
+// worker, and the last committed one to finishSampled), and the entry
+// buffers a run with a spine lattice reads its probes into. The spine
+// takes values; workers return cancelled ones and the committer
+// discarded and superseded ones, so the list is shared by goroutines.
 // The speculation depth bounds how many are ever in use.
-type holderPool struct {
-	cfg Config
-	wl  workloads.Workload
+type freeList[T any] struct {
+	build func() T
 
 	mu   sync.Mutex
-	free []*System
+	free []T
 }
 
 // forkPlan decides, once per sampled run, how boundaries reach the
@@ -85,7 +85,7 @@ type holderPool struct {
 // snapshots, so a system that cannot take them runs without it. A system
 // that can neither copy nor snapshot its state cannot fork at all, and
 // forkPlan panics naming the components that failed both trials.
-func (s *System) forkPlan(wlName string) (*spineLattice, *holderPool) {
+func (s *System) forkPlan(wlName string) (*spineLattice, *freeList[*System]) {
 	snapErr := s.writeState(ckpt.NewMeasurer(), s.WarmFingerprint(wlName))
 	if snapErr == nil {
 		if lat := s.openSpineLattice(wlName); lat != nil {
@@ -104,11 +104,12 @@ func (s *System) forkPlan(wlName string) (*spineLattice, *holderPool) {
 // a trial copy of the live system; a stream or policy without a copy
 // method makes it fail. An L4 without one is caught before any holder is
 // built.
-func (s *System) newHolderPool() (*holderPool, error) {
+func (s *System) newHolderPool() (*freeList[*System], error) {
 	if _, ok := s.l4.(l4Copier); !ok {
 		return nil, fmt.Errorf("sim: L4 backend %T does not support copying", s.l4)
 	}
-	p := &holderPool{cfg: s.cfg, wl: s.wl}
+	cfg, wl := s.cfg, s.wl
+	p := &freeList[*System]{build: func() *System { return New(cfg, wl) }}
 	h := p.get()
 	if err := h.copyFunctionalFrom(s); err != nil {
 		return nil, err
@@ -117,24 +118,24 @@ func (s *System) newHolderPool() (*holderPool, error) {
 	return p, nil
 }
 
-// get returns a free holder, building one when none is free (always,
+// get returns a free value, building one when none is free (always,
 // under the forceFreshForkSystems test hook).
-func (p *holderPool) get() *System {
+func (p *freeList[T]) get() T {
 	p.mu.Lock()
 	n := len(p.free)
 	if n == 0 || forceFreshForkSystems {
 		p.mu.Unlock()
-		return New(p.cfg, p.wl)
+		return p.build()
 	}
-	h := p.free[n-1]
+	v := p.free[n-1]
 	p.free = p.free[:n-1]
 	p.mu.Unlock()
-	return h
+	return v
 }
 
-// put returns a holder nothing reads any more.
-func (p *holderPool) put(h *System) {
+// put returns a value nothing reads any more.
+func (p *freeList[T]) put(v T) {
 	p.mu.Lock()
-	p.free = append(p.free, h)
+	p.free = append(p.free, v)
 	p.mu.Unlock()
 }

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"accord/internal/cache"
+	"accord/internal/ckpt"
 	"accord/internal/dram"
 	"accord/internal/dramcache"
 	"accord/internal/memtypes"
@@ -317,11 +318,13 @@ func (s *System) resetIntervalState() {
 type intervalResult struct {
 	index int
 	// holder or blob carries the boundary state the detailed legs started
-	// from, as a pooled in-memory copy or a boundary snapshot.
-	// finishSampled copies or restores the last committed one to
-	// canonicalize the final system state.
+	// from, as a pooled in-memory copy or a boundary snapshot, and buf the
+	// entry buffer holding a blob the lattice loaded. finishSampled
+	// copies or restores the last committed one to canonicalize the final
+	// system state.
 	holder *System
 	blob   []byte
+	buf    *[]byte
 
 	// Per-core detail-leg end state, copied out of the run buffers.
 	endInstr  []int64
@@ -515,9 +518,6 @@ func (st *sampleState) commit(r *intervalResult) (stop bool) {
 	if r.hasL3 {
 		st.aggL3.Add(r.l3)
 	}
-	if st.last != nil {
-		st.last.blob = nil // superseded boundary; release the bytes
-	}
 	st.last = r
 
 	if st.sc.TargetCI > 0 && st.intervals >= st.sc.MinIntervals {
@@ -603,7 +603,9 @@ func (s *System) finishSampled(st *sampleState, wlName string) Result {
 		if last.holder != nil {
 			err = s.copyFunctionalFrom(last.holder)
 		} else {
-			err = s.Restore(last.blob, st.wlName)
+			// Verified earlier in the run: by the lattice load or by the
+			// worker's Restore.
+			err = s.restore(ckpt.NewDecoderVerified(last.blob), st.wlName)
 		}
 		if err != nil {
 			panic(fmt.Sprintf("sim: final boundary restore failed: %v", err))
@@ -616,7 +618,7 @@ func (s *System) finishSampled(st *sampleState, wlName string) Result {
 			s.advanceFunctional(targets)
 		}
 		s.work.SpineTime += time.Since(t0)
-		last.holder, last.blob = nil, nil
+		last.holder, last.blob, last.buf = nil, nil, nil
 		*s.l4.Stats() = st.aggL4
 		s.hbm.SetStats(st.aggHBM)
 		s.pcm.SetStats(st.aggPCM)

@@ -5,6 +5,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"accord/internal/ckpt"
 )
 
 // Parallel interval sampling (DESIGN.md §12). One spine goroutine owns
@@ -114,11 +116,13 @@ func (w *SampleWork) Add(o SampleWork) {
 func (s *System) SampleWork() SampleWork { return s.work }
 
 // sampleJob hands one interval boundary to the worker pool, as a pooled
-// holder or as a Snapshot blob.
+// holder or as a Snapshot blob. buf is the entry buffer holding a blob a
+// lattice probe loaded, nil for a blob the spine computed.
 type sampleJob struct {
 	index  int
 	holder *System
 	blob   []byte
+	buf    *[]byte
 }
 
 // runSampledParallel drives intervals on a worker pool fed by a
@@ -131,14 +135,20 @@ type sampleJob struct {
 // finishSampled. Without one, the spine snapshots each boundary instead.
 //
 // With a lattice, the spine probes each boundary before computing it. A
-// hit dispatches the stored blob without touching the live system, which
-// goes "stale" — it still holds an earlier boundary's state. The next
-// miss repairs that by restoring the most recent blob (probed or
-// computed) before advancing, so the functional trajectory between
+// hit dispatches the stored blob, in its entry buffer, without touching
+// the live system, which goes "stale" — it still holds an earlier
+// boundary's state. The next miss repairs that by restoring the last
+// hit's blob before advancing, so the functional trajectory between
 // boundaries is identical to a cold spine's. Warmup runs lazily on the
 // first miss; a fully warm run never warms up, never advances, and the
-// spine degenerates to lattice lookups.
-func (s *System) runSampledParallel(st *sampleState, workers int, lat *spineLattice, pool *holderPool) {
+// spine degenerates to lattice lookups. Entry buffers go back to the
+// lattice's free list where holders go back to the pool.
+//
+// A blob the lattice loaded had both its checksums verified by the load,
+// and a blob the spine computed has its checked by the worker's Restore,
+// so the catch-up and finishSampled, which only see blobs of these two
+// kinds, decode without a CRC pass.
+func (s *System) runSampledParallel(st *sampleState, workers int, lat *spineLattice, pool *freeList[*System]) {
 	sc := st.sc
 	funcLen := sc.Period - sc.WarmLen - sc.DetailLen
 	n := len(s.cores)
@@ -153,10 +163,12 @@ func (s *System) runSampledParallel(st *sampleState, workers int, lat *spineLatt
 	var stopOnce sync.Once
 	stopAll := func() { stopOnce.Do(func() { close(stop) }) }
 
-	release := func(r *intervalResult) {
-		if r.holder != nil {
-			pool.put(r.holder)
-			r.holder = nil
+	release := func(holder *System, buf *[]byte) {
+		if holder != nil {
+			pool.put(holder)
+		}
+		if buf != nil {
+			lat.bufs.put(buf)
 		}
 	}
 
@@ -171,11 +183,11 @@ func (s *System) runSampledParallel(st *sampleState, workers int, lat *spineLatt
 		defer close(spineDone)
 		next := make([]int64, n)
 		warmed := false
-		// stale marks the live system as behind lastBlob's boundary: a
-		// lattice hit dispatches without advancing. lastBlob always holds
-		// the latest boundary's snapshot, wherever it came from.
-		stale := false
+		// A lattice hit dispatches without advancing, leaving the live
+		// system stale: behind the hit's boundary, whose snapshot lastBlob
+		// holds in the entry buffer lastBuf until the next miss restores it.
 		var lastBlob []byte
+		var lastBuf *[]byte
 		for k := 0; k < st.planned; k++ {
 			select {
 			case <-stop:
@@ -184,11 +196,12 @@ func (s *System) runSampledParallel(st *sampleState, workers int, lat *spineLatt
 			}
 			t0 := time.Now()
 			var blob []byte
+			var buf *[]byte
 			var holder *System
-			if p, ok := lat.probe(k); ok {
-				blob = p
-				lastBlob = p
-				warmed, stale = true, true
+			if p, b, ok := lat.probe(k, lastBuf); ok {
+				blob, buf = p, b
+				lastBlob, lastBuf = p, b
+				warmed = true
 			} else {
 				if !warmed {
 					s.RunWarmupFunctional()
@@ -197,16 +210,16 @@ func (s *System) runSampledParallel(st *sampleState, workers int, lat *spineLatt
 					}
 					warmed = true
 				}
-				if stale {
+				if lastBlob != nil {
 					// Catch the live system up to boundary k-1 before walking
 					// to k, reproducing the cold spine's trajectory exactly.
-					if err := s.Restore(lastBlob, st.wlName); err != nil {
+					if err := s.restore(ckpt.NewDecoderVerified(lastBlob), st.wlName); err != nil {
 						panic(fmt.Sprintf("sim: spine catch-up restore failed: %v", err))
 					}
 					for i, c := range s.cores {
 						next[i] = c.Instructions() + sc.Period
 					}
-					stale = false
+					lastBlob, lastBuf = nil, nil
 				}
 				if k > 0 || funcLen > 0 {
 					s.advanceFunctional(next)
@@ -223,7 +236,6 @@ func (s *System) runSampledParallel(st *sampleState, workers int, lat *spineLatt
 						panic(fmt.Sprintf("sim: interval snapshot failed after passing the trial snapshot: %v", err))
 					}
 					blob = b
-					lastBlob = b
 					lat.saveAsync(k, b)
 				}
 				// The next boundary is an absolute target captured at this one:
@@ -234,15 +246,13 @@ func (s *System) runSampledParallel(st *sampleState, workers int, lat *spineLatt
 			}
 			spineNS += int64(time.Since(t0))
 			select {
-			case jobs <- sampleJob{index: k, holder: holder, blob: blob}:
+			case jobs <- sampleJob{index: k, holder: holder, blob: blob, buf: buf}:
 				dispatched++
 				if holder != nil {
 					memoryForks++
 				}
 			case <-stop:
-				if holder != nil {
-					pool.put(holder)
-				}
+				release(holder, buf)
 				return
 			}
 		}
@@ -258,9 +268,7 @@ func (s *System) runSampledParallel(st *sampleState, workers int, lat *spineLatt
 				select {
 				case <-stop:
 					// Cancelled: drain the queue without simulating.
-					if job.holder != nil {
-						pool.put(job.holder)
-					}
+					release(job.holder, job.buf)
 					continue
 				default:
 				}
@@ -268,9 +276,12 @@ func (s *System) runSampledParallel(st *sampleState, workers int, lat *spineLatt
 					fork = New(s.cfg, s.wl)
 				}
 				var err error
-				if job.holder != nil {
+				switch {
+				case job.holder != nil:
 					err = fork.copyFunctionalFrom(job.holder)
-				} else {
+				case job.buf != nil: // loaded: the load verified both checksums
+					err = fork.restore(ckpt.NewDecoderVerified(job.blob), st.wlName)
+				default: // computed: Restore checks its CRC
 					err = fork.Restore(job.blob, st.wlName)
 				}
 				if err != nil {
@@ -282,6 +293,7 @@ func (s *System) runSampledParallel(st *sampleState, workers int, lat *spineLatt
 				r.index = job.index
 				r.holder = job.holder
 				r.blob = job.blob
+				r.buf = job.buf
 				results <- r
 			}
 		}()
@@ -298,7 +310,7 @@ func (s *System) runSampledParallel(st *sampleState, workers int, lat *spineLatt
 	stopped := false
 	for r := range results {
 		if stopped {
-			release(r) // past the stop point: discard
+			release(r.holder, r.buf) // past the stop point: discard
 			continue
 		}
 		pending[r.index] = r
@@ -312,7 +324,8 @@ func (s *System) runSampledParallel(st *sampleState, workers int, lat *spineLatt
 			superseded := st.last
 			stop := st.commit(q)
 			if superseded != nil {
-				release(superseded)
+				release(superseded.holder, superseded.buf)
+				superseded.holder, superseded.blob, superseded.buf = nil, nil, nil
 			}
 			if stop {
 				stopped = true

@@ -79,30 +79,21 @@ func (s *System) spineOffset(interval int) int64 {
 	return warm + (sc.Period - sc.WarmLen - sc.DetailLen) + int64(interval)*sc.Period
 }
 
-// validSnapshot reports whether blob carries a well-framed snapshot for
-// fingerprint fp: CRC frame, magic, schema, and the embedded
+// validSnapshot reports whether blob, a payload ckpt.Lattice.Load has
+// verified (the entry's CRC frame and the snapshot's own), carries a
+// snapshot header for fingerprint fp: magic, schema, and the embedded
 // fingerprint. This is the probe-side gate that makes the lattice
-// restore paths safe to run against live systems: every adversarial
-// failure mode (truncation, corruption, stale schema, wrong config) is
-// rejected here and degrades to a cold miss. A blob that passes was
-// produced by Snapshot on an identically fingerprinted system — the
-// fingerprint covers everything that shapes the payload — so a
-// subsequent restore failure is a forged-CRC scenario and treated as a
-// programming-error panic, exactly like the post-trial snapshot panics.
+// restore paths safe to run against live systems: with the load's
+// checks, every adversarial failure mode (truncation, corruption, stale
+// schema, wrong config) is rejected here and degrades to a cold miss. A
+// blob that passes was produced by Snapshot on an identically
+// fingerprinted system — the fingerprint covers everything that shapes
+// the payload — so a subsequent restore failure is a forged-CRC scenario
+// and treated as a programming-error panic, exactly like the post-trial
+// snapshot panics.
 func validSnapshot(blob []byte, fp string) bool {
-	d, err := ckpt.NewDecoderChecked(blob)
-	if err != nil {
-		return false
-	}
-	if string(d.Raw(len(snapshotMagic))) != snapshotMagic {
-		return false
-	}
-	if d.U32() != SnapshotSchema {
-		return false
-	}
-	if d.String() != fp {
-		return false
-	}
+	d := ckpt.NewDecoderVerified(blob)
+	readHeader(d, fp)
 	return d.Err() == nil
 }
 
@@ -134,6 +125,11 @@ type spineLattice struct {
 	hits   int
 	misses int
 
+	// bufs holds the entry buffers probes read into. A hit's buffer
+	// travels with its interval and returns where a holder would (§12.1);
+	// a miss returns it at once.
+	bufs freeList[*[]byte]
+
 	saves  chan spineSaveReq
 	done   chan struct{}
 	saveNS int64 // written by the writer; read after close()
@@ -157,6 +153,7 @@ func (s *System) openSpineLattice(wlName string) *spineLattice {
 		base:   s.spineOffset(0),
 		period: s.cfg.Sampling.Period,
 		stride: s.cfg.SpineStride,
+		bufs:   freeList[*[]byte]{build: func() *[]byte { return new([]byte) }},
 		saves:  make(chan spineSaveReq, 4),
 		done:   make(chan struct{}),
 	}
@@ -164,22 +161,33 @@ func (s *System) openSpineLattice(wlName string) *spineLattice {
 	return sl
 }
 
-// probe looks boundary k up, returning its validated snapshot on a hit.
-// Every store- or codec-level failure is a miss. A nil receiver (lattice
-// disabled) always misses without counting, so the spine calls it
-// unconditionally.
-func (sl *spineLattice) probe(interval int) ([]byte, bool) {
+// probe looks boundary k up, reading it into an entry buffer from the
+// free list, and returns its validated snapshot and that buffer on a
+// hit; a miss returns the buffer to the list at once. It never reads
+// into last, the buffer behind the spine's last loaded boundary: the
+// stale protocol restores from it on the next miss, and the committer
+// may already have returned it to the list. Every store- or codec-level
+// failure is a miss. A nil receiver (lattice disabled) always misses
+// without counting, so the spine calls it unconditionally.
+func (sl *spineLattice) probe(interval int, last *[]byte) ([]byte, *[]byte, bool) {
 	if sl == nil {
-		return nil, false
+		return nil, nil, false
 	}
-	payload, ok, err := sl.lat.Load(interval, sl.offsetOf(interval))
+	buf := sl.bufs.get()
+	if buf == last {
+		other := sl.bufs.get()
+		sl.bufs.put(buf)
+		buf = other
+	}
+	payload, ok, err := sl.lat.Load(interval, sl.offsetOf(interval), buf)
 	if ok && err == nil && validSnapshot(payload, sl.warmFP) {
 		sl.resolveStride(len(payload))
 		sl.hits++
-		return payload, true
+		return payload, buf, true
 	}
+	sl.bufs.put(buf)
 	sl.misses++
-	return nil, false
+	return nil, nil, false
 }
 
 // resolveStride fixes the automatic stride from the first observed

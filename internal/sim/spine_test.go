@@ -6,8 +6,10 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
 
+	"accord/internal/ckpt"
 	"accord/internal/core"
 	"accord/internal/workloads"
 )
@@ -151,11 +153,13 @@ func TestSpineLatticeStaleGeometry(t *testing.T) {
 }
 
 // TestSpineLatticeCorruptionFallsBackCold damages every file of a
-// populated lattice store two ways — byte flips and truncation — and
-// requires the resumed run to fall back to a fully cold run with zero
-// hits and an unchanged result. Together with the codec-level sweeps in
-// internal/ckpt, this is the end-to-end adversarial gate: no store damage
-// may panic or change simulation output.
+// populated lattice store three ways — byte flips, truncation, and a
+// byte flipped inside the snapshot body under a recomputed entry
+// checksum — and requires the resumed run to miss every boundary and
+// fall back to a fully cold run with an unchanged result. Together with
+// the codec-level sweeps in internal/ckpt, this is the end-to-end
+// adversarial gate: no store damage may panic or change simulation
+// output.
 func TestSpineLatticeCorruptionFallsBackCold(t *testing.T) {
 	const wlName = "libquantum"
 	cfg := parallelCases(2, false)[3] // banshee
@@ -187,8 +191,9 @@ func TestSpineLatticeCorruptionFallsBackCold(t *testing.T) {
 			t.Fatalf("populated lattice store holds no files")
 		}
 		res, js, state, work := runSampledWorkers(t, latticeCfg(cfg, dir), wl, wlName, 2)
-		if work.LatticeHits != 0 {
-			t.Errorf("corrupted lattice produced %d hits, want 0", work.LatticeHits)
+		if work.LatticeHits != 0 || work.LatticeMisses != work.Dispatched {
+			t.Errorf("corrupted lattice hit %d and missed %d of %d boundaries, want every one missed",
+				work.LatticeHits, work.LatticeMisses, work.Dispatched)
 		}
 		if !reflect.DeepEqual(coldRes, res) || !bytes.Equal(coldJS, js) || !bytes.Equal(coldState, state) {
 			t.Errorf("run against a corrupted lattice diverged from the cold run")
@@ -206,6 +211,134 @@ func TestSpineLatticeCorruptionFallsBackCold(t *testing.T) {
 	t.Run("truncated", func(t *testing.T) {
 		corrupt(t, func(b []byte) []byte { return b[:len(b)/2] })
 	})
+	// The shape FuzzLatticeEntry writes: the entry frame is valid, so only
+	// the snapshot's own checksum can tell its body was damaged. A load
+	// that checked the entry frame alone would restore the damaged state.
+	t.Run("reframed", func(t *testing.T) {
+		corrupt(t, func(b []byte) []byte {
+			const storeMagicLen = len("ACKPTST1")
+			entry := b[storeMagicLen : len(b)-4]
+			d := ckpt.NewDecoder(entry)
+			d.Raw(len("ACRDLATB") + 4) // magic, schema
+			d.Raw(int(d.U32()))        // fingerprint
+			d.Raw(4 + 8)               // interval, offset
+			n := d.Len(d.Remaining())
+			if d.Err() != nil || n != d.Remaining() || n < 5 {
+				t.Fatalf("unexpected entry layout: payload %d of %d bytes, err %v", n, d.Remaining(), d.Err())
+			}
+			body := entry[len(entry)-n : len(entry)-4]
+			body[len(body)/2] ^= 0x40
+			e := ckpt.NewEncoder(len(entry) + 4)
+			e.Raw(entry)
+			return append(b[:storeMagicLen:storeMagicLen], e.Finish()...)
+		})
+	})
+}
+
+// TestSpineLatticeEarlyStopCatchUp resumes early-stopped runs over a
+// stride-2 lattice, so the spine alternates hits with misses whose
+// catch-up restores the last hit's blob while the committer returns the
+// entry buffers of superseded, cancelled and discarded intervals to the
+// list the spine probes from. Every worker count must equal the cold
+// run; under -race (make race) it also proves the buffer hand-offs.
+func TestSpineLatticeEarlyStopCatchUp(t *testing.T) {
+	const wlName = "libquantum"
+	cfg := parallelCases(2, true)[1] // accord-2way, TargetCI 0.5
+	wl := traceWorkload(wlName, cfg)
+	coldRes, coldJS, coldState, _ := runSampledWorkers(t, cfg, wl, wlName, 1)
+
+	// Populate without early stopping (TargetCI is not in the key), so
+	// boundaries 0, 2 and 4 are all stored.
+	dir := t.TempDir()
+	strided := latticeCfg(cfg, dir)
+	strided.SpineStride = 2
+	full := strided
+	full.Sampling.TargetCI = 0
+	runSampledWorkers(t, full, wl, wlName, 1)
+
+	for _, workers := range []int{1, 2, 3} {
+		res, js, state, work := runSampledWorkers(t, strided, wl, wlName, workers)
+		if work.LatticeHits == 0 || work.LatticeMisses == 0 {
+			t.Errorf("workers=%d: hit %d and missed %d, want both a hit and a catch-up miss",
+				workers, work.LatticeHits, work.LatticeMisses)
+		}
+		if !reflect.DeepEqual(coldRes, res) || !bytes.Equal(coldJS, js) || !bytes.Equal(coldState, state) {
+			t.Errorf("workers=%d: early-stopped stride-2 resume diverged from cold", workers)
+		}
+	}
+}
+
+// TestSpineProbeKeepsLastBuffer pins the entry-buffer rule the stale
+// protocol relies on: after a hit the committer may return the hit's
+// buffer to the free list while the spine still needs its blob for the
+// next miss's catch-up restore, so a probe must not read into it.
+func TestSpineProbeKeepsLastBuffer(t *testing.T) {
+	const wlName = "libquantum"
+	cfg := latticeCfg(parallelCases(1, false)[1], t.TempDir())
+	wl := traceWorkload(wlName, cfg)
+	New(cfg, wl).Run(wlName)
+
+	sl := New(cfg, wl).openSpineLattice(wlName)
+	defer sl.close()
+	last, lastBuf, ok := sl.probe(0, nil)
+	if !ok {
+		t.Fatal("boundary 0 missed a populated lattice")
+	}
+	want := bytes.Clone(last)
+	sl.bufs.put(lastBuf) // returned by the committer, still the spine's last blob
+	blob, buf, ok := sl.probe(1, lastBuf)
+	if !ok {
+		t.Fatal("boundary 1 missed a populated lattice")
+	}
+	if buf == lastBuf || !bytes.Equal(last, want) {
+		t.Fatal("the probe of boundary 1 read into the last loaded boundary's buffer")
+	}
+	if bytes.Equal(blob, want) {
+		t.Fatal("boundaries 0 and 1 loaded the same snapshot")
+	}
+}
+
+// TestSpineLatticeResumeReusesBuffers bounds what a fully warm resume
+// allocates: its probes read into entry buffers the run recycles, so
+// over 48 boundaries it allocates less than half its boundaries' worth
+// of entry-sized memory in all. One new buffer per hit would alone
+// exceed the bound. It runs alone, so the process-wide allocation count
+// is the run's.
+func TestSpineLatticeResumeReusesBuffers(t *testing.T) {
+	const wlName = "libquantum"
+	const boundaries = 48
+	cfg := parallelCases(1, false)[1] // accord-2way
+	cfg.MeasureInstr = boundaries * cfg.Sampling.Period
+	cfg.SampleWorkers = 1
+	wl := traceWorkload(wlName, cfg)
+	dir := t.TempDir()
+	cfg = latticeCfg(cfg, dir)
+	New(cfg, wl).Run(wlName)
+
+	entries, err := os.ReadDir(dir)
+	if err != nil || len(entries) != boundaries {
+		t.Fatalf("populated lattice holds %d entries (%v), want %d", len(entries), err, boundaries)
+	}
+	info, err := entries[0].Info()
+	if err != nil {
+		t.Fatal(err)
+	}
+	entryBytes := uint64(info.Size())
+
+	s := New(cfg, wl)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	s.Run(wlName)
+	runtime.ReadMemStats(&after)
+	if work := s.SampleWork(); work.LatticeHits != boundaries || work.LatticeMisses != 0 {
+		t.Fatalf("resume hit %d and missed %d of %d boundaries", work.LatticeHits, work.LatticeMisses, boundaries)
+	}
+	alloc := after.TotalAlloc - before.TotalAlloc
+	if limit := boundaries * entryBytes / 2; alloc >= limit {
+		t.Errorf("fully warm resume allocated %d bytes, want < %d (half of %d boundaries × %d-byte entries)",
+			alloc, limit, boundaries, entryBytes)
+	}
+	t.Logf("fully warm resume of %d boundaries allocated %d bytes; one entry is %d bytes", boundaries, alloc, entryBytes)
 }
 
 // TestSpineLatticeStride pins the stride contract: SpineStride N saves

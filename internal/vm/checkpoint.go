@@ -40,7 +40,10 @@ func (s *System) Snapshot(e *ckpt.Encoder) {
 	}
 }
 
-// Restore replaces the VM system's state with a snapshot. On error the
+// Restore replaces the VM system's state with a snapshot. It decodes
+// the frame bitmap straight into the system's own and the page tables
+// into its own directories and leaf nodes, so a restore over a system
+// that already holds as many leaves allocates nothing. On error the
 // system is left in an unspecified state and must be discarded.
 func (s *System) Restore(d *ckpt.Decoder) error {
 	if v := d.U8(); d.Err() == nil && v != vmVersion {
@@ -60,18 +63,8 @@ func (s *System) Restore(d *ckpt.Decoder) error {
 	if err := s.rng.Restore(d); err != nil {
 		return err
 	}
-	used := make([]bool, len(s.used))
-	d.Bools(used)
-	if d.Err() == nil {
-		var pop uint64
-		for _, u := range used {
-			if u {
-				pop++
-			}
-		}
-		if pop != usedCount {
-			d.Failf("vm: frame bitmap population %d != usedCount %d", pop, usedCount)
-		}
+	if pop := uint64(d.Bools(s.used)); d.Err() == nil && pop != usedCount {
+		d.Failf("vm: frame bitmap population %d != usedCount %d", pop, usedCount)
 	}
 	if n := d.U32(); d.Err() == nil && int(n) != len(s.spaces) {
 		d.Failf("vm: snapshot has %d spaces, system has %d", n, len(s.spaces))
@@ -85,54 +78,84 @@ func (s *System) Restore(d *ckpt.Decoder) error {
 		if err := d.Err(); err != nil {
 			return err
 		}
-		dir := newPTDir()
-		leaves := make([]*ptLeaf, nLeaves)
-		for i := range leaves {
-			l := &ptLeaf{hi: d.U64()}
-			d.U64s(l.frames[:])
-			if err := d.Err(); err != nil {
-				return err
-			}
-			for j, f := range l.frames {
-				if f != 0 && f-1 >= s.numFrames {
-					d.Failf("vm: space %d leaf %#x page %d maps frame %d beyond %d frames",
-						si, l.hi, j, f-1, s.numFrames)
-					return d.Err()
-				}
-			}
-			if dir.find(l.hi) != nil {
-				d.Failf("vm: space %d has duplicate leaf %#x", si, l.hi)
-				return d.Err()
-			}
-			dir.insert(l)
-			leaves[i] = l
+		if err := sp.dir.restore(d, nLeaves, si, s.numFrames); err != nil {
+			return err
 		}
-		// The same leaf count grows the directory to the same size, and
-		// linear probing without deletion fills the same cells whatever
-		// the insertion order. Snapshot wrote the leaves in cell order, so
-		// handing them to the occupied cells in ascending order rebuilds
-		// the snapshotted layout. A blob with the leaves in any other
-		// order could leave one unreachable from its home cell; reject it.
-		next := 0
-		for c, l := range dir.leaves {
-			if l != nil {
-				dir.leaves[c] = leaves[next]
-				next++
-			}
-		}
-		for _, l := range leaves {
-			if dir.find(l.hi) != l {
-				d.Failf("vm: space %d leaf %#x is out of directory order", si, l.hi)
-				return d.Err()
-			}
-		}
-		sp.dir = dir
 		sp.mru = [mruWays]*ptLeaf{}
 		sp.mapped = int(mapped)
 	}
 	s.usedCount = usedCount
 	s.nextSeq = nextSeq
-	copy(s.used, used)
+	return nil
+}
+
+// leafRecordBytes is the encoded size of one page-table leaf: its high
+// VPN bits, then a frame word per page.
+const leafRecordBytes = 8 + 8*leafPages
+
+// restore decodes n leaves, written in directory cell order, into dir,
+// reusing its leaf nodes as copyFrom does. si and numFrames name the
+// space and bound its frames in errors.
+func (dir *ptDir) restore(d *ckpt.Decoder, n, si int, numFrames uint64) error {
+	// The same leaf count grows a directory to the same size whatever
+	// the insertion order, so it is sized once, for the leaves the input
+	// can hold: a corrupt count fails on the first missing leaf before it
+	// can drive a large allocation.
+	size := 8
+	for 2*min(n, d.Remaining()/leafRecordBytes) > size {
+		size *= 2
+	}
+	// leaves[i] takes snapshot leaf i: the directory's own nodes first.
+	leaves := dir.ownLeaves()
+	if len(dir.leaves) == size {
+		clear(dir.leaves)
+	} else {
+		dir.leaves = make([]*ptLeaf, size)
+	}
+	dir.mask, dir.used = uint64(size-1), 0
+	for i := 0; i < n; i++ {
+		if i == len(leaves) {
+			leaves = append(leaves, new(ptLeaf))
+		}
+		l := leaves[i]
+		l.hi = d.U64()
+		d.U64s(l.frames[:])
+		if err := d.Err(); err != nil {
+			return err
+		}
+		for j, f := range l.frames {
+			if f != 0 && f-1 >= numFrames {
+				d.Failf("vm: space %d leaf %#x page %d maps frame %d beyond %d frames",
+					si, l.hi, j, f-1, numFrames)
+				return d.Err()
+			}
+		}
+		if dir.find(l.hi) != nil {
+			d.Failf("vm: space %d has duplicate leaf %#x", si, l.hi)
+			return d.Err()
+		}
+		dir.insert(l)
+	}
+	// Linear probing without deletion fills the same cells whatever the
+	// insertion order. Snapshot wrote the leaves in cell order, so
+	// handing them to the occupied cells in ascending order rebuilds the
+	// snapshotted layout. A blob with the leaves in any other order could
+	// leave one unreachable from its home cell; reject it.
+	next := 0
+	for c, l := range dir.leaves {
+		if l != nil {
+			dir.leaves[c] = leaves[next]
+			next++
+		}
+	}
+	for _, l := range leaves[:n] {
+		if dir.find(l.hi) != l {
+			d.Failf("vm: space %d leaf %#x is out of directory order", si, l.hi)
+			return d.Err()
+		}
+	}
+	clear(leaves[:cap(leaves)])
+	dir.spare = leaves[:0]
 	return nil
 }
 

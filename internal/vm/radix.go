@@ -110,12 +110,7 @@ func (d *ptDir) grow() {
 // nodes, whatever pages they covered, and allocates only when src has
 // more leaves than d (or a differently sized table).
 func (d *ptDir) copyFrom(src *ptDir) {
-	spare := d.spare[:0]
-	for _, l := range d.leaves {
-		if l != nil {
-			spare = append(spare, l)
-		}
-	}
+	spare := d.ownLeaves()
 	if len(d.leaves) != len(src.leaves) {
 		d.leaves = make([]*ptLeaf, len(src.leaves))
 	}
@@ -139,6 +134,18 @@ func (d *ptDir) copyFrom(src *ptDir) {
 		spare = make([]*ptLeaf, 0, d.used)
 	}
 	d.spare = spare[:0]
+}
+
+// ownLeaves returns d's leaf nodes, in the storage of its spare list,
+// for a rebuild of d to reuse.
+func (d *ptDir) ownLeaves() []*ptLeaf {
+	nodes := d.spare[:0]
+	for _, l := range d.leaves {
+		if l != nil {
+			nodes = append(nodes, l)
+		}
+	}
+	return nodes
 }
 
 // leafSlow returns the leaf covering hi when the way-0 MRU check missed,
