@@ -64,8 +64,9 @@ bench-smoke:
 # panic. FuzzVMRestore and FuzzCacheRestore do the same for the VM
 # system and the DRAM cache's tag records over seeds of a few KB, and a
 # restore that succeeds must also be a Snapshot/Restore fixed point.
-# FuzzLatticeEntry mutates a lattice entry, re-framed the same way, and
-# Load must miss or fail, never panic. FuzzReadTrace mutates trace text,
+# FuzzLatticeEntry mutates a whole lattice entry file, so every mutation
+# reaches the header echo and the payload's CRC, and Load must miss or
+# fail, never panic. FuzzReadTrace mutates trace text,
 # and ReadTrace must fail or return events that survive a
 # WriteTrace/ReadTrace round trip. `go test ./...` runs only their
 # seeds. The minimizer is capped because a snapshot-sized input can hold

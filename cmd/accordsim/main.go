@@ -50,13 +50,13 @@ func main() {
 		spineStr   = flag.Int("spine-stride", 0, "with -sample and -checkpoint-dir: save every Nth interval boundary (0 = automatic from snapshot size, targeting ~128 KiB per period)")
 		ckptDir    = flag.String("checkpoint-dir", "", "checkpoint directory: an exact run restores its warmup/measure boundary from it, a sampled run its interval boundaries, when a matching checkpoint exists, and populates it otherwise (results are byte-identical either way)")
 		traceCache = flag.Bool("trace-cache", true, "record each workload stream once and replay it, sharing the recording with the -baseline run (ignored with -trace)")
-		ckptSchema = flag.Bool("ckpt-schema", false, "print the checkpoint schema ID (for cache keys) and exit")
+		ckptSchema = flag.Bool("ckpt-schema", false, "print the checkpoint format ID (for cache keys) and exit")
 		list       = flag.Bool("list", false, "list workloads and exit")
 	)
 	flag.Parse()
 
 	if *ckptSchema {
-		fmt.Println(sim.SnapshotSchemaID())
+		fmt.Println(sim.CheckpointFormatID())
 		return
 	}
 

@@ -1,6 +1,7 @@
 // Package ckpt provides the warm-state checkpoint substrate: a compact
-// binary codec every stateful component serializes itself through, and a
-// content-addressed on-disk store keyed by configuration digests.
+// binary codec every stateful component serializes itself through, and
+// the checkpoint lattice, content-addressed entry files in a directory
+// keyed by configuration digests.
 //
 // The codec is deliberately dumb — fixed-width little-endian fields, no
 // reflection, no per-field tags — because the checkpoint contract is

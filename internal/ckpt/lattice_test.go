@@ -4,29 +4,32 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"runtime"
+	"sync"
 	"testing"
 )
 
-func testLattice(t *testing.T, fp string) (*Lattice, *Store) {
+func testLattice(t *testing.T, fp string) (*Lattice, string) {
 	t.Helper()
-	store, err := Open(t.TempDir())
+	dir := t.TempDir()
+	lat, err := OpenLattice(dir, fp)
 	if err != nil {
-		t.Fatalf("open store: %v", err)
+		t.Fatalf("open lattice: %v", err)
 	}
-	return NewLattice(store, fp), store
+	return lat, dir
 }
 
-func saveEntry(t *testing.T, lat *Lattice, interval int, offset int64, payload []byte) {
+func saveEntry(t *testing.T, lat *Lattice, interval int, payload []byte) {
 	t.Helper()
-	if err := lat.SaveEntry(interval, offset, payload); err != nil {
+	if err := lat.SaveEntry(interval, payload); err != nil {
 		t.Fatalf("save entry: %v", err)
 	}
 }
 
-// hits reports whether lat's entry for (interval, offset) loads and
-// validates, the only outcome a caller treats as a hit.
-func hits(lat *Lattice, interval int, offset int64) bool {
-	_, ok, err := lat.Load(interval, offset, nil)
+// hits reports whether lat's entry for interval loads and validates, the
+// only outcome a caller treats as a hit.
+func hits(lat *Lattice, interval int) bool {
+	_, ok, err := lat.Load(interval, nil)
 	return ok && err == nil
 }
 
@@ -47,12 +50,11 @@ func TestLatticeRoundTrip(t *testing.T) {
 		3: latticePayload(257),
 		7: latticePayload(4096),
 	}
-	offset := func(k int) int64 { return int64(1000 + k*500) }
 	for k, p := range payloads {
-		saveEntry(t, lat, k, offset(k), p)
+		saveEntry(t, lat, k, p)
 	}
 	for k, p := range payloads {
-		got, ok, err := lat.Load(k, offset(k), nil)
+		got, ok, err := lat.Load(k, nil)
 		if !ok || err != nil {
 			t.Fatalf("load interval %d: ok=%t err=%v", k, ok, err)
 		}
@@ -64,52 +66,76 @@ func TestLatticeRoundTrip(t *testing.T) {
 
 func TestLatticeMissing(t *testing.T) {
 	lat, _ := testLattice(t, "fp-missing")
-	if _, ok, err := lat.Load(5, 500, nil); ok || err != nil {
+	if _, ok, err := lat.Load(5, nil); ok || err != nil {
 		t.Fatalf("load of missing entry = (%v, %v), want (false, nil)", ok, err)
 	}
 }
 
-// A fresh Lattice over the same store and fingerprint must see entries a
-// previous instance wrote — that is the cross-run memoization contract.
-func TestLatticeReopen(t *testing.T) {
-	store, err := Open(t.TempDir())
-	if err != nil {
-		t.Fatalf("open store: %v", err)
+// TestStoreRoundTrip checks one entry's store contract: a load before
+// the save misses without an error, and a load after it returns the
+// saved payload.
+func TestStoreRoundTrip(t *testing.T) {
+	lat, _ := testLattice(t, "fp-store")
+	if _, ok, err := lat.Load(0, nil); ok || err != nil {
+		t.Fatalf("load before save: ok=%v err=%v", ok, err)
 	}
+	p := latticePayload(16)
+	saveEntry(t, lat, 0, p)
+	got, ok, err := lat.Load(0, nil)
+	if err != nil || !ok {
+		t.Fatalf("load: ok=%v err=%v", ok, err)
+	}
+	if !bytes.Equal(got, p) {
+		t.Errorf("load = %x, want %x", got, p)
+	}
+}
+
+func TestOpenEmptyDir(t *testing.T) {
+	if _, err := OpenLattice("", "fp"); err == nil {
+		t.Error(`OpenLattice("") accepted`)
+	}
+}
+
+// A fresh Lattice over the same directory and fingerprint must see
+// entries a previous instance wrote — that is the cross-run memoization
+// contract.
+func TestLatticeReopen(t *testing.T) {
+	lat, dir := testLattice(t, "fp-reopen")
 	p := latticePayload(1024)
-	saveEntry(t, NewLattice(store, "fp-reopen"), 2, 2048, p)
-	got, ok, err := NewLattice(store, "fp-reopen").Load(2, 2048, nil)
+	saveEntry(t, lat, 2, p)
+	again, err := OpenLattice(dir, "fp-reopen")
+	if err != nil {
+		t.Fatalf("reopen lattice: %v", err)
+	}
+	got, ok, err := again.Load(2, nil)
 	if !ok || err != nil || !bytes.Equal(got, p) {
 		t.Fatalf("reopened load = (%d bytes, %v, %v), want hit with %d bytes", len(got), ok, err, len(p))
 	}
 }
 
-// Keys must separate fingerprints, intervals, and offsets: probing under
-// any other coordinate is a miss, never a wrong payload. This is the
-// stale-lattice guarantee — changing interval geometry changes the
-// offsets (and the fingerprint), so old entries become unreachable.
+// Keys must separate fingerprints and intervals: probing under any other
+// coordinate is a miss, never a wrong payload. This is the stale-lattice
+// guarantee — changing interval geometry changes the fingerprint, so old
+// entries become unreachable.
 func TestLatticeKeySeparation(t *testing.T) {
-	store, err := Open(t.TempDir())
-	if err != nil {
-		t.Fatalf("open store: %v", err)
-	}
-	lat := NewLattice(store, "fp-a")
-	saveEntry(t, lat, 1, 100, latticePayload(64))
-	if hits(lat, 2, 100) {
+	lat, dir := testLattice(t, "fp-a")
+	saveEntry(t, lat, 1, latticePayload(64))
+	if hits(lat, 2) {
 		t.Fatal("load with wrong interval hit")
 	}
-	if hits(lat, 1, 200) {
-		t.Fatal("load with wrong offset hit")
+	other, err := OpenLattice(dir, "fp-b")
+	if err != nil {
+		t.Fatalf("open lattice: %v", err)
 	}
-	if hits(NewLattice(store, "fp-b"), 1, 100) {
+	if hits(other, 1) {
 		t.Fatal("load with wrong fingerprint hit")
 	}
 }
 
 // entryFile locates the on-disk file behind one lattice entry.
-func entryFile(t *testing.T, store *Store, fp string, interval int, offset int64) string {
+func entryFile(t *testing.T, dir, fp string, interval int) string {
 	t.Helper()
-	p := filepath.Join(store.Dir(), LatticeEntryKey(fp, interval, offset)+".ckpt")
+	p := filepath.Join(dir, LatticeEntryKey(fp, interval)+".ckpt")
 	if _, err := os.Stat(p); err != nil {
 		t.Fatalf("entry file: %v", err)
 	}
@@ -120,9 +146,9 @@ func entryFile(t *testing.T, store *Store, fp string, interval int, offset int64
 // miss — no panic, no partial payload.
 func TestLatticeEntryTruncationSweep(t *testing.T) {
 	const fp = "fp-truncate"
-	lat, store := testLattice(t, fp)
-	saveEntry(t, lat, 0, 64, latticePayload(96))
-	path := entryFile(t, store, fp, 0, 64)
+	lat, dir := testLattice(t, fp)
+	saveEntry(t, lat, 0, latticePayload(96))
+	path := entryFile(t, dir, fp, 0)
 	full, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatalf("read entry: %v", err)
@@ -131,59 +157,41 @@ func TestLatticeEntryTruncationSweep(t *testing.T) {
 		if err := os.WriteFile(path, full[:n], 0o644); err != nil {
 			t.Fatalf("truncate to %d: %v", n, err)
 		}
-		if hits(lat, 0, 64) {
+		if hits(lat, 0) {
 			t.Fatalf("load hit on entry truncated to %d bytes", n)
 		}
 	}
 }
 
-// Flipping any single bit of the stored entry must produce a miss: the
-// wrapper CRC (or, for the trailing checksum bytes themselves, the CRC
-// comparison) catches every one-bit change.
+// Flipping any single bit of the stored entry must produce a miss: a
+// header bit fails the header's echo checks, and a payload bit, its CRC
+// word's included, fails the payload's own CRC-32C, which catches every
+// one-bit change.
 func TestLatticeEntryCorruptionSweep(t *testing.T) {
 	const fp = "fp-corrupt"
-	lat, store := testLattice(t, fp)
-	saveEntry(t, lat, 0, 64, latticePayload(48))
-	path := entryFile(t, store, fp, 0, 64)
+	lat, dir := testLattice(t, fp)
+	saveEntry(t, lat, 0, latticePayload(48))
+	path := entryFile(t, dir, fp, 0)
 	full, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatalf("read entry: %v", err)
 	}
 	for i := 0; i < len(full); i++ {
-		mut := append([]byte(nil), full...)
-		mut[i] ^= 0x10
-		if err := os.WriteFile(path, mut, 0o644); err != nil {
-			t.Fatalf("corrupt byte %d: %v", i, err)
-		}
-		if hits(lat, 0, 64) {
-			t.Fatalf("load hit with byte %d corrupted", i)
+		for bit := 0; bit < 8; bit++ {
+			mut := bytes.Clone(full)
+			mut[i] ^= 1 << bit
+			if err := os.WriteFile(path, mut, 0o644); err != nil {
+				t.Fatalf("corrupt byte %d: %v", i, err)
+			}
+			if hits(lat, 0) {
+				t.Fatalf("load hit with bit %d of byte %d flipped", bit, i)
+			}
 		}
 	}
 }
 
-// mutateEntry rewrites one entry file through a callback that edits the
-// store payload (after the store magic) and re-frames it with a valid
-// CRC, simulating structural damage that a checksum alone cannot catch.
-func mutateEntry(t *testing.T, store *Store, fp string, interval int, offset int64, edit func([]byte) []byte) {
-	t.Helper()
-	path := entryFile(t, store, fp, interval, offset)
-	full, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("read entry: %v", err)
-	}
-	body := full[len(storeMagic):]
-	d, err := NewDecoderChecked(body)
-	if err != nil {
-		t.Fatalf("reframe: %v", err)
-	}
-	inner := edit(append([]byte(nil), d.Raw(d.Remaining())...))
-	e := NewEncoder(len(inner))
-	e.Raw(inner)
-	if err := os.WriteFile(path, append([]byte(storeMagic), e.Finish()...), 0o644); err != nil {
-		t.Fatalf("rewrite entry: %v", err)
-	}
-}
-
+// TestLatticeEntryStructuralMismatch edits the entry file's header and
+// length, or replaces the file, and requires a miss.
 func TestLatticeEntryStructuralMismatch(t *testing.T) {
 	const fp = "fp-structural"
 	cases := []struct {
@@ -201,36 +209,49 @@ func TestLatticeEntryStructuralMismatch(t *testing.T) {
 		}},
 		{"payload length overflow", func(b []byte) []byte {
 			// The payload-length u32 precedes the payload: magic + schema +
-			// fp string (4 + len) + interval u32 + offset i64 + length u32.
-			pos := len(latticeEntryMagic) + 4 + 4 + len(fp) + 4 + 8
+			// fp string (4 + len) + interval u32 + length u32.
+			pos := len(latticeEntryMagic) + 4 + 4 + len(fp) + 4
 			b[pos]++
 			return b
 		}},
 		{"payload truncated under length", func(b []byte) []byte {
 			return b[:len(b)-1]
 		}},
+		{"trailing byte", func(b []byte) []byte {
+			return append(b, 0)
+		}},
 		{"fingerprint swap", func(b []byte) []byte {
 			// The fingerprint string body starts after magic+schema+len.
 			b[len(latticeEntryMagic)+4+4] ^= 0xFF
 			return b
 		}},
+		{"foreign file", func([]byte) []byte {
+			return []byte("not a checkpoint")
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			lat, store := testLattice(t, fp)
-			saveEntry(t, lat, 0, 64, latticePayload(32))
-			mutateEntry(t, store, fp, 0, 64, tc.edit)
-			if hits(lat, 0, 64) {
-				t.Fatal("load hit on structurally damaged entry")
+			lat, dir := testLattice(t, fp)
+			saveEntry(t, lat, 0, latticePayload(32))
+			path := entryFile(t, dir, fp, 0)
+			full, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatalf("read entry: %v", err)
+			}
+			if err := os.WriteFile(path, tc.edit(full), 0o644); err != nil {
+				t.Fatalf("rewrite entry: %v", err)
+			}
+			if _, ok, err := lat.Load(0, nil); ok || err == nil {
+				t.Fatalf("load of a structurally damaged entry = (%v, %v), want a miss with an error", ok, err)
 			}
 		})
 	}
 }
 
-// TestLatticePayloadChecksum pins the second frame Load checks: an entry
-// whose own frame is intact but whose payload is not a well-framed
-// Encoder.Finish blob (a damaged body under a recomputed entry CRC, or a
-// payload too short to hold a CRC) must miss.
+// TestLatticePayloadChecksum pins the one checksum Load checks: an entry
+// whose header is intact but whose payload is not a well-framed
+// Encoder.Finish blob (a damaged body or CRC word, or a payload too
+// short to hold a CRC) must miss.
 func TestLatticePayloadChecksum(t *testing.T) {
 	const fp = "fp-payload-crc"
 	for _, tc := range []struct {
@@ -252,57 +273,135 @@ func TestLatticePayloadChecksum(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			lat, _ := testLattice(t, fp)
-			saveEntry(t, lat, 0, 64, tc.payload)
-			if hits(lat, 0, 64) {
+			saveEntry(t, lat, 0, tc.payload)
+			if hits(lat, 0) {
 				t.Fatal("load hit on an entry whose payload fails its own checksum")
 			}
 		})
 	}
 }
 
+// TestStoreLoadIntoBuffer checks that Load reads into the caller's
+// buffer when the file fits, replaces it when the file does not, leaves
+// no bytes of an earlier, longer entry in a later one, and leaves the
+// buffer alone on a miss.
+func TestStoreLoadIntoBuffer(t *testing.T) {
+	lat, _ := testLattice(t, "fp-into-buffer")
+	long, short := latticePayload(10_000), latticePayload(5)
+	saveEntry(t, lat, 0, long)
+	saveEntry(t, lat, 1, short)
+	buf := make([]byte, 0, 16)
+	got, ok, err := lat.Load(0, &buf)
+	if err != nil || !ok || !bytes.Equal(got, long) {
+		t.Fatalf("load into a small buffer: ok=%v err=%v len=%d", ok, err, len(got))
+	}
+	if cap(buf) < len(long) {
+		t.Fatalf("buffer not grown: cap %d", cap(buf))
+	}
+	grown := &buf[:1][0]
+	got, ok, err = lat.Load(1, &buf)
+	if err != nil || !ok || !bytes.Equal(got, short) {
+		t.Fatalf("load into a large buffer: ok=%v err=%v got %x", ok, err, got)
+	}
+	if &buf[:1][0] != grown || &got[len(got)-1] != &buf[len(buf)-1] {
+		t.Fatal("load of an entry that fits did not read into the caller's buffer")
+	}
+	before := cap(buf)
+	if _, ok, err := lat.Load(2, &buf); ok || err != nil || cap(buf) != before || &buf[:1][0] != grown {
+		t.Fatalf("load of a missing entry into a buffer: ok=%v err=%v cap %d -> %d", ok, err, before, cap(buf))
+	}
+}
+
 // TestLatticeLoadReusesBuffer checks that loads into one buffer return
-// each entry's payload intact and, once the buffer holds the largest,
-// reuse it.
+// each entry's payload intact, as a slice of that buffer, and once the
+// buffer holds the largest, reuse it; a miss leaves it alone.
 func TestLatticeLoadReusesBuffer(t *testing.T) {
 	lat, _ := testLattice(t, "fp-reuse")
 	sizes := []int{4096, 100, 4000, 0}
 	for k, n := range sizes {
-		saveEntry(t, lat, k, int64(k), latticePayload(n))
+		saveEntry(t, lat, k, latticePayload(n))
 	}
 	var buf []byte
 	for round := 0; round < 2; round++ {
 		for k, n := range sizes {
 			before := cap(buf)
-			got, ok, err := lat.Load(k, int64(k), &buf)
+			got, ok, err := lat.Load(k, &buf)
 			if !ok || err != nil {
 				t.Fatalf("round %d: load %d: ok=%t err=%v", round, k, ok, err)
 			}
 			if !bytes.Equal(got, latticePayload(n)) {
 				t.Fatalf("round %d: load %d: payload mismatch", round, k)
 			}
+			if &got[len(got)-1] != &buf[len(buf)-1] {
+				t.Fatalf("round %d: load %d did not read into the caller's buffer", round, k)
+			}
 			if (round > 0 || k > 0) && cap(buf) != before {
 				t.Fatalf("round %d: load %d regrew the buffer from %d to %d bytes", round, k, before, cap(buf))
 			}
 		}
 	}
+	before := cap(buf)
+	if _, ok, err := lat.Load(len(sizes), &buf); ok || err != nil || cap(buf) != before {
+		t.Fatalf("load of a missing entry into a buffer: ok=%v err=%v cap %d -> %d", ok, err, before, cap(buf))
+	}
+}
+
+// TestLatticeConcurrentSaves saves and loads one entry from eight
+// goroutines at once: every load must see a whole entry, never a torn
+// one.
+func TestLatticeConcurrentSaves(t *testing.T) {
+	lat, _ := testLattice(t, "fp-concurrent")
+	p := latticePayload(1 << 16)
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < 20; j++ {
+				if err := lat.SaveEntry(3, p); err != nil {
+					t.Errorf("save: %v", err)
+					return
+				}
+				got, ok, err := lat.Load(3, nil)
+				if err != nil || !ok || !bytes.Equal(got, p) {
+					t.Errorf("load mid-write: ok=%v err=%v len=%d", ok, err, len(got))
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// TestSaveEntryDoesNotCopyPayload bounds what saving a 4 MiB payload
+// allocates: the header and the temp file, not a framed copy.
+func TestSaveEntryDoesNotCopyPayload(t *testing.T) {
+	lat, _ := testLattice(t, "fp-save-alloc")
+	p := latticePayload(4 << 20)
+	saveEntry(t, lat, 0, p)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	saveEntry(t, lat, 0, p)
+	runtime.ReadMemStats(&after)
+	if n := after.TotalAlloc - before.TotalAlloc; n >= 64<<10 {
+		t.Fatalf("saving a %d-byte payload allocated %d bytes, want under 64 KiB", len(p), n)
+	}
 }
 
 // BenchmarkLatticeProbe measures the warm-run fast path: one validated
-// lattice lookup (store read, both CRC frames in one pass, header echo)
-// at a spine-snapshot-sized payload, read into one reused buffer as the
+// lattice lookup (file read, header echo, the payload's CRC pass) at a
+// spine-snapshot-sized payload, read into one reused buffer as the
 // spine reads its probes. This is the per-boundary cost a fully-warm
 // resumed run pays instead of the functional fast-forward it memoizes.
 func BenchmarkLatticeProbe(b *testing.B) {
-	store, err := Open(b.TempDir())
+	lat, err := OpenLattice(b.TempDir(), "fp-bench")
 	if err != nil {
-		b.Fatalf("open store: %v", err)
+		b.Fatalf("open lattice: %v", err)
 	}
-	const fp = "fp-bench"
 	const intervals = 8
 	payload := latticePayload(128 << 10)
-	lat := NewLattice(store, fp)
 	for k := 0; k < intervals; k++ {
-		if err := lat.SaveEntry(k, int64(k*1000), payload); err != nil {
+		if err := lat.SaveEntry(k, payload); err != nil {
 			b.Fatalf("save: %v", err)
 		}
 	}
@@ -310,8 +409,7 @@ func BenchmarkLatticeProbe(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		k := i % intervals
-		if _, ok, err := lat.Load(k, int64(k*1000), &buf); !ok || err != nil {
+		if _, ok, err := lat.Load(i%intervals, &buf); !ok || err != nil {
 			b.Fatalf("load missed a populated boundary: %v", err)
 		}
 	}

@@ -178,8 +178,11 @@ func (t *regionTable) snapshot(e *ckpt.Encoder) {
 	}
 }
 
-// restore rebuilds the table by re-inserting the pairs LRU-first, which
-// reproduces the exact recency order.
+// restore rebuilds the table in place, in its own slot and index
+// arrays, by re-inserting the pairs LRU-first, which reproduces the exact
+// recency order. A restore that fails partway leaves the table holding
+// the pairs read so far; the caller discards the policy, as on any failed
+// Restore.
 func (t *regionTable) restore(d *ckpt.Decoder, ways int) error {
 	if v := d.U8(); d.Err() == nil && v != regionTabVersion {
 		d.Failf("core: region table snapshot version %d, want %d", v, regionTabVersion)
@@ -191,7 +194,8 @@ func (t *regionTable) restore(d *ckpt.Decoder, ways int) error {
 	if err := d.Err(); err != nil {
 		return err
 	}
-	fresh := newRegionTable(t.cap)
+	clear(t.probe)
+	t.head, t.tail, t.used, t.memo = -1, -1, 0, -1
 	for i := 0; i < n; i++ {
 		region := d.U64()
 		way := d.U8()
@@ -201,13 +205,12 @@ func (t *regionTable) restore(d *ckpt.Decoder, ways int) error {
 		if err := d.Err(); err != nil {
 			return err
 		}
-		if fresh.findSlot(memtypes.RegionID(region)) >= 0 {
+		if t.findSlot(memtypes.RegionID(region)) >= 0 {
 			d.Failf("core: region table has duplicate region %#x", region)
 			return d.Err()
 		}
-		fresh.insert(memtypes.RegionID(region), int(way))
+		t.insert(memtypes.RegionID(region), int(way))
 	}
-	*t = *fresh
 	return nil
 }
 

@@ -163,6 +163,40 @@ func TestRegionTableRestoreRejectsDuplicates(t *testing.T) {
 	}
 }
 
+// TestRegionTableRestoreInPlace restores a table's snapshot over a table
+// of the same capacity that holds other entries: none of them may
+// survive, the result must snapshot to the source's bytes, and the
+// restore must allocate nothing but the decoder it is handed.
+func TestRegionTableRestoreInPlace(t *testing.T) {
+	src, dst := newRegionTable(64), newRegionTable(64)
+	for i := 0; i < 200; i++ {
+		src.insert(memtypes.RegionID(i%90), i%2)
+		dst.insert(memtypes.RegionID(1000+i%70), 1-i%2)
+	}
+	e := ckpt.NewEncoder(0)
+	src.snapshot(e)
+	blob := e.Finish()
+	restore := func() {
+		if err := dst.restore(ckpt.NewDecoder(blob[:len(blob)-4]), 2); err != nil {
+			t.Fatalf("restore: %v", err)
+		}
+	}
+	restore()
+	for r := 1000; r < 1070; r++ {
+		if _, ok := dst.lookup(memtypes.RegionID(r)); ok {
+			t.Fatalf("region %#x of the table restored over survived the restore", r)
+		}
+	}
+	e = ckpt.NewEncoder(0)
+	dst.snapshot(e)
+	if string(e.Finish()) != string(blob) {
+		t.Fatal("Snapshot(restored) != Snapshot(source)")
+	}
+	if avg := testing.AllocsPerRun(20, restore); avg > 1 {
+		t.Fatalf("restore allocated %.1f times per call, want only its decoder", avg)
+	}
+}
+
 // copier is the in-memory fork method every bundled policy has.
 type copier interface{ CopyFrom(Policy) error }
 

@@ -26,10 +26,20 @@ const snapshotMagic = "ACRDSNAP"
 // never alias the new format.
 const SnapshotSchema = 3
 
-// SnapshotSchemaID returns a stable identifier for the snapshot schema,
-// used by CI to key the checkpoint-store cache.
+// SnapshotSchemaID returns a stable identifier for the snapshot schema.
+// It opens every warm fingerprint, so its text is part of the snapshot
+// bytes; CheckpointFormatID extends it for cache keys.
 func SnapshotSchemaID() string {
 	return fmt.Sprintf("accord-ckpt-v%d", SnapshotSchema)
+}
+
+// CheckpointFormatID names every version a checkpoint directory's
+// contents depend on: the snapshot schema, the lattice entry format and
+// the spine keying protocol. CI keys its cached directories on it, so a
+// change to any of the three starts an empty cache instead of restoring
+// a stale one that every run would then miss.
+func CheckpointFormatID() string {
+	return fmt.Sprintf("%s-lattice%d-spine%d", SnapshotSchemaID(), ckpt.LatticeSchema, spineLatticeVersion)
 }
 
 // AppendStateFields appends to b, as |-separated label=value pairs in a
@@ -248,24 +258,22 @@ func readHeader(d *ckpt.Decoder, fp string) {
 
 // runExact is Run's exact path. With Config.SpineCheckpointDir set, the
 // warm state is boundary 0 of a one-entry ckpt.Lattice keyed by
-// WarmFingerprint, its offset the warmup budget: the same entry, framing
-// and echo checks as a sampled run's spine boundaries, both checksums
-// verified by the load. A hit restores it and skips warmup; a miss
-// warms up cold and saves it. Any checkpoint problem (a damaged entry,
-// a foreign or stale one, a policy that cannot snapshot, an unusable
-// directory) degrades to a cold run, which re-saves; a restore that
-// fails midway rebuilds the system first.
-// SampleWork reports the probe as one lattice hit or one miss.
+// WarmFingerprint: the same entry format and echo checks as a sampled
+// run's spine boundaries, the snapshot's checksum verified by the load.
+// A hit restores it and skips warmup; a miss warms up cold and saves it.
+// Any checkpoint problem (a damaged entry, a foreign or stale one, a
+// policy that cannot snapshot, an unusable directory) degrades to a cold
+// run, which re-saves; a restore that fails midway rebuilds the system
+// first. SampleWork reports the probe as one lattice hit or one miss.
 func (s *System) runExact(wlName string) Result {
-	// Open rejects an empty directory, so a run without one starts here.
-	store, err := ckpt.Open(s.cfg.SpineCheckpointDir)
+	// OpenLattice rejects an empty directory, so a run without one starts
+	// here.
+	lat, err := ckpt.OpenLattice(s.cfg.SpineCheckpointDir, s.WarmFingerprint(wlName))
 	if err != nil {
 		s.RunWarmup()
 		return s.RunMeasure(wlName)
 	}
-	lat := ckpt.NewLattice(store, s.WarmFingerprint(wlName))
-	warm := s.adaptiveBudget(warmFactor, s.cfg.WarmupInstr)
-	if blob, ok, err := lat.Load(0, warm, nil); err == nil && ok {
+	if blob, ok, err := lat.Load(0, nil); err == nil && ok {
 		if s.restore(ckpt.NewDecoderVerified(blob), wlName) == nil {
 			s.work.LatticeHits = 1
 			return s.RunMeasure(wlName)
@@ -275,8 +283,9 @@ func (s *System) runExact(wlName string) Result {
 	s.work.LatticeMisses = 1
 	s.RunWarmup()
 	if blob, err := s.Snapshot(wlName); err == nil {
-		// Best-effort: a full disk or read-only store must not fail the run.
-		_ = lat.SaveEntry(0, warm, blob)
+		// Best-effort: a full disk or read-only directory must not fail the
+		// run.
+		_ = lat.SaveEntry(0, blob)
 	}
 	return s.RunMeasure(wlName)
 }

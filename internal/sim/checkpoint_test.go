@@ -2,10 +2,13 @@ package sim
 
 import (
 	"encoding/json"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"accord/internal/ckpt"
@@ -102,12 +105,30 @@ func storeRun(cfg Config, wl workloads.Workload, dir, wlName string) (Result, Sa
 	return res, s.SampleWork()
 }
 
-// warmEntryKey is the store key of cfg's exact warm-state entry: boundary
-// 0 of the one-entry lattice keyed by WarmFingerprint, at the warmup
-// budget's offset.
+// warmEntryKey is the entry key of cfg's exact warm-state entry:
+// boundary 0 of the one-entry lattice keyed by WarmFingerprint.
 func warmEntryKey(cfg Config, wl workloads.Workload, wlName string) string {
-	s := New(cfg, wl)
-	return ckpt.LatticeEntryKey(s.WarmFingerprint(wlName), 0, s.adaptiveBudget(warmFactor, cfg.WarmupInstr))
+	return ckpt.LatticeEntryKey(New(cfg, wl).WarmFingerprint(wlName), 0)
+}
+
+// TestCheckpointFormatIDNamesEveryVersion: CI keys its cached checkpoint
+// directories on CheckpointFormatID, so it must move with the snapshot
+// schema, the lattice entry format and the spine keying version alike.
+func TestCheckpointFormatIDNamesEveryVersion(t *testing.T) {
+	id := CheckpointFormatID()
+	if !strings.HasPrefix(id, SnapshotSchemaID()+"-") {
+		t.Errorf("format ID %q does not extend the snapshot schema ID %q", id, SnapshotSchemaID())
+	}
+	fields := strings.Split(id, "-")
+	for _, want := range []string{
+		fmt.Sprintf("v%d", SnapshotSchema),
+		fmt.Sprintf("lattice%d", ckpt.LatticeSchema),
+		fmt.Sprintf("spine%d", spineLatticeVersion),
+	} {
+		if !slices.Contains(fields, want) {
+			t.Errorf("format ID %q does not name %s", id, want)
+		}
+	}
 }
 
 // TestRunWithStoreBitIdentical exercises the full store path: the first
@@ -348,19 +369,18 @@ func TestRunWithStoreCorruptFallsBackCold(t *testing.T) {
 	base := New(cfg, wl).Run(wlName)
 	key := warmEntryKey(cfg, wl, wlName)
 	fp := New(cfg, wl).WarmFingerprint(wlName)
-	warm := New(cfg, wl).adaptiveBudget(warmFactor, cfg.WarmupInstr)
 
-	// relabel saves payload as an entry echoing (fp, interval, offset)
-	// and moves it under this config's warm key.
-	relabel := func(t *testing.T, dir, fp string, interval int, offset int64, payload []byte) {
-		store, err := ckpt.Open(dir)
+	// relabel saves payload as an entry echoing (fp, interval) and moves
+	// it under this config's warm key.
+	relabel := func(t *testing.T, dir, fp string, interval int, payload []byte) {
+		lat, err := ckpt.OpenLattice(dir, fp)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := ckpt.NewLattice(store, fp).SaveEntry(interval, offset, payload); err != nil {
+		if err := lat.SaveEntry(interval, payload); err != nil {
 			t.Fatal(err)
 		}
-		from := filepath.Join(dir, ckpt.LatticeEntryKey(fp, interval, offset)+".ckpt")
+		from := filepath.Join(dir, ckpt.LatticeEntryKey(fp, interval)+".ckpt")
 		if err := os.Rename(from, filepath.Join(dir, key+".ckpt")); err != nil {
 			t.Fatal(err)
 		}
@@ -397,15 +417,11 @@ func TestRunWithStoreCorruptFallsBackCold(t *testing.T) {
 		}},
 		{"foreign-fingerprint", func(t *testing.T, dir string, _ []byte) []byte {
 			ofp, oblob := other(t)
-			relabel(t, dir, ofp, 0, warm, oblob)
+			relabel(t, dir, ofp, 0, oblob)
 			return nil
 		}},
 		{"interval-echo", func(t *testing.T, dir string, _ []byte) []byte {
-			relabel(t, dir, fp, 1, warm, snapshot(t))
-			return nil
-		}},
-		{"offset-echo", func(t *testing.T, dir string, _ []byte) []byte {
-			relabel(t, dir, fp, 0, warm+1, snapshot(t))
+			relabel(t, dir, fp, 1, snapshot(t))
 			return nil
 		}},
 		{"restore-fails", func(t *testing.T, dir string, _ []byte) []byte {
@@ -414,7 +430,7 @@ func TestRunWithStoreCorruptFallsBackCold(t *testing.T) {
 			blob := snapshot(t)
 			e := ckpt.NewEncoder(len(blob))
 			e.Raw(blob[:len(blob)-4-16])
-			relabel(t, dir, fp, 0, warm, e.Finish())
+			relabel(t, dir, fp, 0, e.Finish())
 			return nil
 		}},
 	} {

@@ -25,9 +25,10 @@ import (
 // populating the lattice costs a cold run almost no wall-clock.
 
 // spineLatticeVersion versions the spine keying protocol itself (what
-// the fingerprint covers, how offsets are computed). Bump it alongside
-// incompatible driver changes; SnapshotSchema already covers payload
-// encoding changes through WarmFingerprint.
+// the fingerprint covers and which boundaries it names). Bump it
+// alongside incompatible driver changes; SnapshotSchema already covers
+// payload encoding changes through WarmFingerprint, and
+// ckpt.LatticeSchema the entry format.
 //
 // Version 2: multi-core spines interleave cores by funcRoundQuantum for
 // every stream kind and hierarchy mode. Version 1 stepped one event per
@@ -61,26 +62,16 @@ func (s *System) SpineFingerprint(wlName string) string {
 		sc.Period, sc.WarmLen, sc.DetailLen, funcRoundQuantum)
 }
 
-// SpineKey returns the content-addressed store key of interval boundary
-// k's snapshot — SHA-256 over the spine fingerprint, the interval
-// number, and the boundary's nominal instruction offset.
+// SpineKey returns the content-addressed entry key of interval boundary
+// k's snapshot — SHA-256 over the spine fingerprint and the interval
+// number. The fingerprint fixes every boundary's position (the warmup
+// budget and the interval geometry), so the interval names it.
 func (s *System) SpineKey(wlName string, interval int) string {
-	return ckpt.LatticeEntryKey(s.SpineFingerprint(wlName), interval, s.spineOffset(interval))
-}
-
-// spineOffset is boundary k's nominal per-core instruction offset:
-// warmup, then the first functional leg, then k full periods. Actual
-// core positions may overshoot each target by a fraction of an event's
-// instruction gap; the offset is keying material (a pure function of
-// the geometry), and the exact positions live inside the snapshot.
-func (s *System) spineOffset(interval int) int64 {
-	sc := s.cfg.Sampling
-	warm := s.adaptiveBudget(warmFactor, s.cfg.WarmupInstr)
-	return warm + (sc.Period - sc.WarmLen - sc.DetailLen) + int64(interval)*sc.Period
+	return ckpt.LatticeEntryKey(s.SpineFingerprint(wlName), interval)
 }
 
 // validSnapshot reports whether blob, a payload ckpt.Lattice.Load has
-// verified (the entry's CRC frame and the snapshot's own), carries a
+// verified (the entry's header echo and the snapshot's own CRC), carries a
 // snapshot header for fingerprint fp: magic, schema, and the embedded
 // fingerprint. This is the probe-side gate that makes the lattice
 // restore paths safe to run against live systems: with the load's
@@ -100,22 +91,16 @@ func validSnapshot(blob []byte, fp string) bool {
 // spineSaveReq is one boundary snapshot queued for the background writer.
 type spineSaveReq struct {
 	interval int
-	offset   int64
 	blob     []byte
 }
 
 // spineLattice is RunSampled's handle on the lattice: probe/save logic,
 // stride resolution, hit/miss accounting, and the background writer.
 // Probes and saves happen on the spine (one goroutine); only the writer
-// runs concurrently, and it exclusively owns the store I/O.
+// runs concurrently, and it exclusively owns the entry writes.
 type spineLattice struct {
 	lat    *ckpt.Lattice
 	warmFP string
-	// base and period reproduce spineOffset without touching the live
-	// system: base is boundary 0's nominal offset (warmup plus the first
-	// functional leg).
-	base   int64
-	period int64
 	// stride saves every stride-th boundary. Config.SpineStride > 0 is
 	// explicit; 0 resolves automatically from the first snapshot's size
 	// (ceil(len/spineSaveGranule)) so huge full-scale blobs thin out and
@@ -136,22 +121,20 @@ type spineLattice struct {
 }
 
 // openSpineLattice opens the configured lattice for a sampled run, or
-// returns nil (lattice disabled) when no directory is configured or the
-// store cannot be opened — an unusable store degrades to a plain cold
+// returns nil (lattice disabled) when no directory is configured or it
+// cannot be created — an unusable directory degrades to a plain cold
 // run, never an error.
 func (s *System) openSpineLattice(wlName string) *spineLattice {
 	if s.cfg.SpineCheckpointDir == "" {
 		return nil
 	}
-	store, err := ckpt.Open(s.cfg.SpineCheckpointDir)
+	lat, err := ckpt.OpenLattice(s.cfg.SpineCheckpointDir, s.SpineFingerprint(wlName))
 	if err != nil {
 		return nil
 	}
 	sl := &spineLattice{
-		lat:    ckpt.NewLattice(store, s.SpineFingerprint(wlName)),
+		lat:    lat,
 		warmFP: s.WarmFingerprint(wlName),
-		base:   s.spineOffset(0),
-		period: s.cfg.Sampling.Period,
 		stride: s.cfg.SpineStride,
 		bufs:   freeList[*[]byte]{build: func() *[]byte { return new([]byte) }},
 		saves:  make(chan spineSaveReq, 4),
@@ -166,7 +149,7 @@ func (s *System) openSpineLattice(wlName string) *spineLattice {
 // hit; a miss returns the buffer to the list at once. It never reads
 // into last, the buffer behind the spine's last loaded boundary: the
 // stale protocol restores from it on the next miss, and the committer
-// may already have returned it to the list. Every store- or codec-level
+// may already have returned it to the list. Every entry- or codec-level
 // failure is a miss. A nil receiver (lattice disabled) always misses
 // without counting, so the spine calls it unconditionally.
 func (sl *spineLattice) probe(interval int, last *[]byte) ([]byte, *[]byte, bool) {
@@ -179,7 +162,7 @@ func (sl *spineLattice) probe(interval int, last *[]byte) ([]byte, *[]byte, bool
 		sl.bufs.put(buf)
 		buf = other
 	}
-	payload, ok, err := sl.lat.Load(interval, sl.offsetOf(interval), buf)
+	payload, ok, err := sl.lat.Load(interval, buf)
 	if ok && err == nil && validSnapshot(payload, sl.warmFP) {
 		sl.resolveStride(len(payload))
 		sl.hits++
@@ -216,23 +199,17 @@ func (sl *spineLattice) saveAsync(interval int, blob []byte) {
 	if interval%sl.stride != 0 {
 		return
 	}
-	sl.saves <- spineSaveReq{interval: interval, offset: sl.offsetOf(interval), blob: blob}
-}
-
-// offsetOf mirrors System.spineOffset using the captured geometry (the
-// writer must not touch the live system).
-func (sl *spineLattice) offsetOf(interval int) int64 {
-	return sl.base + int64(interval)*sl.period
+	sl.saves <- spineSaveReq{interval: interval, blob: blob}
 }
 
 // writer drains the save queue, persisting each boundary best-effort in
-// one store write: a full disk or read-only store loses memoization,
+// one entry write: a full disk or read-only directory loses memoization,
 // never the run.
 func (sl *spineLattice) writer() {
 	defer close(sl.done)
 	for req := range sl.saves {
 		t0 := time.Now()
-		_ = sl.lat.SaveEntry(req.interval, req.offset, req.blob)
+		_ = sl.lat.SaveEntry(req.interval, req.blob)
 		sl.saveNS += int64(time.Since(t0))
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"runtime"
 	"testing"
 
-	"accord/internal/ckpt"
 	"accord/internal/core"
 	"accord/internal/workloads"
 )
@@ -153,9 +152,9 @@ func TestSpineLatticeStaleGeometry(t *testing.T) {
 }
 
 // TestSpineLatticeCorruptionFallsBackCold damages every file of a
-// populated lattice store three ways — byte flips, truncation, and a
-// byte flipped inside the snapshot body under a recomputed entry
-// checksum — and requires the resumed run to miss every boundary and
+// populated lattice three ways — a byte flipped inside the snapshot,
+// truncation, and a byte flipped in the header's echoed fingerprint —
+// and requires the resumed run to miss every boundary and
 // fall back to a fully cold run with an unchanged result. Together with
 // the codec-level sweeps in internal/ckpt, this is the end-to-end
 // adversarial gate: no store damage may panic or change simulation
@@ -211,26 +210,14 @@ func TestSpineLatticeCorruptionFallsBackCold(t *testing.T) {
 	t.Run("truncated", func(t *testing.T) {
 		corrupt(t, func(b []byte) []byte { return b[:len(b)/2] })
 	})
-	// The shape FuzzLatticeEntry writes: the entry frame is valid, so only
-	// the snapshot's own checksum can tell its body was damaged. A load
-	// that checked the entry frame alone would restore the damaged state.
-	t.Run("reframed", func(t *testing.T) {
+	// The header carries no checksum: its echoed fingerprint alone must
+	// reject a damaged one.
+	t.Run("header", func(t *testing.T) {
 		corrupt(t, func(b []byte) []byte {
-			const storeMagicLen = len("ACKPTST1")
-			entry := b[storeMagicLen : len(b)-4]
-			d := ckpt.NewDecoder(entry)
-			d.Raw(len("ACRDLATB") + 4) // magic, schema
-			d.Raw(int(d.U32()))        // fingerprint
-			d.Raw(4 + 8)               // interval, offset
-			n := d.Len(d.Remaining())
-			if d.Err() != nil || n != d.Remaining() || n < 5 {
-				t.Fatalf("unexpected entry layout: payload %d of %d bytes, err %v", n, d.Remaining(), d.Err())
-			}
-			body := entry[len(entry)-n : len(entry)-4]
-			body[len(body)/2] ^= 0x40
-			e := ckpt.NewEncoder(len(entry) + 4)
-			e.Raw(entry)
-			return append(b[:storeMagicLen:storeMagicLen], e.Finish()...)
+			// The fingerprint's first byte follows the magic, the schema and
+			// the fingerprint's length.
+			b[len("ACRDLATB")+4+4] ^= 0x40
+			return b
 		})
 	})
 }
