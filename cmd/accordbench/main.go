@@ -42,7 +42,6 @@ func manifestConfig(p exp.Params, experiment string) map[string]interface{} {
 		"sample_ci":      p.Sampling.TargetCI,
 		"sample_workers": p.SampleWorkers,
 		"checkpoint_dir": p.CheckpointDir,
-		"spine_stride":   p.SpineStride,
 	}
 }
 
@@ -61,8 +60,7 @@ func main() {
 		sample     = flag.Int64("sample", 0, "interval-sampling period in instructions per core (0 = exact detailed runs); sampled tables are estimates whose CIs go to -metrics-out")
 		ci         = flag.Float64("ci", 0.05, "with -sample: stop each run early once its IPC estimate's relative CI half-width reaches this (0 = run every planned interval)")
 		sampleWkrs = flag.Int("sample-workers", 0, "with -sample: worker goroutines per simulation running detailed windows off the functional spine (0 = GOMAXPROCS; 1 runs the same pipeline with one worker; results are identical at any setting)")
-		spineStr   = flag.Int("spine-stride", 0, "with -sample and -checkpoint-dir: save every Nth interval boundary (0 = automatic from snapshot size)")
-		ckptDir    = flag.String("checkpoint-dir", "", "checkpoint directory shared by every design point: exact points restore their warm state from it and sampled points their interval boundaries, when stored, and populate it otherwise (results are byte-identical either way)")
+		ckptDir    = flag.String("checkpoint-dir", "", "checkpoint directory shared by every design point: exact points restore their warm state from it and sampled points their functionally warmed boundary 0, when stored, and populate it otherwise (results are byte-identical either way)")
 		traceCache = flag.Bool("trace-cache", true, "share one recording of each workload stream across every design point instead of re-generating it per run")
 		traceMB    = flag.Int64("trace-cache-mb", 0, "trace cache byte budget in MiB (0 = default)")
 		list       = flag.Bool("list", false, "list experiments and exit")
@@ -131,7 +129,6 @@ func main() {
 		}
 		p.Sampling = sc
 		p.SampleWorkers = *sampleWkrs
-		p.SpineStride = *spineStr
 	}
 
 	var todo []exp.Experiment

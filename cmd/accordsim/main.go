@@ -47,8 +47,7 @@ func main() {
 		sample     = flag.Int64("sample", 0, "interval-sampling period in instructions per core (0 = exact detailed run); each period is mostly functional fast-forward with a short detailed measured window, and results carry Student-t confidence intervals")
 		ci         = flag.Float64("ci", 0.05, "with -sample: stop early once the IPC estimate's relative CI half-width reaches this (0 = run every planned interval)")
 		sampleWkrs = flag.Int("sample-workers", 0, "with -sample: worker goroutines running detailed windows off the functional spine (0 = GOMAXPROCS; 1 runs the same pipeline with one worker; results are identical at any setting)")
-		spineStr   = flag.Int("spine-stride", 0, "with -sample and -checkpoint-dir: save every Nth interval boundary (0 = automatic from snapshot size, targeting ~128 KiB per period)")
-		ckptDir    = flag.String("checkpoint-dir", "", "checkpoint directory: an exact run restores its warmup/measure boundary from it, a sampled run its interval boundaries, when a matching checkpoint exists, and populates it otherwise (results are byte-identical either way)")
+		ckptDir    = flag.String("checkpoint-dir", "", "checkpoint directory: an exact run restores its warmup/measure boundary from it, a sampled run its functionally warmed boundary 0, when a matching checkpoint exists, and populates it otherwise (results are byte-identical either way)")
 		traceCache = flag.Bool("trace-cache", true, "record each workload stream once and replay it, sharing the recording with the -baseline run (ignored with -trace)")
 		ckptSchema = flag.Bool("ckpt-schema", false, "print the checkpoint format ID (for cache keys) and exit")
 		list       = flag.Bool("list", false, "list workloads and exit")
@@ -90,7 +89,6 @@ func main() {
 		sc.TargetCI = *ci
 		cfg.Sampling = sc
 		cfg.SampleWorkers = *sampleWkrs
-		cfg.SpineStride = *spineStr
 		cfg.DisableAdaptiveBudgets = true
 	} else {
 		cfg.EpochInstr = epochInstr(*epoch, *metricsOut != "", cfg)
@@ -166,7 +164,6 @@ func main() {
 		base.Sampling = cfg.Sampling
 		base.SampleWorkers = cfg.SampleWorkers
 		base.SpineCheckpointDir = cfg.SpineCheckpointDir
-		base.SpineStride = cfg.SpineStride
 		// When wl.Source is set, sim.New asks it for fresh streams: a
 		// trace replays from event zero, and the trace cache's cursors
 		// replay the recordings the main run just produced (the baseline

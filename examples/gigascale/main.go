@@ -8,24 +8,23 @@
 // It runs the same sampled simulation four times: on one worker
 // (SampleWorkers=1), on a worker pool that executes the detailed
 // windows concurrently off the functional spine, then twice more
-// against a spine checkpoint lattice. The populating run probes every
-// interval boundary, misses, and saves every stride-th boundary
-// snapshot in the background; its wall-clock against the plain parallel
-// run is the population overhead. The automatic stride keeps about
-// 128 KiB of snapshot per period, and at full scale one boundary's tag
-// records alone are 576 MiB, so only boundary 0, the warm state, is
-// saved. The resumed run restores the saved boundaries and
-// fast-forwards from them to the rest; at full scale its wall-clock
-// against the populating run is what skipping the functional warmup
-// and the first leg buys. All four produce byte-identical results by
-// construction; the example checks that too.
+// against a checkpoint directory. The populating run probes every
+// interval boundary, misses, and saves boundary 0, the state after
+// functional warmup, in line; at full scale its tag records alone are
+// 576 MiB. Its wall-clock against the plain parallel run is the cost of
+// that one save. The resumed run restores boundary 0 instead of warming
+// up and computes the rest, forking each boundary to the workers in
+// memory as the plain runs do; its wall-clock against the populating
+// run is what skipping the functional warmup buys. All four produce
+// byte-identical results by construction; the example checks that
+// too.
 //
 // Expect roughly a gigabyte of resident memory (per live fork). The
 // windows are fixed (adaptive sizing is disabled) so the instruction
 // budget is exactly what is configured. Pass -quick for a scaled-down
-// smoke run, -workers to size the pool, -spine-dir to keep the lattice
-// across invocations (so a second invocation starts from the saved
-// boundaries).
+// smoke run, -workers to size the pool, -spine-dir to keep the
+// checkpoint directory across invocations (so a second invocation
+// starts from the saved boundary 0).
 //
 //	go run ./examples/gigascale
 //	go run ./examples/gigascale -workers 8
@@ -47,7 +46,7 @@ import (
 func main() {
 	workers := flag.Int("workers", 8, "detailed-window worker goroutines for the parallel run")
 	quick := flag.Bool("quick", false, "scaled-down smoke run (seconds instead of minutes)")
-	spineDir := flag.String("spine-dir", "", "spine checkpoint lattice directory (empty = a temp directory deleted on exit)")
+	spineDir := flag.String("spine-dir", "", "checkpoint directory (empty = a temp directory deleted on exit)")
 	flag.Parse()
 
 	cfg := accord.ACCORD(2)
@@ -147,13 +146,11 @@ func main() {
 		fmt.Println("  results identical to the one-worker run: yes")
 	}
 
-	// Third leg: memoize the functional spine through the checkpoint
-	// lattice. The populating run misses every boundary it probes and
-	// saves the ones the stride selects (on a background writer, so the
-	// overhead should be a few percent). The resumed run hits the saved
-	// boundaries and fast-forwards the rest from the last hit, so the
-	// spine shrinks only by the spans the saved boundaries cover: at
-	// full scale, the functional warmup and the first leg.
+	// Third leg: memoize the functional warmup through the checkpoint
+	// directory. The populating run misses every boundary it probes and
+	// saves boundary 0 in line, so its overhead is that one snapshot and
+	// write. The resumed run hits boundary 0 and fast-forwards the rest
+	// from it, so the spine shrinks by the functional warmup alone.
 	dir := *spineDir
 	if dir == "" {
 		tmp, err := os.MkdirTemp("", "accord-spine")
@@ -163,9 +160,9 @@ func main() {
 		defer os.RemoveAll(tmp)
 		dir = tmp
 	}
-	fmt.Printf("lattice-populating run (%d workers, spine checkpoints to %s)...\n", *workers, dir)
+	fmt.Printf("lattice-populating run (%d workers, boundary 0 to %s)...\n", *workers, dir)
 	popRes, popWork, popT := run(*workers, dir)
-	fmt.Printf("  %.1fs wall — %.1f%% over the plain parallel run (%d lattice misses; %.1fs of background writes)\n",
+	fmt.Printf("  %.1fs wall — %.1f%% over the plain parallel run (%d lattice misses; %.1fs saving)\n",
 		popT.Seconds(), 100*(popT.Seconds()-parT.Seconds())/parT.Seconds(),
 		popWork.LatticeMisses, popWork.SpineSaveTime.Seconds())
 

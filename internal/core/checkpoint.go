@@ -94,8 +94,7 @@ func (p *PartialTagPolicy) Restore(d *ckpt.Decoder) error {
 		return err
 	}
 	tags := d.Raw(len(p.tags))
-	live := make([]bool, len(p.live))
-	d.Bools(live)
+	d.Bools(p.live)
 	if err := d.Err(); err != nil {
 		return err
 	}
@@ -107,7 +106,6 @@ func (p *PartialTagPolicy) Restore(d *ckpt.Decoder) error {
 		}
 	}
 	copy(p.tags, tags)
-	copy(p.live, live)
 	return nil
 }
 

@@ -275,3 +275,25 @@ func TestPolicyCopyFromRejectsMismatch(t *testing.T) {
 		}
 	}
 }
+
+// TestPartialTagRestoreInPlace: a partial-tag restore decodes into the
+// policy's own tag and live arrays, so it allocates nothing beyond its
+// decoder, however large the L4.
+func TestPartialTagRestoreInPlace(t *testing.T) {
+	geom := Geometry{Sets: 1 << 12, Ways: 4}
+	src, dst := NewPartialTag(geom, 4, 1), NewPartialTag(geom, 4, 2)
+	exercise(src, 5000, 11)
+	blob := policySnapshot(src)
+	restore := func() {
+		if err := dst.Restore(ckpt.NewDecoder([]byte(blob[:len(blob)-4]))); err != nil {
+			t.Fatalf("restore: %v", err)
+		}
+	}
+	restore()
+	if policySnapshot(dst) != blob {
+		t.Fatal("Snapshot(restored) != Snapshot(source)")
+	}
+	if avg := testing.AllocsPerRun(20, restore); avg > 1 {
+		t.Fatalf("restore allocated %.1f times per call, want only its decoder", avg)
+	}
+}

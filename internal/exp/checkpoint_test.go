@@ -125,7 +125,7 @@ func TestSessionCorruptStoreFallsBack(t *testing.T) {
 	s := ckptSession(dir, nil)
 	s.Run(cfg, goldenWorkload)
 
-	files, err := filepath.Glob(filepath.Join(dir, "*.ckpt"))
+	files, err := filepath.Glob(filepath.Join(dir, sim.CheckpointFormatID(), "*.ckpt"))
 	if err != nil || len(files) == 0 {
 		t.Fatalf("no checkpoints written: files=%v err=%v", files, err)
 	}
@@ -179,9 +179,10 @@ func TestSessionBadCheckpointDir(t *testing.T) {
 
 // TestWarmSweepRestoresEveryPoint runs a small sweep three times, exact
 // and sampled: without a checkpoint directory, populating one, and over
-// it. The warm sweep must render the cold sweep's tables and report
-// every design point warm, since one directory now holds the exact
-// points' warm states and the sampled points' spine boundaries alike.
+// it. The warm sweep must render the cold sweep's tables. Its exact
+// points restore their warm states and report warm. Its sampled points
+// restore boundary 0, the one boundary a sampled point saves, and
+// compute the rest, so they report ran.
 func TestWarmSweepRestoresEveryPoint(t *testing.T) {
 	cfgs := goldenCases()[:3]
 	sweep := Experiment{ID: "warm-sweep", Run: func(s *Session) []*stats.Table {
@@ -197,7 +198,7 @@ func TestWarmSweepRestoresEveryPoint(t *testing.T) {
 	for _, sampled := range []bool{false, true} {
 		t.Run(fmt.Sprintf("sampled=%t", sampled), func(t *testing.T) {
 			dir := t.TempDir()
-			render := func(dir string) (string, string) {
+			render := func(dir string) (string, string, sim.SampleWork) {
 				var log bytes.Buffer
 				p := goldenParams()
 				p.CheckpointDir = dir
@@ -205,17 +206,17 @@ func TestWarmSweepRestoresEveryPoint(t *testing.T) {
 				p.Progress = &log
 				if sampled {
 					p.Sampling = sim.SamplingConfig{Period: 10_000, DetailLen: 2_000, WarmLen: 1_000, MinIntervals: 2}
-					p.SpineStride = 1
 				}
+				s := NewSession(p)
 				var out strings.Builder
-				for _, tb := range NewSession(p).RunExperiment(sweep) {
+				for _, tb := range s.RunExperiment(sweep) {
 					out.WriteString(tb.Render())
 				}
-				return out.String(), log.String()
+				return out.String(), log.String(), s.SampleWorkTotals()
 			}
-			cold, _ := render("")
-			populated, popLog := render(dir)
-			warm, warmLog := render(dir)
+			cold, _, _ := render("")
+			populated, popLog, _ := render(dir)
+			warm, warmLog, work := render(dir)
 			if populated != cold || warm != cold {
 				t.Errorf("tables differ across checkpoint states:\ncold:\n%s\npopulating:\n%s\nwarm:\n%s", cold, populated, warm)
 			}
@@ -223,8 +224,16 @@ func TestWarmSweepRestoresEveryPoint(t *testing.T) {
 			if n := strings.Count(popLog, " ran "); n != points {
 				t.Errorf("populating sweep ran %d of %d points cold:\n%s", n, points, popLog)
 			}
-			if n := strings.Count(warmLog, " warm "); n != points {
-				t.Errorf("warm sweep restored %d of %d points:\n%s", n, points, warmLog)
+			verb := " warm "
+			if sampled {
+				verb = " ran "
+				if work.LatticeHits != points || work.LatticeMisses != work.Dispatched-points {
+					t.Errorf("warm sweep hit %d and missed %d of %d boundaries, want boundary 0 of each of %d points",
+						work.LatticeHits, work.LatticeMisses, work.Dispatched, points)
+				}
+			}
+			if n := strings.Count(warmLog, verb); n != points {
+				t.Errorf("warm sweep reported %d of %d points%s:\n%s", n, points, verb, warmLog)
 			}
 		})
 	}

@@ -50,7 +50,7 @@ type Params struct {
 	// simulation in the session shares (sim.Config.SpineCheckpointDir):
 	// an exact design point restores its warmup/measure boundary from it
 	// instead of re-simulating warmup, and a sampled one its spine's
-	// interval boundaries instead of fast-forwarding; misses run cold and
+	// boundary 0, the state after functional warmup; misses run cold and
 	// populate it. Entries are content-addressed by fingerprint, so repeat
 	// points — across sessions, or sweeps varying only measurement knobs —
 	// reuse each other's work. Restored runs are byte-identical to cold
@@ -95,11 +95,6 @@ type Params struct {
 	// session warmed at one worker count serves another without
 	// recomputation.
 	SampleWorkers int
-
-	// SpineStride sets sim.Config.SpineStride for sampled runs: how many
-	// interval boundaries apart lattice saves land in CheckpointDir
-	// (0 = automatic from snapshot size).
-	SpineStride int
 }
 
 // parallelism returns the effective worker count.
@@ -213,7 +208,6 @@ func (s *Session) apply(cfg sim.Config) sim.Config {
 		// SamplingConfig.validate for why these are rejected).
 		cfg.Sampling = s.p.Sampling
 		cfg.SampleWorkers = s.p.SampleWorkers
-		cfg.SpineStride = s.p.SpineStride
 		cfg.DisableAdaptiveBudgets = true
 		cfg.EpochInstr = 0
 	}
@@ -290,7 +284,8 @@ func (s *Session) SampleWorkTotals() sim.SampleWork {
 // progress emits one serialized line per completed simulation. The verb
 // slot distinguishes runs that simulated anything ("ran ") from ones that
 // restored every checkpoint they probed ("warm"): an exact point's warm
-// state, or each interval boundary of a sampled point's spine.
+// state. A sampled point restores only its boundary 0 and computes the
+// rest, so it reports "ran " unless it has one interval.
 func (s *Session) progress(worker int, cfg, workload string, r sim.Result, restored bool, took time.Duration) {
 	if s.p.Progress == nil {
 		return

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"path/filepath"
 
 	"accord/internal/ckpt"
 	"accord/internal/cpu"
@@ -40,6 +41,17 @@ func SnapshotSchemaID() string {
 // a stale one that every run would then miss.
 func CheckpointFormatID() string {
 	return fmt.Sprintf("%s-lattice%d-spine%d", SnapshotSchemaID(), ckpt.LatticeSchema, spineLatticeVersion)
+}
+
+// checkpointDir is the subdirectory of SpineCheckpointDir named by
+// CheckpointFormatID that holds this format's entries, or "" without a
+// checkpoint directory. A format bump therefore starts an empty sibling,
+// and the old format's entries stay where they are, unread.
+func (c Config) checkpointDir() string {
+	if c.SpineCheckpointDir == "" {
+		return ""
+	}
+	return filepath.Join(c.SpineCheckpointDir, CheckpointFormatID())
 }
 
 // AppendStateFields appends to b, as |-separated label=value pairs in a
@@ -258,8 +270,9 @@ func readHeader(d *ckpt.Decoder, fp string) {
 
 // runExact is Run's exact path. With Config.SpineCheckpointDir set, the
 // warm state is boundary 0 of a one-entry ckpt.Lattice keyed by
-// WarmFingerprint: the same entry format and echo checks as a sampled
-// run's spine boundaries, the snapshot's checksum verified by the load.
+// WarmFingerprint, in the directory's format subdirectory: the same entry
+// format and echo checks as a sampled run's spine boundaries, the
+// snapshot's checksum verified by the load.
 // A hit restores it and skips warmup; a miss warms up cold and saves it.
 // Any checkpoint problem (a damaged entry, a foreign or stale one, a
 // policy that cannot snapshot, an unusable directory) degrades to a cold
@@ -268,7 +281,7 @@ func readHeader(d *ckpt.Decoder, fp string) {
 func (s *System) runExact(wlName string) Result {
 	// OpenLattice rejects an empty directory, so a run without one starts
 	// here.
-	lat, err := ckpt.OpenLattice(s.cfg.SpineCheckpointDir, s.WarmFingerprint(wlName))
+	lat, err := ckpt.OpenLattice(s.cfg.checkpointDir(), s.WarmFingerprint(wlName))
 	if err != nil {
 		s.RunWarmup()
 		return s.RunMeasure(wlName)

@@ -111,6 +111,10 @@ func warmEntryKey(cfg Config, wl workloads.Workload, wlName string) string {
 	return ckpt.LatticeEntryKey(New(cfg, wl).WarmFingerprint(wlName), 0)
 }
 
+// formatDir is the subdirectory of checkpoint directory dir that holds
+// this format's entries.
+func formatDir(dir string) string { return filepath.Join(dir, CheckpointFormatID()) }
+
 // TestCheckpointFormatIDNamesEveryVersion: CI keys its cached checkpoint
 // directories on CheckpointFormatID, so it must move with the snapshot
 // schema, the lattice entry format and the spine keying version alike.
@@ -358,6 +362,39 @@ func TestRestoreRejectsTrailingBytes(t *testing.T) {
 	}
 }
 
+// TestCheckpointDirKeepsOldLayout: entries live in the checkpoint
+// directory's format subdirectory, so an entry at the top level, where
+// directories written before the subdirectory existed hold theirs, is
+// neither read nor removed. The first run misses and saves in the
+// subdirectory, the next restores, and both match a run without a
+// directory.
+func TestCheckpointDirKeepsOldLayout(t *testing.T) {
+	const wlName = "libquantum"
+	cfg := ckptCases()[0]
+	wl := workloads.MustGet(wlName, cfg.Cores)
+	dir := t.TempDir()
+	storeRun(cfg, wl, dir, wlName)
+	name := warmEntryKey(cfg, wl, wlName) + ".ckpt"
+	old := filepath.Join(dir, name)
+	if err := os.Rename(filepath.Join(formatDir(dir), name), old); err != nil {
+		t.Fatal(err)
+	}
+
+	want := New(cfg, wl).Run(wlName)
+	for i, probe := range []SampleWork{{LatticeMisses: 1}, {LatticeHits: 1}} {
+		got, work := storeRun(cfg, wl, dir, wlName)
+		if work.LatticeHits != probe.LatticeHits || work.LatticeMisses != probe.LatticeMisses {
+			t.Errorf("run %d over the old layout probed %+v, want %+v", i, work, probe)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("run %d over the old layout diverged from plain Run", i)
+		}
+	}
+	if _, err := os.Stat(old); err != nil {
+		t.Errorf("the old layout's entry is gone: %v", err)
+	}
+}
+
 // TestRunWithStoreCorruptFallsBackCold damages the stored warm entry
 // every way the checkpoint layer must survive. Each time the next run
 // must reject the entry, fall back to a cold run with the identical
@@ -373,15 +410,15 @@ func TestRunWithStoreCorruptFallsBackCold(t *testing.T) {
 	// relabel saves payload as an entry echoing (fp, interval) and moves
 	// it under this config's warm key.
 	relabel := func(t *testing.T, dir, fp string, interval int, payload []byte) {
-		lat, err := ckpt.OpenLattice(dir, fp)
+		lat, err := ckpt.OpenLattice(formatDir(dir), fp)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if err := lat.SaveEntry(interval, payload); err != nil {
 			t.Fatal(err)
 		}
-		from := filepath.Join(dir, ckpt.LatticeEntryKey(fp, interval)+".ckpt")
-		if err := os.Rename(from, filepath.Join(dir, key+".ckpt")); err != nil {
+		from := filepath.Join(formatDir(dir), ckpt.LatticeEntryKey(fp, interval)+".ckpt")
+		if err := os.Rename(from, filepath.Join(formatDir(dir), key+".ckpt")); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -439,7 +476,7 @@ func TestRunWithStoreCorruptFallsBackCold(t *testing.T) {
 			if _, work := storeRun(cfg, wl, dir, wlName); work.LatticeMisses != 1 {
 				t.Fatalf("populating run probed %+v, want one miss", work)
 			}
-			path := filepath.Join(dir, key+".ckpt")
+			path := filepath.Join(formatDir(dir), key+".ckpt")
 			entry, err := os.ReadFile(path)
 			if err != nil {
 				t.Fatalf("warm entry missing: %v", err)

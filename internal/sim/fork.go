@@ -8,14 +8,16 @@ import (
 	"accord/internal/dramcache"
 )
 
-// In-memory interval forks (DESIGN.md §12.1). Without a spine lattice
-// the boundary state a sampled run hands its workers never leaves the
+// In-memory interval forks (DESIGN.md §12.1). The boundary state a
+// sampled run computes and hands its workers never needs to leave the
 // process, so encoding it (Snapshot) and decoding it (Restore) is wasted
 // work. Instead the spine copies the live system into a pooled holder
 // System, and a worker copies the holder into its own fork. Each
 // component copies into the destination's existing buffers, leaving it
 // exactly as a restore of the source's snapshot would, so the two fork
-// paths give byte-identical results (TestForkCopyMatchesRestore).
+// paths give byte-identical results (TestForkCopyMatchesRestore). The
+// codec carries only the blobs a run holds: lattice hits, and every
+// boundary of a system that cannot copy itself.
 
 // l4Copier is the optional in-memory fork method of an L4 backend (every
 // bundled organization has one, see dramcache/copy.go). It is not part
@@ -77,46 +79,50 @@ type freeList[T any] struct {
 	free []T
 }
 
-// forkPlan decides, once per sampled run, how boundaries reach the
-// workers: as in-memory copies through the returned pool, or as
-// snapshot blobs when the pool is nil. A run with a spine lattice always
-// uses blobs, since its spine must encode every boundary it computes for
-// the save, and lattice hits arrive as bytes. The lattice needs
-// snapshots, so a system that cannot take them runs without it. A system
-// that can neither copy nor snapshot its state cannot fork at all, and
-// forkPlan panics naming the components that failed both trials.
+// forkPlan returns the run's lattice and its pool of boundary holders.
+// Whether a boundary reaches the workers as an in-memory copy depends on
+// the system alone, with or without a lattice: the spine copies every
+// boundary it computes into a holder from the pool, snapshots a boundary
+// only to save it, and hands the workers a snapshot blob instead when
+// the pool is nil (an L4 without a copy method) or the run's first copy,
+// its trial, fails (a stream or policy without one). The pool builds
+// nothing until the spine first asks, so a fully warm resume, which
+// computes no boundary, builds no holder.
+//
+// The lattice needs snapshots, so a system that cannot take them runs
+// without it and must copy: its trial copy runs here, before any work,
+// and a system that can neither copy nor snapshot its state panics
+// naming the components that failed both trials.
 func (s *System) forkPlan(wlName string) (*spineLattice, *freeList[*System]) {
+	pool := s.holderPool()
 	snapErr := s.writeState(ckpt.NewMeasurer(), s.WarmFingerprint(wlName))
 	if snapErr == nil {
-		if lat := s.openSpineLattice(wlName); lat != nil {
-			return lat, nil
+		return s.openSpineLattice(wlName), pool
+	}
+	copyErr := fmt.Errorf("sim: L4 backend %T does not support copying", s.l4)
+	if pool != nil {
+		h := pool.get()
+		if copyErr = h.copyFunctionalFrom(s); copyErr == nil {
+			pool.put(h)
+			return nil, pool
 		}
 	}
-	pool, copyErr := s.newHolderPool()
-	if pool == nil && snapErr != nil {
-		panic(fmt.Sprintf("sim: sampled run cannot fork its intervals: copy: %v; snapshot: %v", copyErr, snapErr))
-	}
-	return nil, pool
+	panic(fmt.Sprintf("sim: sampled run cannot fork its intervals: copy: %v; snapshot: %v", copyErr, snapErr))
 }
 
-// newHolderPool returns a pool when every component can copy its state
-// in memory, or the error that shows one cannot. The first holder takes
-// a trial copy of the live system; a stream or policy without a copy
-// method makes it fail. An L4 without one is caught before any holder is
-// built.
-func (s *System) newHolderPool() (*freeList[*System], error) {
+// holderPool returns an empty pool of boundary holders, or nil when the
+// L4 cannot copy itself, so that a run that can never copy builds no
+// holder.
+func (s *System) holderPool() *freeList[*System] {
 	if _, ok := s.l4.(l4Copier); !ok {
-		return nil, fmt.Errorf("sim: L4 backend %T does not support copying", s.l4)
+		return nil
 	}
 	cfg, wl := s.cfg, s.wl
-	p := &freeList[*System]{build: func() *System { return New(cfg, wl) }}
-	h := p.get()
-	if err := h.copyFunctionalFrom(s); err != nil {
-		return nil, err
-	}
-	p.put(h)
-	return p, nil
+	return &freeList[*System]{build: func() *System { return newHolder(cfg, wl) }}
 }
+
+// newHolder builds a boundary holder; a test counts its calls.
+var newHolder = New
 
 // get returns a free value, building one when none is free (always,
 // under the forceFreshForkSystems test hook).

@@ -134,8 +134,9 @@ func (p nonCopyingPolicy) RegisterMetrics(r *metrics.Registry, prefix string) {
 // TestMemoryForks pins which fork each sampled run uses. The
 // benchmark's kind of run (nway + ACCORD, flat hierarchy, trace-cache
 // cursors, two workers) hands every boundary over as a copy, and so does
-// a one-worker run, on one core and on two; a run with a spine lattice
-// and one with a policy that cannot copy itself use the codec. Every
+// a one-worker run, on one core and on two. A run with a checkpoint
+// directory copies every boundary it computes, populating or resumed; a
+// run with a policy that cannot copy itself uses the codec. Every
 // two-core run gives the same Result.
 func TestMemoryForks(t *testing.T) {
 	const wlName = "libquantum"
@@ -173,20 +174,28 @@ func TestMemoryForks(t *testing.T) {
 
 	lattice := cfg
 	lattice.SpineCheckpointDir = t.TempDir()
+	for _, hits := range []int{0, 1} {
+		res, work := run(lattice)
+		if work.LatticeHits != hits || work.Dispatched == 0 || work.MemoryForks != work.LatticeMisses {
+			t.Errorf("lattice run %d: hits %d, memory_forks %d, lattice_misses %d, dispatched %d; want every computed boundary copied",
+				hits, work.LatticeHits, work.MemoryForks, work.LatticeMisses, work.Dispatched)
+		}
+		if !reflect.DeepEqual(res, want) {
+			t.Errorf("lattice run %d: Result differs from the run without a directory", hits)
+		}
+	}
+
 	custom := cfg
 	custom.Policy = func(g core.Geometry, seed int64) core.Policy {
 		p := core.NewACCORD(core.DefaultACCORD(g, seed))
 		return nonCopyingPolicy{Policy: p, acc: p}
 	}
-	for name, c := range map[string]Config{"lattice": lattice, "non-copying policy": custom} {
-		res, work := run(c)
-		if work.MemoryForks != 0 || work.Dispatched == 0 {
-			t.Errorf("%s: memory_forks %d, dispatched %d; want a codec-forked run", name, work.MemoryForks, work.Dispatched)
-		}
-		res.Config, want.Config = "", ""
-		if !reflect.DeepEqual(res, want) {
-			t.Errorf("%s: Result differs from the copy-forked run", name)
-		}
+	res, work := run(custom)
+	if work.MemoryForks != 0 || work.Dispatched == 0 {
+		t.Errorf("non-copying policy: memory_forks %d, dispatched %d; want a codec-forked run", work.MemoryForks, work.Dispatched)
+	}
+	if !reflect.DeepEqual(res, want) {
+		t.Errorf("non-copying policy: Result differs from the copy-forked run")
 	}
 }
 

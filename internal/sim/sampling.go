@@ -544,9 +544,10 @@ func (st *sampleState) commit(r *intervalResult) (stop bool) {
 // state, since then no interval can be forked.
 //
 // Config.SpineCheckpointDir additionally memoizes the spine through the
-// checkpoint lattice (spine.go, DESIGN.md §14): boundary snapshots are
-// saved in the background and probed on later runs, so a warm re-run
-// replaces the functional fast-forward with restores. Warmup itself is
+// checkpoint lattice (spine.go, DESIGN.md §14): the spine saves boundary
+// 0 (every Config.SpineStride-th boundary when set) in line, and later
+// runs probe every boundary, so a re-run replaces warmup, and with a
+// stride the functional fast-forward, with restores. Warmup itself is
 // driven lazily by the drivers — a lattice hit at boundary 0 skips it
 // entirely, since warmup's effects are inside the restored snapshot.
 func (s *System) RunSampled(wlName string) Result {
@@ -571,7 +572,6 @@ func (s *System) RunSampled(wlName string) Result {
 	s.work = SampleWork{Workers: workers}
 	s.runSampledParallel(st, workers, lat, pool)
 	if lat != nil {
-		lat.close()
 		s.work.SpineSaveTime = time.Duration(lat.saveNS)
 		s.work.LatticeHits = lat.hits
 		s.work.LatticeMisses = lat.misses
@@ -603,8 +603,8 @@ func (s *System) finishSampled(st *sampleState, wlName string) Result {
 		if last.holder != nil {
 			err = s.copyFunctionalFrom(last.holder)
 		} else {
-			// Verified earlier in the run: by the lattice load or by the
-			// worker's Restore.
+			// A lattice hit, verified by its load, or a snapshot this
+			// process encoded.
 			err = s.restore(ckpt.NewDecoderVerified(last.blob), st.wlName)
 		}
 		if err != nil {

@@ -13,8 +13,8 @@ import (
 // the live system and advances it functionally, period by period. At
 // each interval boundary it resets the canonical interval-start state
 // and hands the boundary to a worker pool, as a pooled in-memory copy
-// (fork.go) or, when the run has a spine lattice or a component cannot
-// copy itself, as a Snapshot blob. Each worker copies or
+// (fork.go) or, when a component cannot copy itself or the boundary is
+// a lattice hit, as a Snapshot blob. Each worker copies or
 // restores the boundary into its own fork System and runs the detailed
 // warm+measured legs there. Results are committed strictly in interval
 // order on the caller's goroutine, so the observation sequence — and
@@ -53,25 +53,24 @@ type SampleWork struct {
 	Committed  int
 	Discarded  int
 	// SpineTime is time spent on the spine: functional warmup and
-	// advances, boundary snapshot/restore, and lattice probes. DetailTime
-	// is the total detailed simulation time across all workers (it can
-	// exceed WallTime when workers overlap); WallTime covers all of
-	// RunSampled.
+	// advances, boundary copies, snapshots and restores, and lattice
+	// probes and saves. DetailTime is the total detailed simulation time
+	// across all workers (it can exceed WallTime when workers overlap);
+	// WallTime covers all of RunSampled.
 	SpineTime  time.Duration
 	DetailTime time.Duration
 	WallTime   time.Duration
 	// MemoryForks counts dispatched intervals whose boundary was handed
 	// to the worker as an in-memory copy rather than a snapshot blob:
-	// Dispatched on a run that forks in memory, zero on one with a spine
-	// lattice or when a component cannot copy its state.
+	// every boundary the spine computed (Dispatched less the lattice
+	// hits) when every component can copy its state, zero otherwise.
 	MemoryForks int
-	// SpineSaveTime is wall-clock the background writer spent persisting
-	// boundary snapshots into the spine checkpoint lattice; it overlaps
-	// worker execution, so it is cost only when the disk is the
-	// bottleneck. LatticeHits and LatticeMisses count boundary probes
-	// (zero when no checkpoint directory is configured): a fully warm run
-	// reports Hits == Dispatched, a cold run Misses == Dispatched. An
-	// exact run probes its one warm-state entry: one hit or one miss.
+	// SpineSaveTime is the part of SpineTime the spine spent saving
+	// boundary snapshots into the checkpoint lattice, in line.
+	// LatticeHits and LatticeMisses count boundary probes (zero when no
+	// checkpoint directory is configured): a fully warm run reports
+	// Hits == Dispatched, a cold run Misses == Dispatched. An exact run
+	// probes its one warm-state entry: one hit or one miss.
 	SpineSaveTime time.Duration
 	LatticeHits   int
 	LatticeMisses int
@@ -117,7 +116,7 @@ func (s *System) SampleWork() SampleWork { return s.work }
 
 // sampleJob hands one interval boundary to the worker pool, as a pooled
 // holder or as a Snapshot blob. buf is the entry buffer holding a blob a
-// lattice probe loaded, nil for a blob the spine computed.
+// lattice probe loaded, nil for a blob the spine encoded.
 type sampleJob struct {
 	index  int
 	holder *System
@@ -128,11 +127,13 @@ type sampleJob struct {
 // runSampledParallel drives intervals on a worker pool fed by a
 // functional spine. The caller's goroutine is the committer.
 //
-// With a pool (forkPlan), the spine copies each boundary into a holder
-// from it. The holder stays attached to its interval's result until a
-// later commit supersedes it or the interval is cancelled or discarded,
-// and then goes back to the pool; the last committed one anchors
-// finishSampled. Without one, the spine snapshots each boundary instead.
+// With a pool (forkPlan), the spine copies each boundary it computes
+// into a holder from it. The holder stays attached to its interval's
+// result until a later commit supersedes it or the interval is cancelled
+// or discarded, and then goes back to the pool; the last committed one
+// anchors finishSampled. The first copy is the run's trial: if it fails,
+// and without a pool, the spine hands over each boundary's snapshot
+// instead. It snapshots a boundary otherwise only to save it, in line.
 //
 // With a lattice, the spine probes each boundary before computing it. A
 // hit dispatches the stored blob, in its entry buffer, without touching
@@ -140,14 +141,13 @@ type sampleJob struct {
 // boundary's state. The next miss repairs that by restoring the last
 // hit's blob before advancing, so the functional trajectory between
 // boundaries is identical to a cold spine's. Warmup runs lazily on the
-// first miss; a fully warm run never warms up, never advances, and the
-// spine degenerates to lattice lookups. Entry buffers go back to the
-// lattice's free list where holders go back to the pool.
+// first miss; a fully warm run never warms up, never advances, never
+// copies, and the spine degenerates to lattice lookups. Entry buffers go
+// back to the lattice's free list where holders go back to the pool.
 //
-// A blob the lattice loaded had both its checksums verified by the load,
-// and a blob the spine computed has its checked by the worker's Restore,
-// so the catch-up and finishSampled, which only see blobs of these two
-// kinds, decode without a CRC pass.
+// Every blob a run holds is either a lattice hit, whose load verified
+// its checksum, or a snapshot this process encoded, so the workers, the
+// catch-up and finishSampled all decode without a CRC pass.
 func (s *System) runSampledParallel(st *sampleState, workers int, lat *spineLattice, pool *freeList[*System]) {
 	sc := st.sc
 	funcLen := sc.Period - sc.WarmLen - sc.DetailLen
@@ -183,6 +183,10 @@ func (s *System) runSampledParallel(st *sampleState, workers int, lat *spineLatt
 		defer close(spineDone)
 		next := make([]int64, n)
 		warmed := false
+		// copies is the spine's own view of pool: nil once the trial copy,
+		// the run's first, has failed. pool itself never changes, since
+		// the workers and the committer return holders to it.
+		copies, tried := pool, false
 		// A lattice hit dispatches without advancing, leaving the live
 		// system stale: behind the hit's boundary, whose snapshot lastBlob
 		// holds in the entry buffer lastBuf until the next miss restores it.
@@ -225,18 +229,27 @@ func (s *System) runSampledParallel(st *sampleState, workers int, lat *spineLatt
 					s.advanceFunctional(next)
 				}
 				s.resetIntervalState()
-				if pool != nil {
-					holder = pool.get()
+				if copies != nil {
+					holder = copies.get()
 					if err := holder.copyFunctionalFrom(s); err != nil {
-						panic(fmt.Sprintf("sim: interval copy failed after passing the trial copy: %v", err))
+						if tried {
+							panic(fmt.Sprintf("sim: interval copy failed after passing the trial copy: %v", err))
+						}
+						holder, copies = nil, nil
 					}
-				} else {
+					tried = true
+				}
+				if save := lat.saves(k); save || copies == nil {
 					b, err := s.Snapshot(st.wlName)
 					if err != nil {
 						panic(fmt.Sprintf("sim: interval snapshot failed after passing the trial snapshot: %v", err))
 					}
-					blob = b
-					lat.saveAsync(k, b)
+					if save {
+						lat.save(k, b)
+					}
+					if copies == nil {
+						blob = b
+					}
 				}
 				// The next boundary is an absolute target captured at this one:
 				// B + Period, independent of any detailed leg's overshoot.
@@ -276,13 +289,10 @@ func (s *System) runSampledParallel(st *sampleState, workers int, lat *spineLatt
 					fork = New(s.cfg, s.wl)
 				}
 				var err error
-				switch {
-				case job.holder != nil:
+				if job.holder != nil {
 					err = fork.copyFunctionalFrom(job.holder)
-				case job.buf != nil: // loaded: the load verified both checksums
+				} else {
 					err = fork.restore(ckpt.NewDecoderVerified(job.blob), st.wlName)
-				default: // computed: Restore checks its CRC
-					err = fork.Restore(job.blob, st.wlName)
 				}
 				if err != nil {
 					panic(fmt.Sprintf("sim: fork restore failed: %v", err))

@@ -241,7 +241,7 @@ func TestRunWithStoreBypassesSampling(t *testing.T) {
 	if work.LatticeHits != 0 || work.LatticeMisses == 0 {
 		t.Errorf("cold sampled run probed %+v, want only misses", work)
 	}
-	if _, err := os.Stat(filepath.Join(dir, warmEntryKey(cfg, wl, "libquantum")+".ckpt")); err == nil {
+	if _, err := os.Stat(filepath.Join(formatDir(dir), warmEntryKey(cfg, wl, "libquantum")+".ckpt")); err == nil {
 		t.Error("sampled run wrote the exact run's warm entry")
 	}
 	if base := New(cfg, wl).Run("libquantum"); !reflect.DeepEqual(res, base) {

@@ -105,18 +105,19 @@ type Config struct {
 	// (DESIGN.md §7, §14) that memoizes both kinds of run as ckpt.Lattice
 	// entries. An exact run's warm state is boundary 0 of a one-entry
 	// lattice keyed by WarmFingerprint: a hit restores it and skips
-	// warmup, a miss warms up cold and saves it. A sampled run persists
-	// its functional spine's boundary snapshots in the background and
-	// restores them instead of re-simulating on later runs with the same
-	// spine fingerprint. Like SampleWorkers it is pure execution strategy
-	// — results are byte-identical with the directory unset, empty or
-	// populated — so it is excluded from memo keys and fingerprints.
+	// warmup, a miss warms up cold and saves it. A sampled run saves its
+	// functional spine's boundary 0, the state after functional warmup,
+	// and restores it instead of warming up on later runs with the same
+	// spine fingerprint. Entries live in the directory's subdirectory
+	// named by CheckpointFormatID. Like SampleWorkers it is pure execution
+	// strategy — results are byte-identical with the directory unset,
+	// empty or populated — so it is excluded from memo keys and
+	// fingerprints.
 	SpineCheckpointDir string
-	// SpineStride saves every SpineStride-th interval boundary of a
-	// sampled run into the lattice. Zero (the default) sizes the stride
-	// automatically from the first snapshot's size so roughly one
-	// ~128 KiB granule is written per period whatever the blob size; 1
-	// saves every boundary. Exact runs ignore it.
+	// SpineStride N >= 1 saves every Nth interval boundary of a sampled
+	// run into the lattice instead of boundary 0 alone, so a re-run with
+	// the same interval geometry also skips the functional fast-forward
+	// between saved boundaries. Exact runs ignore it.
 	SpineStride int
 
 	Seed int64
@@ -169,7 +170,7 @@ func (c Config) Validate() error {
 	case c.SampleWorkers < 0:
 		return fmt.Errorf("sim: SampleWorkers %d must be >= 0 (0 = GOMAXPROCS)", c.SampleWorkers)
 	case c.SpineStride < 0:
-		return fmt.Errorf("sim: SpineStride %d must be >= 0 (0 = auto)", c.SpineStride)
+		return fmt.Errorf("sim: SpineStride %d must be >= 0 (0 = boundary 0 only)", c.SpineStride)
 	}
 	if err := c.validateMachine(); err != nil {
 		return err

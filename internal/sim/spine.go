@@ -8,21 +8,21 @@ import (
 )
 
 // Spine checkpoint lattice (DESIGN.md §14): RunSampled memoizes the
-// functional fast-forward by persisting the spine's boundary snapshots
-// into a ckpt.Lattice and probing it on later runs. A hit replaces the
-// functional advance to that boundary with a restore; a fully-populated
-// lattice reduces the spine to lattice lookups, so a warm re-run is
-// bounded by the detailed windows on the worker pool instead of the
-// sequential spine (§12.3's Amdahl term).
+// functional fast-forward by saving the spine's boundary snapshots into a
+// ckpt.Lattice and probing it on later runs. A hit replaces the
+// functional advance to that boundary with a restore. By default the
+// spine saves boundary 0 alone, the warm state after functional warmup,
+// so a re-run skips warmup and computes the rest; Config.SpineStride N
+// saves every Nth boundary, and a fully populated lattice reduces the
+// spine to lattice lookups.
 //
 // The lattice is keyed by SpineFingerprint — warm-fingerprint fields
 // plus the interval geometry — so it is shared by every run that walks
 // the same functional trajectory and unreachable by any run that does
 // not: measurement-only knobs (MeasureInstr, TargetCI, SampleWorkers)
 // are deliberately excluded, while a geometry change moves every key (a
-// stale lattice misses; it can never restore wrong state). Saves run on
-// a background writer goroutine overlapped with worker execution, so
-// populating the lattice costs a cold run almost no wall-clock.
+// stale lattice misses; it can never restore wrong state). The spine
+// saves in line, as runExact saves an exact run's warm entry.
 
 // spineLatticeVersion versions the spine keying protocol itself (what
 // the fingerprint covers and which boundaries it names). Bump it
@@ -41,12 +41,6 @@ import (
 // devices and core timing, which Restore cannot read, so its entries
 // must miss rather than reach the decoder.
 const spineLatticeVersion = 3
-
-// spineSaveGranule is the disk granule automatic stride sizing targets:
-// with SpineStride 0, the stride is chosen so roughly one granule of
-// snapshot bytes is saved per period, keeping lattice cost ~100 KB-
-// granular whether boundaries serialize to 10 KB or 10 MB.
-const spineSaveGranule = 128 << 10
 
 // SpineFingerprint extends WarmFingerprint with everything else that
 // determines the functional state at interval boundary k: the interval
@@ -88,36 +82,24 @@ func validSnapshot(blob []byte, fp string) bool {
 	return d.Err() == nil
 }
 
-// spineSaveReq is one boundary snapshot queued for the background writer.
-type spineSaveReq struct {
-	interval int
-	blob     []byte
-}
-
-// spineLattice is RunSampled's handle on the lattice: probe/save logic,
-// stride resolution, hit/miss accounting, and the background writer.
-// Probes and saves happen on the spine (one goroutine); only the writer
-// runs concurrently, and it exclusively owns the entry writes.
+// spineLattice is RunSampled's handle on the lattice: probes, in-line
+// saves and hit/miss accounting. Only the spine goroutine calls its
+// methods; the committer and the workers return entry buffers to bufs.
 type spineLattice struct {
 	lat    *ckpt.Lattice
 	warmFP string
-	// stride saves every stride-th boundary. Config.SpineStride > 0 is
-	// explicit; 0 resolves automatically from the first snapshot's size
-	// (ceil(len/spineSaveGranule)) so huge full-scale blobs thin out and
-	// small test blobs save densely.
+	// stride saves every stride-th boundary (Config.SpineStride); zero
+	// saves boundary 0 alone.
 	stride int
 
 	hits   int
 	misses int
+	saveNS int64
 
 	// bufs holds the entry buffers probes read into. A hit's buffer
 	// travels with its interval and returns where a holder would (§12.1);
 	// a miss returns it at once.
 	bufs freeList[*[]byte]
-
-	saves  chan spineSaveReq
-	done   chan struct{}
-	saveNS int64 // written by the writer; read after close()
 }
 
 // openSpineLattice opens the configured lattice for a sampled run, or
@@ -125,23 +107,16 @@ type spineLattice struct {
 // cannot be created — an unusable directory degrades to a plain cold
 // run, never an error.
 func (s *System) openSpineLattice(wlName string) *spineLattice {
-	if s.cfg.SpineCheckpointDir == "" {
-		return nil
-	}
-	lat, err := ckpt.OpenLattice(s.cfg.SpineCheckpointDir, s.SpineFingerprint(wlName))
+	lat, err := ckpt.OpenLattice(s.cfg.checkpointDir(), s.SpineFingerprint(wlName))
 	if err != nil {
 		return nil
 	}
-	sl := &spineLattice{
+	return &spineLattice{
 		lat:    lat,
 		warmFP: s.WarmFingerprint(wlName),
 		stride: s.cfg.SpineStride,
 		bufs:   freeList[*[]byte]{build: func() *[]byte { return new([]byte) }},
-		saves:  make(chan spineSaveReq, 4),
-		done:   make(chan struct{}),
 	}
-	go sl.writer()
-	return sl
 }
 
 // probe looks boundary k up, reading it into an entry buffer from the
@@ -164,7 +139,6 @@ func (sl *spineLattice) probe(interval int, last *[]byte) ([]byte, *[]byte, bool
 	}
 	payload, ok, err := sl.lat.Load(interval, buf)
 	if ok && err == nil && validSnapshot(payload, sl.warmFP) {
-		sl.resolveStride(len(payload))
 		sl.hits++
 		return payload, buf, true
 	}
@@ -173,51 +147,16 @@ func (sl *spineLattice) probe(interval int, last *[]byte) ([]byte, *[]byte, bool
 	return nil, nil, false
 }
 
-// resolveStride fixes the automatic stride from the first observed
-// snapshot size.
-func (sl *spineLattice) resolveStride(blobLen int) {
-	if sl.stride > 0 {
-		return
-	}
-	sl.stride = (blobLen + spineSaveGranule - 1) / spineSaveGranule
-	if sl.stride < 1 {
-		sl.stride = 1
-	}
+// saves reports whether the spine saves boundary k: every stride-th one,
+// or boundary 0 alone at stride 0. A nil receiver saves nothing.
+func (sl *spineLattice) saves(interval int) bool {
+	return sl != nil && (interval == 0 || sl.stride > 0 && interval%sl.stride == 0)
 }
 
-// saveAsync queues boundary k's snapshot for the background writer when
-// the stride selects it. The blob is immutable once serialized (workers
-// and the committer only read it), so the writer can share it. A full
-// queue blocks the spine briefly rather than dropping entries — the
-// queue depth bounds memory, and saves are far cheaper than the
-// periods that produce them.
-func (sl *spineLattice) saveAsync(interval int, blob []byte) {
-	if sl == nil {
-		return
-	}
-	sl.resolveStride(len(blob))
-	if interval%sl.stride != 0 {
-		return
-	}
-	sl.saves <- spineSaveReq{interval: interval, blob: blob}
-}
-
-// writer drains the save queue, persisting each boundary best-effort in
-// one entry write: a full disk or read-only directory loses memoization,
-// never the run.
-func (sl *spineLattice) writer() {
-	defer close(sl.done)
-	for req := range sl.saves {
-		t0 := time.Now()
-		_ = sl.lat.SaveEntry(req.interval, req.blob)
-		sl.saveNS += int64(time.Since(t0))
-	}
-}
-
-// close drains and joins the background writer. The channel close
-// happens-before the writer's done signal, so reading saveNS afterwards
-// is race-free.
-func (sl *spineLattice) close() {
-	close(sl.saves)
-	<-sl.done
+// save writes boundary k's snapshot in line, best-effort: a full disk or
+// read-only directory loses memoization, never the run.
+func (sl *spineLattice) save(interval int, blob []byte) {
+	t0 := time.Now()
+	_ = sl.lat.SaveEntry(interval, blob)
+	sl.saveNS += int64(time.Since(t0))
 }

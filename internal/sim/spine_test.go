@@ -14,9 +14,8 @@ import (
 )
 
 // latticeCfg points cfg at a spine checkpoint lattice directory. Stride 1
-// pins dense saves so fully-warm re-runs are deterministic (the automatic
-// stride would also resolve to 1 at test blob sizes, but the tests should
-// not depend on that).
+// saves every boundary, so a re-run can hit every probe; the default
+// (TestSpineLatticeDefaultSavesWarmBoundary) saves boundary 0 alone.
 func latticeCfg(cfg Config, dir string) Config {
 	cfg.SpineCheckpointDir = dir
 	cfg.SpineStride = 1
@@ -30,7 +29,8 @@ func latticeCfg(cfg Config, dir string) Config {
 // cold run exactly — same Result, same exported metrics JSON, and
 // byte-identical final functional state — across worker counts (a lattice
 // written at one worker count is read at another). Run under -race the
-// suite also proves the background writer shares no state it shouldn't.
+// suite also proves the entry-buffer hand-offs share no state they
+// shouldn't.
 func TestSpineLatticeResumedMatchesCold(t *testing.T) {
 	const wlName = "libquantum"
 	for _, cores := range []int{1, 2} {
@@ -266,7 +266,6 @@ func TestSpineProbeKeepsLastBuffer(t *testing.T) {
 	New(cfg, wl).Run(wlName)
 
 	sl := New(cfg, wl).openSpineLattice(wlName)
-	defer sl.close()
 	last, lastBuf, ok := sl.probe(0, nil)
 	if !ok {
 		t.Fatal("boundary 0 missed a populated lattice")
@@ -302,7 +301,7 @@ func TestSpineLatticeResumeReusesBuffers(t *testing.T) {
 	cfg = latticeCfg(cfg, dir)
 	New(cfg, wl).Run(wlName)
 
-	entries, err := os.ReadDir(dir)
+	entries, err := os.ReadDir(formatDir(dir))
 	if err != nil || len(entries) != boundaries {
 		t.Fatalf("populated lattice holds %d entries (%v), want %d", len(entries), err, boundaries)
 	}
@@ -354,6 +353,99 @@ func TestSpineLatticeStride(t *testing.T) {
 				t.Errorf("stride-2 resumed run diverged from cold")
 			}
 		})
+	}
+}
+
+// TestSpineLatticeDefaultSavesWarmBoundary pins the default save rule:
+// with SpineStride 0 a sampled run saves boundary 0 alone, the state
+// after functional warmup, so a directory holds one entry per design
+// point, in its format subdirectory. A resume hits exactly that boundary,
+// forks every boundary it computes in memory, and reproduces the run
+// without a directory — Result, metrics JSON and final state — at one
+// and two workers, on one core and on two.
+func TestSpineLatticeDefaultSavesWarmBoundary(t *testing.T) {
+	const wlName = "libquantum"
+	for _, cores := range []int{1, 2} {
+		cores := cores
+		t.Run(fmt.Sprintf("%dc", cores), func(t *testing.T) {
+			t.Parallel()
+			dir := t.TempDir()
+			cases := parallelCases(cores, false)
+			points := []Config{cases[1], cases[5]} // accord-2way and tdram, 6 planned intervals each
+			wls := make([]workloads.Workload, len(points))
+			want := map[string]bool{}
+			for i, cfg := range points {
+				wls[i] = traceWorkload(wlName, cfg)
+				cfg.SpineCheckpointDir = dir
+				runSampledWorkers(t, cfg, wls[i], wlName, 2)
+				want[New(cfg, wls[i]).SpineKey(wlName, 0)+".ckpt"] = true
+			}
+			entries, err := os.ReadDir(formatDir(dir))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, e := range entries {
+				if !want[e.Name()] {
+					t.Errorf("directory holds %s, which is no design point's boundary 0", e.Name())
+				}
+			}
+			if len(entries) != len(points) {
+				t.Errorf("directory holds %d entries for %d design points, want one each", len(entries), len(points))
+			}
+
+			for i, cfg := range points {
+				coldRes, coldJS, coldState, _ := runSampledWorkers(t, cfg, wls[i], wlName, 2)
+				cfg.SpineCheckpointDir = dir
+				for _, workers := range []int{1, 2} {
+					res, js, state, work := runSampledWorkers(t, cfg, wls[i], wlName, workers)
+					if work.LatticeHits != 1 || work.LatticeMisses != work.Dispatched-1 {
+						t.Errorf("%s, %d workers: resume hit %d and missed %d of %d boundaries, want boundary 0 alone",
+							cfg.Name, workers, work.LatticeHits, work.LatticeMisses, work.Dispatched)
+					}
+					if work.MemoryForks != work.LatticeMisses {
+						t.Errorf("%s, %d workers: %d memory forks for %d computed boundaries",
+							cfg.Name, workers, work.MemoryForks, work.LatticeMisses)
+					}
+					if !reflect.DeepEqual(coldRes, res) || !bytes.Equal(coldJS, js) || !bytes.Equal(coldState, state) {
+						t.Errorf("%s, %d workers: resume from boundary 0 diverged from the run without a directory",
+							cfg.Name, workers)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestSpineLatticeWarmResumeBuildsNoHolder pins where the trial copy
+// happens: at the first boundary the spine computes. A fully warm
+// stride-1 resume computes none, so it builds no holder System; the cold
+// run that populated its lattice copied every boundary into holders.
+func TestSpineLatticeWarmResumeBuildsNoHolder(t *testing.T) {
+	const wlName = "libquantum"
+	cfg := latticeCfg(parallelCases(2, false)[1], t.TempDir()) // accord-2way
+	cfg.SampleWorkers = 2
+	wl := traceWorkload(wlName, cfg)
+	builds := 0
+	defer func(build func(Config, workloads.Workload) *System) { newHolder = build }(newHolder)
+	newHolder = func(c Config, w workloads.Workload) *System {
+		builds++
+		return New(c, w)
+	}
+
+	s := New(cfg, wl)
+	s.Run(wlName)
+	if work := s.SampleWork(); builds == 0 || work.MemoryForks != work.Dispatched {
+		t.Fatalf("populating run built %d holders and forked %d of %d boundaries in memory",
+			builds, work.MemoryForks, work.Dispatched)
+	}
+	builds = 0
+	s = New(cfg, wl)
+	s.Run(wlName)
+	if work := s.SampleWork(); work.LatticeHits != work.Dispatched || work.LatticeMisses != 0 {
+		t.Fatalf("resume hit %d and missed %d of %d boundaries", work.LatticeHits, work.LatticeMisses, work.Dispatched)
+	}
+	if builds != 0 {
+		t.Errorf("fully warm resume built %d holders, want none", builds)
 	}
 }
 
@@ -451,19 +543,21 @@ func TestSpineKeyGeometry(t *testing.T) {
 // BenchmarkSpineResume measures what the lattice buys on a sampled run
 // with the gigascale example's interval geometry (7.5% of each period
 // detailed, the regime SMARTS sampling targets), scaled down to bench
-// size. Four legs:
+// size. Five legs:
 //
 //   - cold: no lattice, the baseline.
-//   - populate: cold run saving boundaries at the automatic stride (the
-//     default configuration's population overhead; on a single-CPU host
-//     the background writer shares the core, so this is an upper bound).
+//   - populate: cold run saving the default, boundary 0 alone (the
+//     default configuration's population overhead).
 //   - populate-dense: cold run saving every boundary (stride 1), what a
 //     run that expects repeats pays.
 //   - resumed: fully-warm re-run off the dense lattice, where the spine
 //     degenerates to probe+restore.
+//   - resumed-warm: re-run off a default directory, which restores
+//     boundary 0 instead of warming up and computes the rest.
 //
 // All legs produce byte-identical results
-// (TestSpineLatticeResumedMatchesCold), so cold/resumed is pure
+// (TestSpineLatticeResumedMatchesCold,
+// TestSpineLatticeDefaultSavesWarmBoundary), so cold/resumed is pure
 // execution speedup. The stream is recorded once off the clock.
 func BenchmarkSpineResume(b *testing.B) {
 	cfg := ACCORD(2)
@@ -485,9 +579,13 @@ func BenchmarkSpineResume(b *testing.B) {
 	wl := gen
 	wl.Source = tc.Source(gen.Specs, cfg.AnchorLines(), cfg.Seed)
 
-	// Record the stream and populate the warm lattice once, off the clock.
-	warmDir := b.TempDir()
-	New(latticeCfg(cfg, warmDir), wl).Run("libquantum")
+	// Record the stream and populate the dense lattice and a default
+	// directory once, off the clock.
+	denseDir, warmDir := b.TempDir(), b.TempDir()
+	New(latticeCfg(cfg, denseDir), wl).Run("libquantum")
+	warm := cfg
+	warm.SpineCheckpointDir = warmDir
+	New(warm, wl).Run("libquantum")
 
 	run := func(b *testing.B, cfg Config) {
 		b.ReportAllocs()
@@ -505,7 +603,8 @@ func BenchmarkSpineResume(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			c := latticeCfg(cfg, dir)
+			c := cfg
+			c.SpineCheckpointDir = dir
 			c.SpineStride = stride
 			b.StartTimer()
 			if res := New(c, wl).Run("libquantum"); res.Instructions == 0 {
@@ -519,5 +618,6 @@ func BenchmarkSpineResume(b *testing.B) {
 	b.Run("cold", func(b *testing.B) { run(b, cfg) })
 	b.Run("populate", func(b *testing.B) { populate(b, 0) })
 	b.Run("populate-dense", func(b *testing.B) { populate(b, 1) })
-	b.Run("resumed", func(b *testing.B) { run(b, latticeCfg(cfg, warmDir)) })
+	b.Run("resumed", func(b *testing.B) { run(b, latticeCfg(cfg, denseDir)) })
+	b.Run("resumed-warm", func(b *testing.B) { run(b, warm) })
 }

@@ -72,8 +72,8 @@ func chunkBytes(c *traceChunk) int64 {
 // trace is one shared recording: the chunks recorded so far plus the
 // generator parked at the recording frontier.
 type trace struct {
-	// Construction parameters, needed to rebuild scratch generators for
-	// cursor snapshots. Immutable after creation.
+	// Construction parameters, needed to build the scratch generator.
+	// Immutable after creation.
 	spec       Spec
 	cacheLines uint64
 	cores      int
@@ -86,6 +86,10 @@ type trace struct {
 	chunks []*traceChunk
 	total  int64      // events recorded; chunks[total/chunkEvents] holds the frontier
 	gen    *generator // positioned exactly at event total
+	// scratch is where cursor restores validate their stream section and
+	// snapshots behind the frontier replay to their position, so neither
+	// builds a generator per call. Built on first use; see scratchLocked.
+	scratch *generator
 }
 
 // newTrace parks a fresh generator at event zero; nothing is recorded
@@ -129,10 +133,20 @@ func (t *trace) extendLocked(pos int64) {
 	}
 }
 
+// scratchLocked returns the trace's scratch generator, building it on
+// first use. Every use starts with a Restore, which sets all of its
+// mutable state. Must be called with t.mu held.
+func (t *trace) scratchLocked() *generator {
+	if t.scratch == nil {
+		t.scratch = newGenerator(t.spec, t.cacheLines, t.cores, t.seed)
+	}
+	return t.scratch
+}
+
 // snapshotAt encodes the generator state after pos events — the exact
 // bytes a live generator that produced pos events would emit. The frontier
 // generator serves the common case (snapshot at the recorded end); other
-// positions restore the nearest chunk-boundary state into a scratch
+// positions restore the nearest chunk-boundary state into the scratch
 // generator and roll it forward, at most chunkEvents steps. A generator
 // encodes to the same length at every position, so a measurer is served
 // by the frontier generator without extending or replaying.
@@ -151,7 +165,7 @@ func (t *trace) snapshotAt(e *ckpt.Encoder, pos int64) {
 		return
 	}
 	k := int(pos / chunkEvents)
-	tmp := newGenerator(t.spec, t.cacheLines, t.cores, t.seed)
+	tmp := t.scratchLocked()
 	if err := tmp.Restore(ckpt.NewDecoder(t.chunks[k].state)); err != nil {
 		// The boundary states are written by this process from a healthy
 		// generator; failing to decode one is a programming error.
@@ -256,13 +270,19 @@ func (c *Cursor) Snapshot(e *ckpt.Encoder) {
 // Restore implements Checkpointer. It accepts a generator-format snapshot
 // and adopts its event count as the replay position; the RNG and
 // component state it carries are redundant with the recording (the trace
-// regenerates them on demand for later snapshots) and only validated.
+// regenerates them on demand for later snapshots) and only validated, in
+// the trace's scratch generator.
 func (c *Cursor) Restore(d *ckpt.Decoder) error {
-	tmp := newGenerator(c.t.spec, c.t.cacheLines, c.t.cores, c.t.seed)
-	if err := tmp.Restore(d); err != nil {
+	t := c.t
+	t.mu.Lock()
+	tmp := t.scratchLocked()
+	err := tmp.Restore(d)
+	pos := tmp.count
+	t.mu.Unlock()
+	if err != nil {
 		return err
 	}
-	c.pos = tmp.count
+	c.pos = pos
 	c.idx = 0
 	c.gaps, c.lines, c.flags = nil, nil, nil
 	return nil

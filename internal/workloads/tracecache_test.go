@@ -435,3 +435,78 @@ func TestMeasuredSnapshotLength(t *testing.T) {
 	check("cursor beyond the frontier", beyond)
 
 }
+
+// TestCursorRestoreAllocatesNothing pins that a cursor restore, and a
+// snapshot taken behind the recording frontier, build no generator per
+// call: both work in the trace's one scratch generator. The restore
+// allocates at most its decoder, and the snapshot no more than a
+// generator's own snapshot into the same encoder.
+func TestCursorRestoreAllocatesNothing(t *testing.T) {
+	spec := MustGet("omnetpp", 4).Specs[0]
+	tc := NewTraceCache(0)
+	lead := tc.Stream(spec, 1<<16, 4, 3)
+	drawEvents(lead, 2*chunkEvents)
+	cur := tc.Stream(spec, 1<<16, 4, 3)
+	drawEvents(cur, chunkEvents+555) // behind lead's frontier
+	e := ckpt.NewEncoder(0)
+	cur.Snapshot(e)
+	blob := e.Finish()
+
+	restore := func() {
+		if err := cur.Restore(ckpt.NewDecoder(blob[:len(blob)-4])); err != nil {
+			t.Fatalf("cursor Restore: %v", err)
+		}
+	}
+	if avg := testing.AllocsPerRun(20, restore); avg > 1 {
+		t.Errorf("cursor Restore allocated %.1f times per call, want only its decoder", avg)
+	}
+
+	gen := NewStream(spec, 1<<16, 4, 3).(Checkpointer)
+	snapshot := func(c Checkpointer) func() {
+		return func() { c.Snapshot(ckpt.NewEncoder(len(blob))) }
+	}
+	want := testing.AllocsPerRun(20, snapshot(gen))
+	if avg := testing.AllocsPerRun(20, snapshot(cur)); avg > want {
+		t.Errorf("cursor Snapshot behind the frontier allocated %.1f times per call, a generator's %.1f", avg, want)
+	}
+}
+
+// TestCursorScratchConcurrent restores and snapshots cursors of one
+// trace from several goroutines at once. They share the trace's scratch
+// generator, so under -race this checks the lock around it, and every
+// snapshot taken after a restore must give back the restored bytes.
+func TestCursorScratchConcurrent(t *testing.T) {
+	spec := MustGet("omnetpp", 4).Specs[0]
+	tc := NewTraceCache(0)
+	drawEvents(tc.Stream(spec, 1<<16, 4, 3), 3*chunkEvents)
+	var blobs [][]byte
+	for _, n := range []int{3, 100, chunkEvents + 7, 2*chunkEvents + 999} {
+		c := tc.Stream(spec, 1<<16, 4, 3)
+		drawEvents(c, n)
+		e := ckpt.NewEncoder(0)
+		c.Snapshot(e)
+		blobs = append(blobs, e.Finish())
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			c := tc.Stream(spec, 1<<16, 4, 3)
+			for i := 0; i < 50; i++ {
+				want := blobs[(g+i)%len(blobs)]
+				if err := c.Restore(ckpt.NewDecoder(want[:len(want)-4])); err != nil {
+					t.Errorf("goroutine %d: Restore: %v", g, err)
+					return
+				}
+				e := ckpt.NewEncoder(len(want))
+				c.Snapshot(e)
+				if !bytes.Equal(e.Finish(), want) {
+					t.Errorf("goroutine %d: Snapshot after Restore differs from the restored bytes", g)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+}
